@@ -13,7 +13,7 @@ from .campaign import (
 )
 from .config import ArrayConfig, load_config
 from .driver import RunResult, run_multiplication, total_active_cycles
-from .faults import FaultSpec, inject, sample_faults
+from .faults import FaultSpec, sample_faults
 from .matio import MatrixFormatError, read_dense, read_packed, write_dense, write_packed
 from .oracle import GoldenResult, checksum_identity, golden_result, matmul_ref
 from .registers import Owner, RegisterId, RegKind, enumerate_registers, parse_register
@@ -28,7 +28,7 @@ from .sparsity import (
     unpack,
     validate_structured,
 )
-from .systolic import Phase, SimState, StateError, TileResult, tile_active_cycles
+from .systolic import SimState, StateError, TileResult, tile_active_cycles
 from .tiling import Tile, TilePlan, tile_plan
 
 __version__ = "0.1.0"
@@ -45,7 +45,6 @@ __all__ = [
     "MatrixFormatError",
     "OutcomeCategory",
     "Owner",
-    "Phase",
     "RegKind",
     "RegisterId",
     "RunResult",
@@ -64,7 +63,6 @@ __all__ = [
     "classify",
     "enumerate_registers",
     "golden_result",
-    "inject",
     "load_config",
     "matmul_ref",
     "pack",

@@ -25,44 +25,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ArrayConfig
-from .intwrap import fits, from_unsigned, wrap
+from .intwrap import wrap
 
 
 class DigitRangeError(ValueError):
     """Accumulator value not representable in the configured digits."""
 
 
-def split_digits(value: int, digit_count: int, digit_width: int, strict: bool = True) -> list:
+def split_digits(value, digit_count: int, digit_width: int, strict: bool = True) -> list:
     """Decompose a value into signed digits, least-significant first.
 
-    With ``strict=True`` a value whose top digit does not fit the digit width
-    raises DigitRangeError; this cannot happen for sums of at most
-    ``2^(digit_width * (digit_count - 1))`` digit_width-wide values. With
-    ``strict=False`` the top digit wraps, which is what the register-width
-    hardware does when a fault pushes an accumulator out of range.
+    ``value`` is an int, giving a list of ints, or an int64 array, giving a
+    list of arrays of its shape. With ``strict=True`` a value whose top digit
+    does not fit the digit width raises DigitRangeError; this cannot happen
+    for sums of at most ``2^(digit_width * (digit_count - 1))``
+    digit_width-wide values. With ``strict=False`` the top digit wraps,
+    which is what the register-width hardware does when a fault pushes an
+    accumulator out of range.
     """
     digits = []
-    remaining = int(value)
-    mask = (1 << digit_width) - 1
+    remaining = value if isinstance(value, np.ndarray) else int(value)
     for _ in range(digit_count - 1):
-        digit = from_unsigned(remaining & mask, digit_width)
+        digit = wrap(remaining, digit_width)
         digits.append(digit)
         remaining = (remaining - digit) >> digit_width
-    if strict and not fits(remaining, digit_width):
+    top = wrap(remaining, digit_width)
+    if strict and np.any(top != remaining):
         raise DigitRangeError(
             f"value {value} needs top digit {remaining}, outside signed {digit_width}-bit range"
         )
-    digits.append(int(wrap(remaining, digit_width)))
+    digits.append(top)
     return digits
-
-
-def split_digits_array(values: np.ndarray, digit: int, digit_width: int) -> np.ndarray:
-    """Digit ``digit`` of each element, with wrapping (hardware) semantics."""
-    remaining = values.astype(np.int64)
-    for _ in range(digit):
-        low = wrap(remaining, digit_width)
-        remaining = (remaining - low) >> digit_width
-    return wrap(remaining, digit_width)
 
 
 @dataclass
@@ -114,6 +107,11 @@ class CheckerState:
         self.predicted = 0
         return result
 
-    def digit_wave(self, pe_row: int, digit_k: int) -> np.ndarray:
-        """Digit ``digit_k`` of row ``pe_row``'s IC accumulators (wrapping)."""
-        return split_digits_array(self.ic[pe_row], digit_k, self.cfg.input_width)
+    def digit_wave(self, pe_row, digit_k) -> np.ndarray:
+        """Digit ``digit_k`` of row ``pe_row``'s IC accumulators (wrapping).
+
+        Both arguments may be equal-length index arrays, one digit per row.
+        """
+        cfg = self.cfg
+        digits = split_digits(self.ic, cfg.digits_per_round, cfg.input_width, strict=False)
+        return np.stack(digits)[digit_k, pe_row]

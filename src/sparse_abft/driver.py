@@ -72,7 +72,8 @@ def run_multiplication(
 
     Outputs of tiles sharing output columns (inner-dimension chunks) are
     accumulated host-side with wraparound at the column output width, which
-    is congruent to the single-pass architectural result.
+    is congruent to the single-pass architectural result. A fault scheduled
+    past the last active cycle would never fire, so it raises ValueError.
     """
     if w.pattern != cfg.pattern:
         raise ShapeError(f"weight pattern {w.pattern} != array pattern {cfg.pattern}")
@@ -81,6 +82,12 @@ def run_multiplication(
     a.check_width(cfg.input_width)
 
     plan = tile_plan(a.rows, a.cols, w.cols, cfg)
+    window = total_active_cycles(cfg, a.rows, a.cols, w.cols)
+    faults = list(faults)
+    for spec in faults:
+        if spec.cycle >= window:
+            raise ValueError(f"fault at cycle {spec.cycle} would never fire: "
+                             f"the run has {window} active cycles")
     state = SimState(cfg)
     if watch:
         state.watch = list(watch)

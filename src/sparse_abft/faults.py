@@ -1,4 +1,4 @@
-"""Bit-flip fault specification, sampling, and injection."""
+"""Bit-flip fault specification and sampling."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from .config import ArrayConfig
 from .registers import RegisterId, RegisterMap, RegKind
 from .sparsity import StructuredSparseMatrix
-from .systolic import SimState
 
 
 @dataclass(frozen=True, order=True)
@@ -49,11 +48,6 @@ def sample_faults(seed: int, register_map: RegisterMap, count: int, active_cycle
         cycle = rng.randrange(active_cycles)
         specs.append(FaultSpec(cycle=cycle, register=reg, bit=bit))
     return specs
-
-
-def inject(state: SimState, spec: FaultSpec) -> None:
-    """Flip the addressed bit right now; no other state changes."""
-    state.flip_register_bit(spec.register, spec.bit)
 
 
 # ----------------------------------------------------------------------

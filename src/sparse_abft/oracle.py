@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .intwrap import wrap
 from .sparsity import DenseMatrix, ShapeError
 
@@ -43,17 +41,10 @@ class GoldenResult:
 
     product: DenseMatrix        # wrapped at the architectural output width
     total_checksum: int         # unbounded sum of all product elements
-    colsum_a: np.ndarray
-    rowsum_w: np.ndarray
 
 
 def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> GoldenResult:
     product = matmul_ref(a, w_dense, out_width)
     total, dot, equal = checksum_identity(a, w_dense)
     assert equal, "checksum identity must hold over unbounded integers"
-    return GoldenResult(
-        product=product,
-        total_checksum=total,
-        colsum_a=a.data.sum(axis=0),
-        rowsum_w=w_dense.data.sum(axis=1),
-    )
+    return GoldenResult(product=product, total_checksum=total)

@@ -56,6 +56,11 @@ class RegisterId:
         return Owner.ARRAY if self.kind in _ARRAY_KINDS else Owner.CHECKER
 
     @property
+    def signed(self) -> bool:
+        """Index registers hold unsigned row offsets; all others are two's complement."""
+        return self.kind is not RegKind.INDEX
+
+    @property
     def name(self) -> str:
         k = self.kind
         if k in (RegKind.WEIGHT, RegKind.INDEX, RegKind.INPUT_PIPE):

@@ -184,38 +184,33 @@ def validate_structured(w: DenseMatrix, pattern: SparsityPattern) -> ValidationR
     return ValidationReport(valid=not violations, violations=violations)
 
 
+def _pack_blocks(rows: int, blocks: np.ndarray, pattern: SparsityPattern) -> StructuredSparseMatrix:
+    """Pack (block_rows, m, cols) blocks holding at most ``pattern.n`` non-zeros each."""
+    m, n = pattern.m, pattern.n
+    nonzero = blocks != 0
+    masks = (nonzero << np.arange(m)[:, None]).sum(axis=1)
+    counts = nonzero.sum(axis=1)
+    # a stable sort on "is zero" lists the stored offsets first, ascending
+    offsets = np.argsort(~nonzero, axis=1, kind="stable")[:, :n]
+    stored = np.arange(n)[:, None] < counts[:, None, :]
+    values = np.where(stored, np.take_along_axis(blocks, offsets, axis=1), 0)
+    indexes = np.where(stored, offsets, 0)
+    return StructuredSparseMatrix(rows, blocks.shape[2], pattern, masks,
+                                  values.transpose(0, 2, 1), indexes.transpose(0, 2, 1), counts)
+
+
 def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
     """Keep the n largest-magnitude elements per column block, zero the rest.
 
     Ties on magnitude are broken toward the lower row offset, which makes the
     result deterministic. Kept zeros are dropped entirely (mask bit cleared).
     """
-    m, n = pattern.m, pattern.n
-    blocks = _padded_blocks(w, m)
-    b, _, cols = blocks.shape
-
-    masks = np.zeros((b, cols), dtype=np.int64)
-    values = np.zeros((b, cols, n), dtype=np.int64)
-    indexes = np.zeros((b, cols, n), dtype=np.int64)
-    counts = np.zeros((b, cols), dtype=np.int64)
-
+    blocks = _padded_blocks(w, pattern.m)
     # Stable argsort on -|v| implements the lowest-index tie-break.
     order = np.argsort(-np.abs(blocks), axis=1, kind="stable")
-    for br in range(b):
-        for c in range(cols):
-            kept = sorted(int(i) for i in order[br, :n, c])
-            k = 0
-            for idx in kept:
-                v = int(blocks[br, idx, c])
-                if v == 0:
-                    continue
-                masks[br, c] |= 1 << idx
-                values[br, c, k] = v
-                indexes[br, c, k] = idx
-                k += 1
-            counts[br, c] = k
-
-    return StructuredSparseMatrix(w.rows, cols, pattern, masks, values, indexes, counts)
+    keep = np.zeros(blocks.shape, dtype=bool)
+    np.put_along_axis(keep, order[:, :pattern.n], True, axis=1)
+    return _pack_blocks(w.rows, np.where(keep, blocks, 0), pattern)
 
 
 def pack(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
@@ -226,39 +221,13 @@ def pack(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
     report = validate_structured(w, pattern)
     if not report.valid:
         raise SparsityViolationError(report)
-
-    m, n = pattern.m, pattern.n
-    blocks = _padded_blocks(w, m)
-    b, _, cols = blocks.shape
-
-    masks = np.zeros((b, cols), dtype=np.int64)
-    values = np.zeros((b, cols, n), dtype=np.int64)
-    indexes = np.zeros((b, cols, n), dtype=np.int64)
-    counts = np.zeros((b, cols), dtype=np.int64)
-
-    for br in range(b):
-        for c in range(cols):
-            k = 0
-            for idx in range(m):
-                v = int(blocks[br, idx, c])
-                if v == 0:
-                    continue
-                masks[br, c] |= 1 << idx
-                values[br, c, k] = v
-                indexes[br, c, k] = idx
-                k += 1
-            counts[br, c] = k
-
-    return StructuredSparseMatrix(w.rows, cols, pattern, masks, values, indexes, counts)
+    return _pack_blocks(w.rows, _padded_blocks(w, pattern.m), pattern)
 
 
 def unpack(sw: StructuredSparseMatrix) -> DenseMatrix:
     """Expand packed storage back to a dense matrix (inverse of pack)."""
     m = sw.pattern.m
-    dense = np.zeros((sw.block_rows * m, sw.cols), dtype=np.int64)
-    for br in range(sw.block_rows):
-        for c in range(sw.cols):
-            k = int(sw.counts[br, c])
-            for j in range(k):
-                dense[br * m + int(sw.indexes[br, c, j]), c] = int(sw.values[br, c, j])
-    return DenseMatrix(sw.rows, sw.cols, dense[: sw.rows])
+    dense = np.zeros((sw.block_rows, m, sw.cols), dtype=np.int64)
+    b, c, j = np.nonzero(np.arange(sw.pattern.n) < sw.counts[:, :, None])
+    dense[b, sw.indexes[b, c, j], c] = sw.values[b, c, j]
+    return DenseMatrix(sw.rows, sw.cols, dense.reshape(-1, sw.cols)[: sw.rows])

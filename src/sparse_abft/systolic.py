@@ -2,7 +2,7 @@
 
 Timing model
 ------------
-All registers update synchronously once per ``step``; combinational logic
+All registers update synchronously once per clock edge; combinational logic
 reads the values latched at the previous edge. The chosen latency constants
 (any consistent set preserves functional results, this one is the contract
 for reproducible fault placement):
@@ -18,11 +18,22 @@ for reproducible fault placement):
 * the OC chain output for the wave reaches the corner accumulators on cycle
   ``p + R + C + 1``.
 
+Wave schedule
+-------------
 A "wave" is either one data row of the input matrix or one checksum digit
 row. Waves are presented back to back: after every ``rows_per_round`` data
 rows (and at end of tile) the feeder switches to the ``digits_per_round``
 digit waves of the finished round, then streaming resumes immediately. Only
 the end of a tile appends ``R + C + 1`` bubble cycles to flush the pipeline.
+
+Which wave is presented on which cycle depends only on the configuration and
+the tile's row count, so ``wave_schedule`` computes it once per tile. Before
+the first edge, ``run_tile`` derives every per-cycle input of the one clock
+path ``_clock`` from it: the west bundles, the data and last-digit row
+masks, the corner tags and the trace labels. Outputs are captured by one
+scatter of the recorded bottom-row partial sums after the last edge. Digit
+bundles alone are read while clocking, from the IC accumulators as they
+stand when the wave enters a row, so a fault there reaches the digits.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -36,33 +47,20 @@ that only targets the compute/checksum phases.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .checker import CheckerState, ChecksumRoundResult
+from .checker import CheckerState
 from .config import ArrayConfig
-from .intwrap import check_ndarray_width, flip_bit, wrap
-from .registers import RegisterId, RegKind
+from .intwrap import check_ndarray_width, wrap
+from .registers import RegisterId, RegKind, enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 
 
 class StateError(RuntimeError):
-    """Operation incompatible with the simulator's current phase."""
-
-
-class Phase(enum.Enum):
-    WEIGHT_LOAD = "WeightLoad"
-    IDLE = "Idle"
-    STREAM = "Stream"
-    CHECKSUM_DIGIT = "ChecksumDigit"
-    DRAIN = "Drain"
-
-
-# Ledger wave tags: (_DATA, row_index) or (_DIGIT, round_index, digit_k).
-_DATA = 0
-_DIGIT = 1
+    """Operation incompatible with the simulator's state (inputs before any weights)."""
 
 
 @dataclass(frozen=True)
@@ -81,11 +79,36 @@ class TileResult:
     rounds: list
 
 
+def wave_schedule(cfg: ArrayConfig, a_rows: int):
+    """The wave presented at the west edge on each cycle of one tile.
+
+    Returns ``(data, digit)``, one entry per cycle: the input row of a data
+    wave and the digit index of a checksum digit wave, ``-1`` where the
+    cycle carries neither (the closing flush bubbles).
+    """
+    t, d = cfg.rows_per_round, cfg.digits_per_round
+    rounds = -(-a_rows // t)
+    cycles = a_rows + rounds * d + cfg.rows + cfg.cols + 1
+    data = np.full(cycles, -1, dtype=np.int64)
+    digit = np.full(cycles, -1, dtype=np.int64)
+    rows = np.arange(a_rows)
+    data[rows + rows // t * d] = rows
+    # the digit waves of round q follow its last row and q earlier rounds' digits
+    round_ends = np.minimum(np.arange(1, rounds + 1) * t, a_rows)
+    digit[(round_ends + np.arange(rounds) * d)[:, None] + np.arange(d)] = np.arange(d)
+    return data, digit
+
+
 def tile_active_cycles(cfg: ArrayConfig, a_rows: int) -> int:
     """Cycles one tile occupies: all waves plus the pipeline flush."""
-    rounds = (a_rows + cfg.rows_per_round - 1) // cfg.rows_per_round
-    waves = a_rows + rounds * cfg.digits_per_round
-    return waves + cfg.rows + cfg.cols + 1
+    return len(wave_schedule(cfg, a_rows)[0])
+
+
+def _lagged(waves: np.ndarray, lags) -> np.ndarray:
+    """``waves[t - lag]`` for every cycle ``t`` (rows) and lag (columns);
+    ``-1`` where that reaches before the tile's first cycle."""
+    at = np.arange(len(waves))[:, None] - np.asarray(lags)
+    return np.where(at >= 0, waves[at], -1)
 
 
 class SimState:
@@ -94,8 +117,6 @@ class SimState:
     def __init__(self, cfg: ArrayConfig):
         self.cfg = cfg
         self.cycle = 0
-        self.phase = Phase.WEIGHT_LOAD
-        self.digit_index = None
 
         m, slots = cfg.pattern.m, cfg.slots
         self.weights = np.zeros((cfg.rows, cfg.cols, slots), dtype=np.int64)
@@ -111,12 +132,7 @@ class SimState:
 
         self.loaded = False
         self._loaded_tile = None
-        self.ledger: list = []           # one wave tag (or None) per elapsed cycle
-        self._feed: list = []            # 1-D input rows addressed by data tags
-        self._outputs = None             # capture buffer of the active tile
-        self._rows_in_round = 0
-        self._round_seq = 0
-        self.round_results: list[ChecksumRoundResult] = []
+        self.round_results: list = []
         self.pending_faults: dict = {}   # cycle -> [FaultSpec]
 
         self.watch: list[RegisterId] = []
@@ -125,81 +141,47 @@ class SimState:
     # ------------------------------------------------------------------
     # register access
 
-    def _locate(self, reg: RegisterId):
-        """(backing array, element key, width, signed) of one register.
+    def _storage(self, reg: RegisterId):
+        """(array, index, width) of one register.
 
-        Index registers are unsigned row offsets; everything else is signed
-        two's-complement.
+        The corner accumulators are checker attributes and come back as
+        ``(None, attribute name, width)``. The width comes from the register
+        table, which raises ValueError for registers this array lacks.
         """
-        cfg = self.cfg
-        k = reg.kind
-        if k is RegKind.WEIGHT:
-            return self.weights, (reg.row, reg.col, reg.lane), cfg.input_width, True
-        if k is RegKind.INDEX:
-            return self.indexes, (reg.row, reg.col, reg.lane), cfg.index_width, False
-        if k is RegKind.INPUT_PIPE:
-            return self.pipe, (reg.row, reg.col, reg.lane), cfg.input_width, True
+        width = enumerate_registers(self.cfg).width_of(reg)
+        k, ck = reg.kind, self.checker
         if k is RegKind.PSUM:
-            return self.psum, (reg.row, reg.col), cfg.col_out_width, True
+            return self.psum, (reg.row, reg.col), width
         if k is RegKind.IC_ACC:
-            return self.checker.ic, (reg.row, reg.lane), cfg.ic_width, True
+            return ck.ic, (reg.row, reg.lane), width
         if k is RegKind.OC_PIPE:
-            return self.checker.oc, (reg.col,), cfg.oc_width, True
-        if k is RegKind.CKSUM_ACTUAL:
-            return None, "actual", cfg.cksum_width, True
-        if k is RegKind.CKSUM_PREDICTED:
-            return None, "predicted", cfg.cksum_width, True
-        raise ValueError(f"unknown register {reg.name}")
-
-    def _check_coords(self, reg: RegisterId):
-        cfg = self.cfg
-        k = reg.kind
-        ok = True
-        if k in (RegKind.WEIGHT, RegKind.INDEX):
-            ok = 0 <= reg.row < cfg.rows and 0 <= reg.col < cfg.cols and 0 <= reg.lane < cfg.slots
-            if k is RegKind.INDEX and cfg.index_width == 0:
-                ok = False
-        elif k is RegKind.INPUT_PIPE:
-            ok = 0 <= reg.row < cfg.rows and 0 <= reg.col < cfg.cols and 0 <= reg.lane < cfg.pattern.m
-        elif k is RegKind.PSUM:
-            ok = 0 <= reg.row < cfg.rows and 0 <= reg.col < cfg.cols
-        elif k is RegKind.IC_ACC:
-            ok = 0 <= reg.row < cfg.rows and 0 <= reg.lane < cfg.pattern.m
-        elif k is RegKind.OC_PIPE:
-            ok = 0 <= reg.col < cfg.cols
-        if not ok:
-            raise ValueError(f"unknown register {reg.name} for this array configuration")
+            return ck.oc, reg.col, width
+        if k in (RegKind.CKSUM_ACTUAL, RegKind.CKSUM_PREDICTED):
+            return None, k.value, width
+        arr = {RegKind.WEIGHT: self.weights, RegKind.INDEX: self.indexes,
+               RegKind.INPUT_PIPE: self.pipe}[k]
+        return arr, (reg.row, reg.col, reg.lane), width
 
     def read_register(self, reg: RegisterId) -> int:
-        self._check_coords(reg)
-        arr, where, _, _ = self._locate(reg)
-        if arr is None:
-            return getattr(self.checker, where)
-        return int(arr[where])
+        arr, key, _ = self._storage(reg)
+        return getattr(self.checker, key) if arr is None else int(arr[key])
 
     def write_register(self, reg: RegisterId, value: int) -> None:
-        self._check_coords(reg)
-        arr, where, width, signed = self._locate(reg)
-        value = int(wrap(value, width)) if signed else int(value) & ((1 << width) - 1)
+        arr, key, width = self._storage(reg)
+        value = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
         if arr is None:
-            setattr(self.checker, where, value)
+            setattr(self.checker, key, value)
         else:
-            arr[where] = value
+            arr[key] = value
+
+    def _check_bit(self, reg: RegisterId, bit: int) -> None:
+        width = enumerate_registers(self.cfg).width_of(reg)
+        if not 0 <= bit < width:
+            raise ValueError(f"bit {bit} out of range for {width}-bit register {reg.name}")
 
     def flip_register_bit(self, reg: RegisterId, bit: int) -> None:
-        self._check_coords(reg)
-        arr, where, width, signed = self._locate(reg)
-        current = getattr(self.checker, where) if arr is None else int(arr[where])
-        if signed:
-            flipped = flip_bit(current, bit, width)
-        else:
-            if not 0 <= bit < width:
-                raise ValueError(f"bit {bit} out of range for width {width}")
-            flipped = current ^ (1 << bit)
-        if arr is None:
-            setattr(self.checker, where, flipped)
-        else:
-            arr[where] = flipped
+        self._check_bit(reg, bit)
+        self.write_register(reg, self.read_register(reg) ^ (1 << bit))
 
     def tpe_state(self, row: int, col: int) -> TpeState:
         return TpeState(
@@ -216,10 +198,7 @@ class SimState:
         for spec in faults:
             if spec.cycle < self.cycle:
                 raise ValueError(f"fault cycle {spec.cycle} already passed (now {self.cycle})")
-            self._check_coords(spec.register)
-            _, _, width, _ = self._locate(spec.register)
-            if not 0 <= spec.bit < width:
-                raise ValueError(f"bit {spec.bit} out of range for {spec.register.name}")
+            self._check_bit(spec.register, spec.bit)
             self.pending_faults.setdefault(spec.cycle, []).append(spec)
 
     # ------------------------------------------------------------------
@@ -232,8 +211,6 @@ class SimState:
         landed there earlier (faults persist only until overwritten).
         """
         cfg = self.cfg
-        if self._rows_in_round:
-            raise StateError("cannot load weights mid-round")
         if w_tile.pattern != cfg.pattern:
             raise ShapeError(f"tile pattern {w_tile.pattern} != array pattern {cfg.pattern}")
         if w_tile.rows != cfg.tile_k or w_tile.cols != cfg.cols:
@@ -241,7 +218,6 @@ class SimState:
                 f"weight tile is {w_tile.rows}x{w_tile.cols}, "
                 f"array expects {cfg.tile_k}x{cfg.cols}"
             )
-        self.phase = Phase.WEIGHT_LOAD
         n = cfg.pattern.n
         self.weights[:] = 0
         self.indexes[:] = 0
@@ -249,59 +225,40 @@ class SimState:
         self.indexes[:, :, :n] = w_tile.indexes
         self.loaded = True
         self._loaded_tile = w_tile
-        self.phase = Phase.IDLE
 
     def step(self, west_inputs=None) -> None:
         """Raw clock edge with explicit per-row west bundles (or bubbles).
 
-        Bypasses the wave scheduler: inputs are not tagged, so they are not
+        The inputs are not waves of any schedule, so they are not
         IC-accumulated, captured, or corner-accumulated. Intended for
         PE-level unit tests and single-cycle experiments; orchestrated runs
-        go through run_tile / checksum_round.
+        go through run_tile.
         """
         cfg = self.cfg
         if west_inputs is None:
             west = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
-            if self.phase is not Phase.WEIGHT_LOAD:
-                self.phase = Phase.DRAIN
+            label = "Drain" if self.loaded else "WeightLoad"
         else:
-            if self.phase is Phase.WEIGHT_LOAD:
-                raise StateError("cannot stream inputs during the weight-load phase")
+            if not self.loaded:
+                raise StateError("cannot stream inputs before weights are loaded")
             west = np.asarray(west_inputs, dtype=np.int64)
             if west.shape != (cfg.rows, cfg.pattern.m):
                 raise ShapeError(
                     f"west inputs shape {west.shape} != ({cfg.rows}, {cfg.pattern.m})"
                 )
             check_ndarray_width(west, cfg.input_width, "west input")
-            self.phase = Phase.STREAM
-        self.ledger.append(None)
+            label = "Stream"
         none_rows = np.zeros(cfg.rows, dtype=bool)
-        self._clock(west, none_rows, none_rows)
+        self._clock(west, none_rows, none_rows, False, -1, label)
 
-    def _present(self, tag) -> None:
-        """Advance one cycle, presenting ``tag`` as the wave entering row 0."""
-        cfg = self.cfg
-        m = cfg.pattern.m
-        last_digit = cfg.digits_per_round - 1
-        self.ledger.append(tag)
-        T = self.cycle
-        west = np.zeros((cfg.rows, m), dtype=np.int64)
-        is_data = np.zeros(cfg.rows, dtype=bool)
-        is_last = np.zeros(cfg.rows, dtype=bool)
-        for r in range(min(cfg.rows, T + 1)):
-            wt = self.ledger[T - r]
-            if wt is None:
-                continue
-            if wt[0] == _DATA:
-                west[r] = self._feed[wt[1]][r * m:(r + 1) * m]
-                is_data[r] = True
-            else:
-                west[r] = self.checker.digit_wave(r, wt[2])
-                if wt[2] == last_digit:
-                    is_last[r] = True
-        self._clock(west, is_data, is_last)
+    def _clock(self, west, is_data, is_last_digit, corner_data, corner_digit, label) -> None:
+        """One clock edge.
 
-    def _clock(self, west, is_data, is_last_digit) -> None:
+        ``west`` holds the bundle entering each PE row, ``is_data`` and
+        ``is_last_digit`` mark the rows receiving a data wave or a round's
+        last digit wave, and ``corner_data``/``corner_digit`` tag the wave
+        whose OC chain output reaches the corner on this cycle.
+        """
         cfg = self.cfg
         ck = self.checker
         T = self.cycle
@@ -309,14 +266,6 @@ class SimState:
 
         bottom = self.psum[cfg.rows - 1]
         chain_out = int(ck.oc[cfg.cols - 1])
-
-        # output capture: column c carries the wave presented at T - (R+c+1)
-        if self._outputs is not None:
-            base = T - cfg.rows - 1
-            for c in range(min(cfg.cols, base + 1)):
-                wt = self.ledger[base - c]
-                if wt is not None and wt[0] == _DATA:
-                    self._outputs[wt[1], c] = bottom[c]
 
         # tensor PE grid
         idx = self.indexes[:, :, :n_act]
@@ -345,31 +294,19 @@ class SimState:
         oc_next[1:] = ck.oc[:-1] + bottom[1:]
         oc_next = wrap(oc_next, cfg.oc_width)
 
-        # corner accumulators consume the wave presented at T - (R+C+1)
-        p = T - (cfg.rows + cfg.cols + 1)
-        ctag = self.ledger[p] if p >= 0 else None
-
         # commit
         self.psum = psum_next
         self.pipe = pipe_next
         ck.ic = ic_next
         ck.oc = oc_next
-        round_done = None
-        if ctag is not None:
-            if ctag[0] == _DATA:
-                ck.actual_accumulate(chain_out)
-            else:
-                _, q, k = ctag
-                ck.predicted_accumulate(chain_out, k)
-                if k == cfg.digits_per_round - 1:
-                    round_done = q
-        if round_done is not None:
-            self.round_results.append(ck.compare_and_reset(round_done))
+        if corner_data:
+            ck.actual_accumulate(chain_out)
+        elif corner_digit >= 0:
+            ck.predicted_accumulate(chain_out, corner_digit)
+            if corner_digit == cfg.digits_per_round - 1:
+                self.round_results.append(ck.compare_and_reset(len(self.round_results)))
 
         if self.trace_sink is not None and self.watch:
-            label = self.phase.value
-            if self.phase is Phase.CHECKSUM_DIGIT and self.digit_index is not None:
-                label = f"ChecksumDigit({self.digit_index})"
             for reg in self.watch:
                 self.trace_sink.write(f"{T},{label},{reg.name},{self.read_register(reg)}\n")
 
@@ -378,62 +315,7 @@ class SimState:
             self.flip_register_bit(spec.register, spec.bit)
 
     # ------------------------------------------------------------------
-    # orchestrated flows
-
-    def stream_rows(self, rows: np.ndarray) -> None:
-        """Present data rows (full ``tile_k``-wide) through the scheduler."""
-        cfg = self.cfg
-        if not self.loaded:
-            raise StateError("weights must be loaded before streaming")
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim == 1:
-            rows = rows[None, :]
-        if rows.shape[1] != cfg.tile_k:
-            raise ShapeError(f"input rows must have {cfg.tile_k} columns, got {rows.shape[1]}")
-        check_ndarray_width(rows, cfg.input_width, "input element")
-        for row in rows:
-            if self._rows_in_round >= cfg.rows_per_round:
-                raise StateError(
-                    f"checksum round required after {cfg.rows_per_round} rows"
-                )
-            self.phase = Phase.STREAM
-            self.digit_index = None
-            self._feed.append(row)
-            self._present((_DATA, len(self._feed) - 1))
-            self._rows_in_round += 1
-
-    def _emit_digit_waves(self) -> int:
-        q = self._round_seq
-        for k in range(self.cfg.digits_per_round):
-            self.phase = Phase.CHECKSUM_DIGIT
-            self.digit_index = k
-            self._present((_DIGIT, q, k))
-        self._round_seq += 1
-        self._rows_in_round = 0
-        self.digit_index = None
-        return q
-
-    def _drain(self) -> None:
-        self.phase = Phase.DRAIN
-        for _ in range(self.cfg.rows + self.cfg.cols + 1):
-            self._present(None)
-        self.phase = Phase.IDLE
-
-    def checksum_round(self) -> ChecksumRoundResult:
-        """Finish the current round: digit waves, flush, compare.
-
-        Requires at least one streamed data row since the previous round
-        (the pipeline must sit at a round boundary).
-        """
-        if not self.loaded:
-            raise StateError("weights must be loaded before a checksum round")
-        if self._rows_in_round == 0:
-            raise StateError("pipeline is not at a round boundary (no rows streamed)")
-        q = self._emit_digit_waves()
-        self._drain()
-        result = self.round_results[-1]
-        assert result.round_index == q
-        return result
+    # orchestrated flow
 
     def run_tile(self, a_tile: DenseMatrix, w_tile: StructuredSparseMatrix, faults=()) -> TileResult:
         """Stream one tile: weight load, skewed rows, checksum rounds, drain.
@@ -443,8 +325,7 @@ class SimState:
         (including any injected corruption, as real hardware would).
         """
         cfg = self.cfg
-        if self._rows_in_round:
-            raise StateError("cannot start a tile mid-round")
+        R, C, m = cfg.rows, cfg.cols, cfg.pattern.m
         if a_tile.cols != cfg.tile_k:
             raise ShapeError(f"input tile is {a_tile.rows}x{a_tile.cols}, "
                              f"array expects width {cfg.tile_k}")
@@ -455,16 +336,38 @@ class SimState:
             self.load_weights(w_tile)
         self.schedule_faults(faults)
 
-        self._feed = []
-        self._outputs = np.zeros((a_tile.rows, cfg.cols), dtype=np.int64)
+        data, digit = wave_schedule(cfg, a_tile.rows)
+        cycles = len(data)
+        pe_rows = np.arange(R)
+        # PE row r receives on cycle t the wave presented on cycle t - r
+        row_data = _lagged(data, pe_rows)
+        row_digit = _lagged(digit, pe_rows)
+        is_data = row_data >= 0
+        west = a_tile.data.reshape(a_tile.rows, R, m)[row_data, pe_rows]
+        west[~is_data] = 0  # row index -1 picked the last row: no data wave there
+        is_digit = row_digit >= 0
+        is_last_digit = row_digit == cfg.digits_per_round - 1
+        has_digit = is_digit.any(axis=1).tolist()
+        # the corner accumulates, on cycle t, the wave presented at t - (R+C+1)
+        corner_data = (_lagged(data, R + C + 1).ravel() >= 0).tolist()
+        corner_digit = _lagged(digit, R + C + 1).ravel().tolist()
+        labels = ["Stream" if d >= 0 else f"ChecksumDigit({k})" if k >= 0 else "Drain"
+                  for d, k in zip(data.tolist(), digit.tolist())]
+
         first_round = len(self.round_results)
+        bottoms = np.empty((cycles, C), dtype=np.int64)
+        for t in range(cycles):
+            bundle = west[t]
+            if has_digit[t]:
+                rows = is_digit[t]
+                bundle[rows] = self.checker.digit_wave(pe_rows[rows], row_digit[t, rows])
+            bottoms[t] = self.psum[R - 1]
+            self._clock(bundle, is_data[t], is_last_digit[t], corner_data[t], corner_digit[t],
+                        labels[t])
 
-        t = cfg.rows_per_round
-        for start in range(0, a_tile.rows, t):
-            self.stream_rows(a_tile.data[start:start + t])
-            self._emit_digit_waves()
-        self._drain()
-
-        outputs = DenseMatrix(a_tile.rows, cfg.cols, self._outputs)
-        self._outputs = None
-        return TileResult(outputs=outputs, rounds=self.round_results[first_round:])
+        # a row presented on cycle p leaves column c at the bottom on cycle
+        # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
+        skewed = np.diagonal(sliding_window_view(bottoms, C, axis=0), axis1=1, axis2=2)
+        outputs = skewed[np.flatnonzero(data >= 0) + R + 1]
+        return TileResult(outputs=DenseMatrix(a_tile.rows, C, outputs),
+                          rounds=self.round_results[first_round:])

@@ -11,7 +11,6 @@ from .config import ArrayConfig
 class Tile:
     """Index ranges (half-open) of one tile of the product computation."""
 
-    a_row_range: tuple  # rows of A streamed through this tile
     k_range: tuple      # inner-dimension slice mapped onto the loaded weights
     col_range: tuple    # output columns produced by this tile
 
@@ -19,13 +18,6 @@ class Tile:
 @dataclass(frozen=True)
 class TilePlan:
     tiles: tuple
-    rows_per_round: int
-
-    @property
-    def rounds_per_tile(self) -> int:
-        a_lo, a_hi = self.tiles[0].a_row_range
-        span = a_hi - a_lo
-        return (span + self.rows_per_round - 1) // self.rows_per_round
 
 
 def tile_plan(a_rows: int, k: int, cols: int, cfg: ArrayConfig) -> TilePlan:
@@ -43,9 +35,8 @@ def tile_plan(a_rows: int, k: int, cols: int, cfg: ArrayConfig) -> TilePlan:
         for c_lo in range(0, cols, cfg.cols):
             tiles.append(
                 Tile(
-                    a_row_range=(0, a_rows),
                     k_range=(k_lo, min(k_lo + cfg.tile_k, k)),
                     col_range=(c_lo, min(c_lo + cfg.cols, cols)),
                 )
             )
-    return TilePlan(tiles=tuple(tiles), rows_per_round=cfg.rows_per_round)
+    return TilePlan(tiles=tuple(tiles))

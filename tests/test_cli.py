@@ -95,6 +95,16 @@ def test_run_injection_flags_and_exits_1(tiny_files):
     assert report["injected"] == [{"cycle": 1, "register": "tpe.0.0.psum", "bit": 4}]
 
 
+def test_run_injection_past_window_exit_2(tiny_files, capsys):
+    p = tiny_files
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"]), "--report", str(p["report"]),
+               "--inject", "1000000:tpe.0.0.psum:3"])
+    assert rc == 2
+    assert "never fire" in capsys.readouterr().err
+    assert not p["report"].exists()
+
+
 def test_run_zero_matrices(tiny_files, tmp_path):
     p = tiny_files
     a0, w0 = tmp_path / "a0.mat", tmp_path / "w0.smat"

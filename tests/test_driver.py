@@ -4,7 +4,9 @@ import pytest
 from sparse_abft import (
     ArrayConfig,
     DenseMatrix,
+    FaultSpec,
     matmul_ref,
+    parse_register,
     run_multiplication,
     tile_plan,
     total_active_cycles,
@@ -64,3 +66,15 @@ def test_input_width_enforced(worked_example):
     wide = DenseMatrix.from_array([[300, 0, 0, 0]])
     with pytest.raises(ValueError):
         run_multiplication(cfg, wide, w)
+
+
+def test_fault_past_run_window_rejected(worked_example):
+    """A fault that could never fire must not come back as a clean run."""
+    cfg, a, _, w = worked_example
+    psum = parse_register("tpe.0.0.psum")
+    window = total_active_cycles(cfg, a.rows, a.cols, w.cols)
+    for cycle in (10**6, window):
+        with pytest.raises(ValueError, match="never fire"):
+            run_multiplication(cfg, a, w, faults=[FaultSpec(cycle, psum, 3)])
+    run = run_multiplication(cfg, a, w, faults=[FaultSpec(window - 1, psum, 3)])
+    assert run.total_cycles == window

@@ -4,10 +4,8 @@ import pytest
 
 from sparse_abft import (
     ArrayConfig,
-    FaultSpec,
     SimState,
     enumerate_registers,
-    inject,
     parse_register,
     sample_faults,
 )
@@ -62,17 +60,16 @@ def test_inject_flip_semantics(worked_example):
     state.load_weights(w)
     reg = parse_register("tpe.0.0.psum")
     state.write_register(reg, 48)
-    spec = FaultSpec(0, reg, 0)
-    inject(state, spec)
+    state.flip_register_bit(reg, 0)
     assert state.read_register(reg) == 49
-    inject(state, spec)
+    state.flip_register_bit(reg, 0)
     assert state.read_register(reg) == 48  # involution
 
 
 def test_inject_unknown_register(tiny_cfg):
     state = SimState(tiny_cfg)
     with pytest.raises(ValueError):
-        inject(state, FaultSpec(0, RegisterId(RegKind.PSUM, 5, 5), 0))
+        state.flip_register_bit(RegisterId(RegKind.PSUM, 5, 5), 0)
 
 
 def test_derive_seed_is_stable_and_contextual():

@@ -1,0 +1,65 @@
+"""Byte-level pins of CLI reports and traces.
+
+The digests were computed before the wave scheduler was rebuilt around a
+precomputed per-tile schedule; any change to what the simulator computes,
+when a fault fires, or how a trace line is labelled shows up here. The
+inputs are small but cover several rounds per tile, several tiles, one
+injected fault, every trace label kind, and a multi-fault campaign.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from sparse_abft import DenseMatrix, prune_magnitude, write_dense, write_packed
+from sparse_abft.cli import main
+from sparse_abft.sparsity import PATTERN_2_4
+
+# 2x3 array with 4-bit operands and an 8-bit IC: 16 rows per round, two
+# digit waves per round, tile_k = 8
+ARRAY = {"R": 2, "C": 3, "input_width": 4, "ic_width": 8}
+RUN_DIGESTS = {
+    "c.mat": "2f824f3e933900d1e404485e50ec05559d64329b0db8db14cb2f928654e77437",
+    "report.json": "3e77fbc7f69a0ac0d9570ca576049f9783b28bc55d48ca011f3022622b31318c",
+    "trace.csv": "b87ce4ed0250871fd73dfd2c9fdca4a64ee1a6919a93ef5efbd03a44d4bf6870",
+}
+CAMPAIGN_DIGEST = "9ff8d76bb9621844918c9ebdf287474dd8ddd9a1e89eda6be90952f43f951eaa"
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("SPARSE_ABFT_THREADS", "1")
+    return tmp_path
+
+
+def test_run_report_and_trace_pinned(workdir):
+    rng = np.random.default_rng(2402)
+    # 20 rows = two rounds per tile; k = 12 and 5 columns = 2 x 2 tiles
+    write_dense("a.mat", DenseMatrix.from_array(rng.integers(-8, 8, size=(20, 12))))
+    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-7, 8, size=(12, 5))), PATTERN_2_4)
+    write_packed("w.smat", w)
+    (workdir / "cfg.json").write_text(json.dumps(ARRAY))
+    rc = main(["run", "--config", "cfg.json", "--a", "a.mat", "--w", "w.smat",
+               "--out", "c.mat", "--report", "report.json",
+               "--inject", "37:tpe.1.1.psum:2",
+               "--trace", "cksum.actual,ic.1.acc.2,tpe.1.2.psum,oc.2",
+               "--trace-out", "trace.csv"])
+    assert rc == 1
+    labels = {line.split(",")[1] for line in (workdir / "trace.csv").read_text().splitlines()}
+    assert labels == {"Stream", "ChecksumDigit(0)", "ChecksumDigit(1)", "Drain"}
+    assert {name: sha256(workdir / name) for name in RUN_DIGESTS} == RUN_DIGESTS
+
+
+def test_campaign_report_pinned(workdir):
+    cfg = {**ARRAY, "workload": {"a_rows": 20, "k": 12, "cols": 5}}
+    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
+                 "--faults", "1..5", "--seed", "11", "--report", "stats.json"]) == 0
+    assert sha256(workdir / "stats.json") == CAMPAIGN_DIGEST

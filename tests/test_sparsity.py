@@ -13,7 +13,7 @@ from sparse_abft import (
     unpack,
     validate_structured,
 )
-from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
+from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 
 
 def col_matrix(*values):
@@ -184,3 +184,60 @@ def test_prune_validates_on_random_dense(seed):
     w = DenseMatrix(8, 4, rng.integers(-128, 128, size=(8, 4)))
     for pattern in (PATTERN_2_4, PATTERN_1_4):
         assert validate_structured(unpack(prune_magnitude(w, pattern)), pattern).valid
+
+
+def loop_pack(w, pattern, prune):
+    """Per-block loop packer, the reference for the vectorized one.
+
+    With ``prune`` each block keeps its n largest magnitudes (stable sort:
+    ties go to the lower offset); otherwise every offset is kept. Zeros are
+    never stored.
+    """
+    m, n = pattern.m, pattern.n
+    b = -(-w.rows // m)
+    padded = np.zeros((b * m, w.cols), dtype=np.int64)
+    padded[: w.rows] = w.data
+    masks = np.zeros((b, w.cols), dtype=np.int64)
+    values = np.zeros((b, w.cols, n), dtype=np.int64)
+    indexes = np.zeros((b, w.cols, n), dtype=np.int64)
+    counts = np.zeros((b, w.cols), dtype=np.int64)
+    for br in range(b):
+        for c in range(w.cols):
+            block = [int(v) for v in padded[br * m:(br + 1) * m, c]]
+            kept = sorted(range(m), key=lambda i: -abs(block[i]))[:n] if prune else range(m)
+            for idx in sorted(kept):
+                if block[idx]:
+                    k = counts[br, c]
+                    masks[br, c] |= 1 << idx
+                    values[br, c, k], indexes[br, c, k] = block[idx], idx
+                    counts[br, c] += 1
+    return StructuredSparseMatrix(w.rows, w.cols, pattern, masks, values, indexes, counts)
+
+
+def loop_unpack(sw):
+    m = sw.pattern.m
+    dense = np.zeros((sw.block_rows * m, sw.cols), dtype=np.int64)
+    for br in range(sw.block_rows):
+        for c in range(sw.cols):
+            for j in range(int(sw.counts[br, c])):
+                dense[br * m + int(sw.indexes[br, c, j]), c] = int(sw.values[br, c, j])
+    return DenseMatrix(sw.rows, sw.cols, dense[: sw.rows])
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2**32 - 1))
+def test_vectorized_packing_matches_loop_reference(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 7))
+    pattern = SparsityPattern(int(rng.integers(1, m + 1)), m)
+    # small magnitudes make ties and zeros common
+    shape = (int(rng.integers(1, 14)), int(rng.integers(1, 5)))
+    w = DenseMatrix.from_array(rng.integers(-3, 4, size=shape))
+    pruned = prune_magnitude(w, pattern)
+    want = loop_pack(w, pattern, prune=True)
+    assert pruned == want and np.array_equal(pruned.counts, want.counts)
+    dense = unpack(pruned)
+    assert dense == loop_unpack(pruned)
+    packed = pack(dense, pattern)
+    want = loop_pack(dense, pattern, prune=False)
+    assert packed == want and np.array_equal(packed.counts, want.counts)

@@ -15,9 +15,22 @@ from sparse_abft import (
     unpack,
 )
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
-from sparse_abft.systolic import tile_active_cycles
+from sparse_abft.systolic import tile_active_cycles, wave_schedule
 
 from conftest import random_inputs, random_weights
+
+
+def traced_tile(cfg, a, w, names):
+    """Run one tile watching ``names``; returns (state, result, {(cycle, name): value})."""
+    state = SimState(cfg)
+    state.watch = [parse_register(name) for name in names]
+    state.trace_sink = io.StringIO()
+    res = state.run_tile(a, w)
+    values = {}
+    for line in state.trace_sink.getvalue().splitlines():
+        cycle, _, name, value = line.split(",")
+        values[int(cycle), name] = int(value)
+    return state, res, values
 
 
 # ----------------------------------------------------------------------
@@ -128,17 +141,19 @@ def test_input_bundles_advance_east(worked_example):
 def test_skewed_arrival_across_pe_rows():
     cfg = ArrayConfig(rows=2, cols=1)
     w = random_weights(np.random.default_rng(0), cfg.tile_k, cfg.cols, cfg.pattern)
-    state = SimState(cfg)
-    rows = np.arange(16, dtype=np.int64).reshape(2, 8)
-    state.load_weights(w)
-    state.stream_rows(rows[0])
+    rows = DenseMatrix.from_array(np.arange(16, dtype=np.int64).reshape(2, 8))
+    names = [f"tpe.{r}.0.in.{lane}" for r in range(2) for lane in range(4)]
+    _, _, trace = traced_tile(cfg, rows, w, names)
+
+    def pipe(cycle, r):
+        return tuple(trace[cycle, f"tpe.{r}.0.in.{lane}"] for lane in range(4))
+
     # end of cycle 0: row 0's low lanes latched in PE row 0 only
-    assert state.tpe_state(0, 0).input_pipe == (0, 1, 2, 3)
-    assert state.tpe_state(1, 0).input_pipe == (0, 0, 0, 0)
-    state.stream_rows(rows[1])
+    assert pipe(0, 0) == (0, 1, 2, 3)
+    assert pipe(0, 1) == (0, 0, 0, 0)
     # end of cycle 1: PE row 1 receives row 0's high lanes one cycle later
-    assert state.tpe_state(0, 0).input_pipe == (8, 9, 10, 11)
-    assert state.tpe_state(1, 0).input_pipe == (4, 5, 6, 7)
+    assert pipe(1, 0) == (8, 9, 10, 11)
+    assert pipe(1, 1) == (4, 5, 6, 7)
 
 
 # ----------------------------------------------------------------------
@@ -204,15 +219,6 @@ def test_run_tile_matches_oracle_randomized():
             assert not any(r.flag for r in res.rounds)
 
 
-def test_run_tile_requires_round_boundary(worked_example):
-    cfg, a, _, w = worked_example
-    state = SimState(cfg)
-    state.load_weights(w)
-    state.stream_rows(a.data[:1])
-    with pytest.raises(StateError):
-        state.run_tile(a, w)
-
-
 def test_determinism_same_inputs_same_trajectory(worked_example):
     cfg, a, _, w = worked_example
     faults = [FaultSpec(2, parse_register("tpe.0.0.psum"), 3)]
@@ -229,49 +235,30 @@ def test_determinism_same_inputs_same_trajectory(worked_example):
 
 
 # ----------------------------------------------------------------------
-# manual round flow
+# wave schedule
 
-def test_stream_rows_then_checksum_round(worked_example):
-    cfg, a, w_dense, w = worked_example
-    state = SimState(cfg)
-    state.load_weights(w)
-    state.stream_rows(a.data)
-    result = state.checksum_round()
-    assert (result.actual, result.predicted, result.flag) == (48, 48, False)
-
-
-def test_checksum_round_requires_streamed_rows(worked_example):
-    cfg, a, _, w = worked_example
-    state = SimState(cfg)
-    with pytest.raises(StateError):
-        state.checksum_round()
-    state.load_weights(w)
-    with pytest.raises(StateError):
-        state.checksum_round()  # still no rows
-    state.stream_rows(a.data)
-    state.checksum_round()
-    with pytest.raises(StateError):
-        state.checksum_round()  # boundary again
-
-
-def test_stream_rows_enforces_round_cap(worked_example):
-    cfg, _, _, w = worked_example
-    state = SimState(cfg)
-    state.load_weights(w)
-    state.stream_rows(np.zeros((cfg.rows_per_round, cfg.tile_k), dtype=np.int64))
-    with pytest.raises(StateError):
-        state.stream_rows(np.zeros((1, cfg.tile_k), dtype=np.int64))
-    state.checksum_round()
-    state.stream_rows(np.zeros((1, cfg.tile_k), dtype=np.int64))  # allowed again
+def test_wave_schedule_enforces_round_cap():
+    cfg = ArrayConfig(rows=1, cols=2)
+    t, d = cfg.rows_per_round, cfg.digits_per_round
+    data, digit = wave_schedule(cfg, t + 1)
+    # rows_per_round data waves back to back, then the round's digit waves
+    assert data[:t].tolist() == list(range(t)) and (digit[:t] == -1).all()
+    assert digit[t:t + d].tolist() == list(range(d)) and (data[t:t + d] == -1).all()
+    # streaming resumes with the next round, closed by its own digit waves
+    assert data[t + d] == t
+    assert digit[t + d + 1:t + 2 * d + 1].tolist() == list(range(d))
+    # then only flush bubbles
+    tail = slice(t + 2 * d + 1, None)
+    assert (data[tail] == -1).all() and (digit[tail] == -1).all()
+    assert len(data) == t + 1 + 2 * d + cfg.rows + cfg.cols + 1 == tile_active_cycles(cfg, t + 1)
 
 
 def test_ic_accumulates_column_sums(worked_example):
     cfg, a, _, w = worked_example
-    state = SimState(cfg)
-    state.load_weights(w)
-    state.stream_rows(a.data)
-    assert state.checker.ic[0].tolist() == [6, 8, 10, 12]
-    state.checksum_round()
+    names = [f"ic.0.acc.{lane}" for lane in range(4)]
+    state, _, trace = traced_tile(cfg, a, w, names)
+    # both data waves (cycles 0 and 1) are in; the digit waves follow
+    assert [trace[1, name] for name in names] == [6, 8, 10, 12]
     assert state.checker.ic[0].tolist() == [0, 0, 0, 0]  # cleared for next round
 
 
@@ -314,6 +301,22 @@ def test_trace_output_format(worked_example):
     assert lines[0] == "0,Stream,cksum.actual,0"
     # actual picks up the first row's wave sum at cycle R + C + 1
     assert lines[cfg.rows + cfg.cols + 1] == f"{cfg.rows + cfg.cols + 1},Drain,cksum.actual,14"
+    assert [line.split(",")[1] for line in lines[:4]] == [
+        "Stream", "Stream", "ChecksumDigit(0)", "ChecksumDigit(1)"]
+
+
+def test_step_trace_labels(worked_example):
+    cfg, _, _, w = worked_example
+    state = SimState(cfg)
+    sink = io.StringIO()
+    state.watch = [parse_register("tpe.0.0.psum")]
+    state.trace_sink = sink
+    state.step()
+    state.load_weights(w)
+    state.step(np.array([[1, 2, 3, 4]]))
+    state.step()
+    assert [line.split(",")[1] for line in sink.getvalue().splitlines()] == [
+        "WeightLoad", "Stream", "Drain"]
 
 
 # ----------------------------------------------------------------------
