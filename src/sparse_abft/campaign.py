@@ -135,13 +135,19 @@ class CampaignOutcome:
         }
 
 
-def _workload_matrices(cfg: CampaignConfig, index: int):
+def _read_files(cfg: CampaignConfig):
+    """``(A, W)`` of a file workload, ``None`` for a synthetic one."""
+    wl = cfg.workload
+    if wl.kind != "files":
+        return None
+    return read_dense(wl.a_path), read_packed(wl.w_path)
+
+
+def _workload_matrices(cfg: CampaignConfig, index: int, files=None):
     wl = cfg.workload
     arr = cfg.array
     if wl.kind == "files":
-        a = read_dense(wl.a_path)
-        w = read_packed(wl.w_path)
-        return a, w
+        return files or _read_files(cfg)
     k = wl.k or arr.tile_k
     cols = wl.cols or arr.cols
     rng = np.random.default_rng(derive_seed(cfg.master_seed, index, "workload"))
@@ -153,10 +159,14 @@ def _workload_matrices(cfg: CampaignConfig, index: int):
     return a, prune_magnitude(w_dense, arr.pattern)
 
 
-def run_campaign(cfg: CampaignConfig, index: int) -> CampaignOutcome:
-    """Execute one seeded campaign and classify its outcome."""
+def run_campaign(cfg: CampaignConfig, index: int, files=None) -> CampaignOutcome:
+    """Execute one seeded campaign and classify its outcome.
+
+    ``files`` is the ``(A, W)`` pair of a file workload as the caller read
+    it; without it the campaign reads the files itself.
+    """
     arr = cfg.array
-    a, w = _workload_matrices(cfg, index)
+    a, w = _workload_matrices(cfg, index, files)
     golden = golden_result(a, unpack(w), arr.col_out_width)
 
     count_rng = np.random.default_rng(derive_seed(cfg.master_seed, index, "count"))
@@ -195,19 +205,35 @@ def worker_count() -> int:
     return n or (os.cpu_count() or 1)
 
 
+# a file workload's (A, W) in a pool worker, set by its initializer; the
+# pool, and so the worker, lives for one run_campaigns call
+_worker_files = None
+
+
+def _init_worker(files) -> None:
+    global _worker_files
+    _worker_files = files
+
+
 def _worker(args) -> CampaignOutcome:
     cfg, index = args
-    return run_campaign(cfg, index)
+    return run_campaign(cfg, index, _worker_files)
 
 
 def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
-    """Run all campaigns; result order is by index regardless of scheduling."""
+    """Run all campaigns; result order is by index regardless of scheduling.
+
+    A file workload is read once here, so every campaign of the call sees
+    the same matrices; nothing is kept after the call returns.
+    """
     workers = workers or worker_count()
     indexes = range(cfg.campaigns)
+    files = _read_files(cfg)
     if workers <= 1 or cfg.campaigns < 4:
-        return [run_campaign(cfg, i) for i in indexes]
+        return [run_campaign(cfg, i, files) for i in indexes]
     chunk = max(1, cfg.campaigns // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(files,)) as pool:
         return list(pool.map(_worker, [(cfg, i) for i in indexes], chunksize=chunk))
 
 

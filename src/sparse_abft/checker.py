@@ -107,11 +107,13 @@ class CheckerState:
         self.predicted = 0
         return result
 
-    def digit_wave(self, pe_row, digit_k) -> np.ndarray:
-        """Digit ``digit_k`` of row ``pe_row``'s IC accumulators (wrapping).
+    def digit_wave(self, ic, digit_k) -> np.ndarray:
+        """Digit ``digit_k`` of the IC accumulator values ``ic`` (wrapping).
 
-        Both arguments may be equal-length index arrays, one digit per row.
+        ``ic`` holds one row of lane values, or a stack of them with one
+        digit index per row in ``digit_k``.
         """
         cfg = self.cfg
-        digits = split_digits(self.ic, cfg.digits_per_round, cfg.input_width, strict=False)
-        return np.stack(digits)[digit_k, pe_row]
+        digits = np.stack(split_digits(np.asarray(ic), cfg.digits_per_round, cfg.input_width,
+                                       strict=False), axis=-2)
+        return np.take_along_axis(digits, np.asarray(digit_k)[..., None, None], axis=-2)[..., 0, :]

@@ -6,6 +6,8 @@ import hashlib
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import ArrayConfig
 from .registers import RegisterId, RegisterMap, RegKind
 from .sparsity import StructuredSparseMatrix
@@ -59,18 +61,15 @@ def silent_pipe_targets(cfg: ArrayConfig, w_tile: StructuredSparseMatrix) -> lis
     A flip there rides the bundle east but no multiplexer ever picks the
     lane, so it cannot reach any partial sum or checksum.
     """
-    n = cfg.pattern.n
-    targets = []
-    for r in range(cfg.rows):
-        for lane in range(cfg.pattern.m):
-            last_selected = -1
-            for c in range(cfg.cols):
-                for j in range(int(w_tile.counts[r, c])):
-                    if int(w_tile.indexes[r, c, j]) == lane and int(w_tile.values[r, c, j]) != 0:
-                        last_selected = c
-            for c in range(last_selected + 1, cfg.cols):
-                targets.append(RegisterId(RegKind.INPUT_PIPE, r, c, lane))
-    return targets
+    n, m = cfg.pattern.n, cfg.pattern.m
+    stored = (np.arange(n) < w_tile.counts[:, :, None]) & (w_tile.values != 0)
+    # selected[r, c, lane]: some stored non-zero weight of PE (r, c) reads the lane
+    selected = ((w_tile.indexes[..., None] == np.arange(m)) & stored[..., None]).any(axis=2)
+    col_index = np.arange(cfg.cols)
+    last_selected = np.where(selected, col_index[:, None], -1).max(axis=1)   # (rows, m)
+    rows, lanes, cols = np.nonzero(col_index > last_selected[:, :, None])
+    return [RegisterId(RegKind.INPUT_PIPE, r, c, lane)
+            for r, lane, c in zip(rows.tolist(), lanes.tolist(), cols.tolist())]
 
 
 def idle_slot_registers(cfg: ArrayConfig) -> list:

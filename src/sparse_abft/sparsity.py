@@ -135,6 +135,13 @@ class StructuredSparseMatrix:
             raise ShapeError(f"masks shape {self.masks.shape} != ({b}, {self.cols})")
         if self.values.shape != (b, self.cols, n) or self.indexes.shape != (b, self.cols, n):
             raise ShapeError("values/indexes shape mismatch")
+        if self.counts.shape != (b, self.cols):
+            raise ShapeError(f"counts shape {self.counts.shape} != ({b}, {self.cols})")
+        # the array loads every stored slot while unpack reads ``counts`` of
+        # them, so counts that disagree with the masks would split the two
+        popcount = (self.masks[..., None] >> np.arange(self.pattern.m) & 1).sum(axis=-1)
+        if not np.array_equal(self.counts, popcount):
+            raise ValueError("counts differ from the number of bits set in masks")
 
     @property
     def block_rows(self) -> int:
@@ -159,6 +166,7 @@ class StructuredSparseMatrix:
             and bool(np.array_equal(self.masks, other.masks))
             and bool(np.array_equal(self.values, other.values))
             and bool(np.array_equal(self.indexes, other.indexes))
+            and bool(np.array_equal(self.counts, other.counts))
         )
 
 

@@ -27,13 +27,35 @@ digit waves of the finished round, then streaming resumes immediately. Only
 the end of a tile appends ``R + C + 1`` bubble cycles to flush the pipeline.
 
 Which wave is presented on which cycle depends only on the configuration and
-the tile's row count, so ``wave_schedule`` computes it once per tile. Before
-the first edge, ``run_tile`` derives every per-cycle input of the one clock
-path ``_clock`` from it: the west bundles, the data and last-digit row
-masks, the corner tags and the trace labels. Outputs are captured by one
-scatter of the recorded bottom-row partial sums after the last edge. Digit
-bundles alone are read while clocking, from the IC accumulators as they
-stand when the wave enters a row, so a fault there reaches the digits.
+the tile's row count, so ``wave_schedule`` computes it once per tile, and
+``run_tile`` derives from it every per-cycle input: the west data bundles,
+the data and digit row masks and the corner tags.
+
+Segments
+--------
+Between two fault events the datapath is a fixed shift-and-add network, so
+``run_tile`` clocks a tile as a few segments of consecutive cycles, each in
+whole-array operations by ``SimState._advance``, the one clock path. A
+segment ends after every cycle that has scheduled faults (their flips follow
+that cycle's edge), after every cycle on which the corner compares a round
+(which bounds the temporaries to about one round), and after every cycle
+while registers are watched (each trace line follows its cycle's edge).
+``step`` is a one-cycle segment. Within a segment:
+
+* the IC accumulators are running sums of data bundles that restart after
+  each round's last digit wave, and digit bundles are split from those sums;
+* the bundle at PE ``(r, c)`` on cycle ``t`` is the one that entered row
+  ``r`` on cycle ``t - c - 1``, so one row's products are one matmul of its
+  bundle stream with its lane weights, read along a skewed diagonal;
+* a partial sum or OC chain register holds the diagonal sum of the products
+  (or bottom-row results) that moved into it, plus the value that stood at
+  the top of that diagonal when the segment began.
+
+Every adder wraps at its register width. Wrapping is reduction modulo
+``2^width``, which is compatible with addition, and int64 arithmetic is exact
+modulo ``2^64``, so for widths below 64 wrapping a diagonal sum once gives
+the value that wrapping on every edge would. The corner accumulators take one sum per
+segment, carried as Python ints, which have no width to overflow.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -47,10 +69,9 @@ that only targets the compute/checksum phases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .checker import CheckerState
 from .config import ArrayConfig
@@ -77,6 +98,37 @@ class TpeState:
 class TileResult:
     outputs: DenseMatrix
     rounds: list
+
+
+@dataclass(frozen=True)
+class Segment:
+    """Inputs of ``L`` consecutive cycles, one leading entry per cycle.
+
+    ``west`` holds the bundle entering each PE row (zero for bubbles; digit
+    bundles are split from the IC accumulators while clocking), ``is_data``
+    marks the rows whose bundle is a data wave, ``row_digit`` the checksum
+    digit entering each row (-1 none), ``corner_data`` and
+    ``corner_digit`` tag the wave whose OC chain output reaches the corner,
+    and ``labels`` name each cycle in traces.
+    """
+
+    west: np.ndarray            # (L, R, m)
+    is_data: np.ndarray         # (L, R) bool
+    row_digit: np.ndarray       # (L, R)
+    corner_data: np.ndarray     # (L,) bool
+    corner_digit: np.ndarray    # (L,)
+    labels: list
+
+    def part(self, lo: int, hi: int) -> "Segment":
+        """Cycles ``[lo, hi)`` of this segment."""
+        return Segment(*(getattr(self, f.name)[lo:hi] for f in fields(self)))
+
+
+def _skewed(x: np.ndarray) -> np.ndarray:
+    """View ``out[s, c] = x[s + c, c]`` of a C-contiguous ``(S, C)`` array."""
+    rows, cols = x.shape
+    step = x.strides[0]
+    return np.ndarray((rows - cols + 1, cols), x.dtype, x, 0, (step, step + x.itemsize))
 
 
 def wave_schedule(cfg: ArrayConfig, a_rows: int):
@@ -124,11 +176,8 @@ class SimState:
         self.pipe = np.zeros((cfg.rows, cfg.cols, m), dtype=np.int64)
         self.psum = np.zeros((cfg.rows, cfg.cols), dtype=np.int64)
         self.checker = CheckerState(cfg)
-        # an index register can encode lanes past m-1 when m is not a power
-        # of two; those selections wrap around like a mux with tied inputs
-        self._lane_wraps = (1 << cfg.index_width) > m
-        self._row_grid = np.arange(cfg.rows)[:, None, None]
-        self._col_grid = np.arange(cfg.cols)[None, :, None]
+        self._pe_rows = np.arange(cfg.rows)[:, None]
+        self._reversed_cols = np.arange(cfg.cols)[::-1]
 
         self.loaded = False
         self._loaded_tile = None
@@ -248,71 +297,95 @@ class SimState:
                 )
             check_ndarray_width(west, cfg.input_width, "west input")
             label = "Stream"
-        none_rows = np.zeros(cfg.rows, dtype=bool)
-        self._clock(west, none_rows, none_rows, False, -1, label)
+        idle = np.zeros((1, cfg.rows), dtype=bool)
+        self._advance(Segment(west[None], idle, np.full((1, cfg.rows), -1), np.zeros(1, dtype=bool),
+                              np.full(1, -1), [label]))
 
-    def _clock(self, west, is_data, is_last_digit, corner_data, corner_digit, label) -> None:
-        """One clock edge.
-
-        ``west`` holds the bundle entering each PE row, ``is_data`` and
-        ``is_last_digit`` mark the rows receiving a data wave or a round's
-        last digit wave, and ``corner_data``/``corner_digit`` tag the wave
-        whose OC chain output reaches the corner on this cycle.
-        """
+    def _lane_weights(self) -> np.ndarray:
+        """``(R, m, C)``: the weight each PE applies to each input lane, the
+        columns in reverse order (see ``_advance``)."""
         cfg = self.cfg
-        ck = self.checker
-        T = self.cycle
-        n_act = cfg.pattern.n
+        lw = np.zeros((cfg.rows, cfg.pattern.m, cfg.cols), dtype=np.int64)
+        for j in range(cfg.pattern.n):
+            # an index register can encode lanes past m-1 when m is not a
+            # power of two; those selections wrap around like a mux with
+            # tied inputs. Each (row, col) appears once per slot.
+            lw[self._pe_rows, self.indexes[:, :, j] % cfg.pattern.m, self._reversed_cols] += \
+                self.weights[:, :, j]
+        return lw
 
-        bottom = self.psum[cfg.rows - 1]
-        chain_out = int(ck.oc[cfg.cols - 1])
+    def _advance(self, seg: Segment) -> np.ndarray:
+        """Clock the ``L`` cycles of ``seg`` from the current state.
 
-        # tensor PE grid
-        idx = self.indexes[:, :, :n_act]
-        if self._lane_wraps:
-            idx = idx % cfg.pattern.m
-        sel = self.pipe[self._row_grid, self._col_grid, idx]
-        prod = (sel * self.weights[:, :, :n_act]).sum(axis=2)
-        psum_next = np.empty_like(self.psum)
-        psum_next[0] = prod[0]
-        psum_next[1:] = self.psum[:-1] + prod[1:]
-        psum_next = wrap(psum_next, cfg.col_out_width)
-        pipe_next = np.empty_like(self.pipe)
-        pipe_next[:, 0, :] = west
-        pipe_next[:, 1:, :] = self.pipe[:, :-1, :]
+        Writes the trace line of a one-cycle segment, applies the faults
+        scheduled for the last cycle and returns the ``(L, C)`` bottom-row
+        partial sums standing before each cycle's edge.
+        """
+        cfg, ck = self.cfg, self.checker
+        R, C = cfg.rows, cfg.cols
+        L = len(seg.west)
 
-        # IC accumulators: add data bundles, clear after the last digit wave
-        ic_next = ck.ic.copy()
-        if is_data.any():
-            ic_next[is_data] = wrap(ck.ic[is_data] + west[is_data], cfg.ic_width)
-        if is_last_digit.any():
-            ic_next[is_last_digit] = 0
+        # IC accumulators before each edge and after the last, wrapped where
+        # read: running sums of data bundles, restarting after each
+        # last-digit wave
+        ic = np.empty((L + 1,) + ck.ic.shape, dtype=np.int64)
+        ic[0] = ck.ic
+        np.multiply(seg.west, seg.is_data[:, :, None], out=ic[1:])
+        np.cumsum(ic, axis=0, out=ic)
+        # in time order, so a later restart also removes the earlier ones
+        for t, r in zip(*np.nonzero(seg.row_digit == cfg.digits_per_round - 1)):
+            ic[t + 1:, r] -= ic[t + 1, r]
+        cyc, row = np.nonzero(seg.row_digit >= 0)
 
-        # OC chain: running west-to-east sum of bottom-of-column results
-        oc_next = np.empty_like(ck.oc)
-        oc_next[0] = bottom[0]
-        oc_next[1:] = ck.oc[:-1] + bottom[1:]
-        oc_next = wrap(oc_next, cfg.oc_width)
+        # the bundle at PE (r, c) before edge t0 + i is stream[r, C + i - 1 - c]:
+        # the pipe as it stands (east end first), then the segment's bundles
+        stream = np.empty((R, C + L, cfg.pattern.m), dtype=np.int64)
+        stream[:, :C] = self.pipe[:, ::-1]
+        stream[:, C:] = seg.west.transpose(1, 0, 2)
+        stream[row, C + cyc] = ck.digit_wave(wrap(ic[cyc, row], cfg.ic_width),
+                                             seg.row_digit[cyc, row])
+        # sums[s] adds up one diagonal of the PE columns: the psum standing
+        # at its top when the segment starts plus the products added on its
+        # way south. sums[:L] are the bottom-row psums before each edge and
+        # sums[L + R - 1 - r] is PE row r's psum after the last edge.
+        lane_weights = self._lane_weights()
+        sums = np.zeros((L + R, C), dtype=np.int64)
+        for r in range(R):
+            # reversed weight columns put product (i, c) at skewed[i, C-1-c]
+            products = _skewed(stream[r] @ lane_weights[r])[:L, ::-1]
+            sums[R - r:R - r + L] += products
+            sums[R - 1 - r] += self.psum[r]
+
+        # OC chain, the same diagonal sums over columns: one row of chain
+        # holds the OC value standing on top, then the bottom-row results
+        chain = np.zeros((2 * C - 1 + L, C), dtype=np.int64)
+        chain[C - 1] = ck.oc
+        chain[C:C + L] = bottoms = wrap(sums[:L], cfg.col_out_width)
+        chain_out = wrap(_skewed(chain).sum(axis=1), cfg.oc_width)
 
         # commit
-        self.psum = psum_next
-        self.pipe = pipe_next
-        ck.ic = ic_next
-        ck.oc = oc_next
-        if corner_data:
-            ck.actual_accumulate(chain_out)
-        elif corner_digit >= 0:
-            ck.predicted_accumulate(chain_out, corner_digit)
-            if corner_digit == cfg.digits_per_round - 1:
-                self.round_results.append(ck.compare_and_reset(len(self.round_results)))
+        self.psum = wrap(sums[L:][::-1], cfg.col_out_width)
+        self.pipe = stream[:, L:][:, ::-1].copy()
+        ck.ic = wrap(ic[L], cfg.ic_width)
+        ck.oc = chain_out[L:][::-1].copy()
+        chain_out = chain_out[:L]
+        if seg.corner_data.any():
+            ck.actual_accumulate(sum(chain_out[seg.corner_data].tolist()))
+        for k in range(cfg.digits_per_round):
+            digit_k = seg.corner_digit == k
+            if digit_k.any():
+                ck.predicted_accumulate(sum(chain_out[digit_k].tolist()), k)
+        if seg.corner_digit[-1] == cfg.digits_per_round - 1:
+            self.round_results.append(ck.compare_and_reset(len(self.round_results)))
 
+        T = self.cycle + L - 1
         if self.trace_sink is not None and self.watch:
             for reg in self.watch:
-                self.trace_sink.write(f"{T},{label},{reg.name},{self.read_register(reg)}\n")
-
+                self.trace_sink.write(f"{T},{seg.labels[-1]},{reg.name},{self.read_register(reg)}\n")
         self.cycle = T + 1
         for spec in self.pending_faults.pop(T, ()):
             self.flip_register_bit(spec.register, spec.bit)
+        return bottoms
 
     # ------------------------------------------------------------------
     # orchestrated flow
@@ -341,33 +414,33 @@ class SimState:
         pe_rows = np.arange(R)
         # PE row r receives on cycle t the wave presented on cycle t - r
         row_data = _lagged(data, pe_rows)
-        row_digit = _lagged(digit, pe_rows)
         is_data = row_data >= 0
         west = a_tile.data.reshape(a_tile.rows, R, m)[row_data, pe_rows]
         west[~is_data] = 0  # row index -1 picked the last row: no data wave there
-        is_digit = row_digit >= 0
-        is_last_digit = row_digit == cfg.digits_per_round - 1
-        has_digit = is_digit.any(axis=1).tolist()
         # the corner accumulates, on cycle t, the wave presented at t - (R+C+1)
-        corner_data = (_lagged(data, R + C + 1).ravel() >= 0).tolist()
-        corner_digit = _lagged(digit, R + C + 1).ravel().tolist()
-        labels = ["Stream" if d >= 0 else f"ChecksumDigit({k})" if k >= 0 else "Drain"
-                  for d, k in zip(data.tolist(), digit.tolist())]
+        corner_digit = _lagged(digit, R + C + 1).ravel()
+        watched = self.trace_sink is not None and bool(self.watch)
+        labels = ([("Stream" if d >= 0 else f"ChecksumDigit({k})" if k >= 0 else "Drain")
+                   for d, k in zip(data.tolist(), digit.tolist())] if watched
+                  else [""] * cycles)
+        tile = Segment(west, is_data, _lagged(digit, pe_rows),
+                       _lagged(data, R + C + 1).ravel() >= 0, corner_digit, labels)
 
+        if watched:
+            ends = range(1, cycles + 1)
+        else:
+            start = self.cycle
+            ends = {cycles, *(np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1).tolist(),
+                    *(t - start + 1 for t in self.pending_faults if t < start + cycles)}
         first_round = len(self.round_results)
         bottoms = np.empty((cycles, C), dtype=np.int64)
-        for t in range(cycles):
-            bundle = west[t]
-            if has_digit[t]:
-                rows = is_digit[t]
-                bundle[rows] = self.checker.digit_wave(pe_rows[rows], row_digit[t, rows])
-            bottoms[t] = self.psum[R - 1]
-            self._clock(bundle, is_data[t], is_last_digit[t], corner_data[t], corner_digit[t],
-                        labels[t])
+        lo = 0
+        for hi in sorted(ends):
+            bottoms[lo:hi] = self._advance(tile.part(lo, hi))
+            lo = hi
 
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
-        skewed = np.diagonal(sliding_window_view(bottoms, C, axis=0), axis1=1, axis2=2)
-        outputs = skewed[np.flatnonzero(data >= 0) + R + 1]
+        outputs = _skewed(bottoms)[np.flatnonzero(data >= 0) + R + 1]
         return TileResult(outputs=DenseMatrix(a_tile.rows, C, outputs),
                           rounds=self.round_results[first_round:])

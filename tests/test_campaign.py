@@ -16,6 +16,7 @@ from sparse_abft import (
     write_dense,
     write_packed,
 )
+from sparse_abft import campaign
 from sparse_abft.campaign import render_stats_table, worker_count
 from sparse_abft.registers import RegisterId, RegKind
 
@@ -126,6 +127,26 @@ def test_file_workload(tmp_path, worked_example):
     )
     outcome = run_campaign(cfg, 0)
     assert outcome.category is OutcomeCategory.BENIGN
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_file_workload_read_once_per_call(tmp_path, worked_example, monkeypatch, workers):
+    _, a, _, w = worked_example
+    a_path, w_path = tmp_path / "a.mat", tmp_path / "w.smat"
+    write_dense(a_path, a)
+    write_packed(w_path, w)
+    cfg = CampaignConfig(ArrayConfig(rows=1, cols=2), 5, 1, 2, 1,
+                         WorkloadSpec(kind="files", a_path=str(a_path), w_path=str(w_path)))
+    reads = collections.Counter()
+    for name in ("read_dense", "read_packed"):
+        def counted(path, _read=getattr(campaign, name), _name=name):
+            reads[_name] += 1
+            return _read(path)
+        monkeypatch.setattr(campaign, name, counted)
+    outcomes = run_campaigns(cfg, workers=workers)
+    assert reads == {"read_dense": 1, "read_packed": 1}
+    assert [o.to_json_dict() for o in outcomes] == [
+        run_campaign(cfg, i).to_json_dict() for i in range(5)]
 
 
 # ----------------------------------------------------------------------

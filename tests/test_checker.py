@@ -123,5 +123,5 @@ def test_digit_wave_reads_ic_lanes():
     cfg = ArrayConfig(rows=2, cols=2)
     ck = CheckerState(cfg)
     ck.ic[1] = [300, -1, 130, -32768]
-    assert ck.digit_wave(1, 0).tolist() == [44, -1, -126, 0]
-    assert ck.digit_wave(1, 1).tolist() == [1, 0, 1, -128]
+    assert ck.digit_wave(ck.ic[1], 0).tolist() == [44, -1, -126, 0]
+    assert ck.digit_wave(ck.ic[1], 1).tolist() == [1, 0, 1, -128]

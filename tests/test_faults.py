@@ -1,5 +1,6 @@
 import collections
 
+import numpy as np
 import pytest
 
 from sparse_abft import (
@@ -9,8 +10,11 @@ from sparse_abft import (
     parse_register,
     sample_faults,
 )
-from sparse_abft.faults import derive_seed
+from sparse_abft.faults import derive_seed, silent_pipe_targets
 from sparse_abft.registers import Owner, RegisterId, RegKind
+from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern
+
+from conftest import random_weights
 
 
 def test_sample_count_and_window():
@@ -79,3 +83,29 @@ def test_derive_seed_is_stable_and_contextual():
     # frozen value guards against accidental derivation changes that would
     # break campaign reproducibility across releases
     assert derive_seed(42, 0) == 0x547345CAE1CEF372
+
+
+def loop_silent_pipe_targets(cfg, w_tile):
+    """The former loop form of silent_pipe_targets, kept as its reference."""
+    targets = []
+    for r in range(cfg.rows):
+        for lane in range(cfg.pattern.m):
+            last_selected = -1
+            for c in range(cfg.cols):
+                for j in range(int(w_tile.counts[r, c])):
+                    if int(w_tile.indexes[r, c, j]) == lane and int(w_tile.values[r, c, j]) != 0:
+                        last_selected = c
+            for c in range(last_selected + 1, cfg.cols):
+                targets.append(RegisterId(RegKind.INPUT_PIPE, r, c, lane))
+    return targets
+
+
+def test_silent_pipe_targets_match_loop_reference():
+    rng = np.random.default_rng(4)
+    for pattern in (PATTERN_2_4, PATTERN_1_4, SparsityPattern(1, 3)):
+        for _ in range(40):
+            cfg = ArrayConfig(rows=int(rng.integers(1, 5)), cols=int(rng.integers(1, 9)),
+                              pattern=pattern)
+            # narrow weights make zero columns, and so silent lanes, common
+            w = random_weights(rng, cfg.tile_k, cfg.cols, pattern, width=2)
+            assert silent_pipe_targets(cfg, w) == loop_silent_pipe_targets(cfg, w)

@@ -138,6 +138,19 @@ def test_pack_rejects_invalid():
     assert excinfo.value.report.violations == [(0, 0, 3)]
 
 
+def test_counts_must_match_masks():
+    """A matrix whose counts disagree with its masks would load values into
+    the array that unpack (the oracle's input) skips."""
+    good = pack(DenseMatrix.from_array([[1], [0], [2], [0]]), PATTERN_2_4)
+    assert good.counts.tolist() == [[2]]
+    with pytest.raises(ValueError, match="counts"):
+        StructuredSparseMatrix(good.rows, good.cols, good.pattern, good.masks, good.values,
+                               good.indexes, [[1]])
+    with pytest.raises(ShapeError):
+        StructuredSparseMatrix(good.rows, good.cols, good.pattern, good.masks, good.values,
+                               good.indexes, [[2, 0]])
+
+
 def test_unpack_pack_zero_identity():
     z = DenseMatrix.zeros(8, 3)
     assert unpack(pack(z, PATTERN_2_4)) == z
