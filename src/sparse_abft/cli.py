@@ -21,9 +21,9 @@ from .campaign import (
 from .config import ArrayConfig, load_config
 from .driver import run_multiplication
 from .faults import FaultSpec
-from .matio import MatrixFormatError, read_dense, read_packed, write_dense, write_packed
+from .matio import read_dense, read_packed, write_dense, write_packed
 from .registers import parse_register
-from .sparsity import ShapeError, SparsityPattern, SparsityViolationError, prune_magnitude
+from .sparsity import ShapeError, SparsityPattern, prune_magnitude
 
 EXIT_OK = 0
 EXIT_FLAGGED = 1
@@ -220,19 +220,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ShapeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SHAPE
-    except SparsityViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except ValueError as exc:  # also MatrixFormatError and SparsityViolationError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

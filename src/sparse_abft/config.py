@@ -33,6 +33,11 @@ class ArrayConfig:
         for name in ("input_width", "col_out_width", "ic_width", "oc_width", "cksum_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # the engine wraps these registers in int64 arithmetic; the corner
+        # accumulators (cksum_width) are Python ints and have no limit
+        for name in ("input_width", "col_out_width", "ic_width", "oc_width"):
+            if getattr(self, name) > 63:
+                raise ValueError(f"{name} must be at most 63 bits")
         if self.ic_width < self.input_width:
             raise ValueError("ic_width must be at least input_width")
         if self.ic_width % self.input_width != 0:

@@ -43,21 +43,11 @@ def _slice_a_tile(a: DenseMatrix, tile: Tile, cfg: ArrayConfig) -> DenseMatrix:
 
 
 def _slice_w_tile(w: StructuredSparseMatrix, tile: Tile, cfg: ArrayConfig) -> StructuredSparseMatrix:
-    m, n = cfg.pattern.m, cfg.pattern.n
     k_lo, k_hi = tile.k_range
     c_lo, c_hi = tile.col_range
-    b_lo = k_lo // m
-    b_hi = (k_hi + m - 1) // m
-    masks = np.zeros((cfg.rows, cfg.cols), dtype=np.int64)
-    values = np.zeros((cfg.rows, cfg.cols, n), dtype=np.int64)
-    indexes = np.zeros((cfg.rows, cfg.cols, n), dtype=np.int64)
-    counts = np.zeros((cfg.rows, cfg.cols), dtype=np.int64)
-    bh, cw = b_hi - b_lo, c_hi - c_lo
-    masks[:bh, :cw] = w.masks[b_lo:b_hi, c_lo:c_hi]
-    values[:bh, :cw] = w.values[b_lo:b_hi, c_lo:c_hi]
-    indexes[:bh, :cw] = w.indexes[b_lo:b_hi, c_lo:c_hi]
-    counts[:bh, :cw] = w.counts[b_lo:b_hi, c_lo:c_hi]
-    return StructuredSparseMatrix(cfg.tile_k, cfg.cols, cfg.pattern, masks, values, indexes, counts)
+    data = np.zeros((cfg.tile_k, cfg.cols), dtype=np.int64)
+    data[: k_hi - k_lo, : c_hi - c_lo] = w.dense.data[k_lo:k_hi, c_lo:c_hi]
+    return StructuredSparseMatrix(cfg.pattern, DenseMatrix(cfg.tile_k, cfg.cols, data))
 
 
 def run_multiplication(

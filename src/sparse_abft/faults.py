@@ -61,10 +61,10 @@ def silent_pipe_targets(cfg: ArrayConfig, w_tile: StructuredSparseMatrix) -> lis
     A flip there rides the bundle east but no multiplexer ever picks the
     lane, so it cannot reach any partial sum or checksum.
     """
-    n, m = cfg.pattern.n, cfg.pattern.m
-    stored = (np.arange(n) < w_tile.counts[:, :, None]) & (w_tile.values != 0)
-    # selected[r, c, lane]: some stored non-zero weight of PE (r, c) reads the lane
-    selected = ((w_tile.indexes[..., None] == np.arange(m)) & stored[..., None]).any(axis=2)
+    # selected[r, c, lane]: some stored weight of PE (r, c) reads the lane;
+    # stored values are never zero and unused slots always are
+    selected = ((w_tile.indexes[..., None] == np.arange(cfg.pattern.m))
+                & (w_tile.values != 0)[..., None]).any(axis=2)
     col_index = np.arange(cfg.cols)
     last_selected = np.where(selected, col_index[:, None], -1).max(axis=1)   # (rows, m)
     rows, lanes, cols = np.nonzero(col_index > last_selected[:, :, None])

@@ -2,7 +2,7 @@
 
 Every register in the simulated datapath has a declared bit width and wraps
 on overflow. Values are carried as Python/numpy signed integers; these
-helpers map between the signed reading and the raw w-bit pattern.
+helpers give the signed range of a width and wrap values into it.
 """
 
 from __future__ import annotations
@@ -27,33 +27,6 @@ def wrap(value, width: int):
     bias = 1 << (width - 1)
     mask = (1 << width) - 1
     return ((value + bias) & mask) - bias
-
-
-def fits(value: int, width: int) -> bool:
-    return int_min(width) <= value <= int_max(width)
-
-
-def to_unsigned(value: int, width: int) -> int:
-    """Raw w-bit pattern of a signed value."""
-    if not fits(value, width):
-        raise ValueError(f"value {value} does not fit in {width} signed bits")
-    return value & ((1 << width) - 1)
-
-
-def from_unsigned(pattern: int, width: int) -> int:
-    """Signed reading of a raw w-bit pattern."""
-    if not 0 <= pattern < (1 << width):
-        raise ValueError(f"pattern {pattern} is not a {width}-bit value")
-    if pattern >= 1 << (width - 1):
-        return pattern - (1 << width)
-    return pattern
-
-
-def flip_bit(value: int, bit: int, width: int) -> int:
-    """XOR one bit of a signed w-bit register value."""
-    if not 0 <= bit < width:
-        raise ValueError(f"bit {bit} out of range for width {width}")
-    return from_unsigned(to_unsigned(value, width) ^ (1 << bit), width)
 
 
 def check_ndarray_width(data: np.ndarray, width: int, what: str = "element") -> None:

@@ -88,11 +88,7 @@ def read_packed(path) -> StructuredSparseMatrix:
     if len(lines) - 1 != expected:
         raise MatrixFormatError(f"{path}: expected {expected} block lines, found {len(lines) - 1}")
 
-    masks = np.zeros((b, cols), dtype=np.int64)
-    values = np.zeros((b, cols, n), dtype=np.int64)
-    indexes = np.zeros((b, cols, n), dtype=np.int64)
-    counts = np.zeros((b, cols), dtype=np.int64)
-
+    dense = np.zeros((b * m, cols), dtype=np.int64)
     for lineno, line in enumerate(lines[1:]):
         br, c = divmod(lineno, cols)
         parts = line.split()
@@ -108,19 +104,20 @@ def read_packed(path) -> StructuredSparseMatrix:
             )
         if len(idxs) > n:
             raise MatrixFormatError(f"{path}: block ({br},{c}): {len(idxs)} values exceeds n={n}")
-        masks[br, c] = mask
-        counts[br, c] = len(idxs)
-        for j, (idx, v) in enumerate(zip(idxs, vals)):
+        if idxs and br * m + idxs[-1] >= rows:
+            raise MatrixFormatError(
+                f"{path}: block ({br},{c}): mask names row {br * m + idxs[-1]} of {rows} rows"
+            )
+        for idx, v in zip(idxs, vals):
             try:
                 parsed = int(v)
             except ValueError as exc:
                 raise MatrixFormatError(f"{path}: block ({br},{c}): {exc}") from exc
             if parsed == 0:
                 raise MatrixFormatError(f"{path}: block ({br},{c}): stored value must be non-zero")
-            values[br, c, j] = parsed
-            indexes[br, c, j] = idx
+            dense[br * m + idx, c] = parsed
 
-    return StructuredSparseMatrix(rows, cols, pattern, masks, values, indexes, counts)
+    return StructuredSparseMatrix(pattern, DenseMatrix(rows, cols, dense[:rows]))
 
 
 def write_packed(path, sw: StructuredSparseMatrix) -> None:

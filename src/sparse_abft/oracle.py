@@ -13,12 +13,22 @@ from .intwrap import wrap
 from .sparsity import DenseMatrix, ShapeError
 
 
-def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:
-    """Exact integer product, each element wrapped to out_width bits."""
+def _product(a: DenseMatrix, w_dense: DenseMatrix):
+    """The unwrapped product A W as an int64 array."""
     if a.cols != w_dense.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {w_dense.rows}")
-    product = a.data @ w_dense.data
-    return DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width))
+    return a.data @ w_dense.data
+
+
+def _identity(a: DenseMatrix, w_dense: DenseMatrix, product):
+    total = int(product.sum())
+    dot = int(a.data.sum(axis=0) @ w_dense.data.sum(axis=1))
+    return total, dot, total == dot
+
+
+def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:
+    """Exact integer product, each element wrapped to out_width bits."""
+    return DenseMatrix(a.rows, w_dense.cols, wrap(_product(a, w_dense), out_width))
 
 
 def checksum_identity(a: DenseMatrix, w_dense: DenseMatrix):
@@ -26,13 +36,7 @@ def checksum_identity(a: DenseMatrix, w_dense: DenseMatrix):
 
     Returns (sum of all product elements, dot(colsum(A), rowsum(W)), equal).
     """
-    if a.cols != w_dense.rows:
-        raise ShapeError(f"inner dimensions differ: {a.cols} vs {w_dense.rows}")
-    total = int((a.data @ w_dense.data).sum())
-    colsum_a = a.data.sum(axis=0)
-    rowsum_w = w_dense.data.sum(axis=1)
-    dot = int(colsum_a @ rowsum_w)
-    return total, dot, total == dot
+    return _identity(a, w_dense, _product(a, w_dense))
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,9 @@ class GoldenResult:
 
 
 def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> GoldenResult:
-    product = matmul_ref(a, w_dense, out_width)
-    total, dot, equal = checksum_identity(a, w_dense)
+    """The wrapped product and its checksum, from one product A W."""
+    product = _product(a, w_dense)
+    total, _, equal = _identity(a, w_dense, product)
     assert equal, "checksum identity must hold over unbounded integers"
-    return GoldenResult(product=product, total_checksum=total)
+    return GoldenResult(product=DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width)),
+                        total_checksum=total)

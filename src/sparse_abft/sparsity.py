@@ -4,7 +4,8 @@ An N:M pattern permits at most ``n`` non-zero elements inside every aligned
 block of ``m`` consecutive rows of a column. Packed storage keeps only the
 non-zeros, plus one m-bit mask per (block-row, column): bit ``i`` of the mask
 is set iff row offset ``i`` within the block holds a stored value. Stored
-values are ordered by ascending row offset.
+values are ordered by ascending row offset. A packed matrix is built from its
+dense values, and the packed arrays are derived from them.
 """
 
 from __future__ import annotations
@@ -50,11 +51,10 @@ class SparsityPattern:
     def parse(cls, text: str) -> "SparsityPattern":
         try:
             n_str, m_str = text.split(":")
-            return cls(int(n_str), int(m_str))
-        except (ValueError, TypeError) as exc:
-            if isinstance(exc, ValueError) and "invalid pattern" in str(exc):
-                raise
+            n, m = int(n_str), int(m_str)
+        except ValueError as exc:
             raise ValueError(f"cannot parse sparsity pattern {text!r} (expected 'n:m')") from exc
+        return cls(n, m)
 
 
 PATTERN_2_4 = SparsityPattern(2, 4)
@@ -94,9 +94,7 @@ class DenseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and bool(
-            np.array_equal(self.data, other.data)
-        )
+        return bool(np.array_equal(self.data, other.data))  # shapes included
 
 
 @dataclass(frozen=True)
@@ -109,39 +107,54 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class StructuredSparseMatrix:
-    """Packed N:M matrix.
+    """N:M matrix built from its dense values, with the packed form derived.
 
+    ``dense`` is the one source: construction validates it against
+    ``pattern`` and derives the read-only packed arrays from it.
     ``masks[b, c]`` is the m-bit occupancy mask of block-row ``b``, column
-    ``c``. ``values``/``indexes`` hold up to ``pattern.n`` entries per block
-    in ascending row-offset order; unused slots are zero-padded.
+    ``c``; ``values``/``indexes`` hold up to ``pattern.n`` non-zero entries
+    per block in ascending row-offset order, with unused slots zero;
+    ``counts[b, c]`` is the number of stored entries.
     """
 
-    rows: int
-    cols: int
     pattern: SparsityPattern
-    masks: np.ndarray      # (block_rows, cols) int64
-    values: np.ndarray     # (block_rows, cols, n) int64
-    indexes: np.ndarray    # (block_rows, cols, n) int64
-    counts: np.ndarray     # (block_rows, cols) int64, stored values per block
+    dense: DenseMatrix
+    masks: np.ndarray = field(init=False, repr=False)     # (block_rows, cols)
+    values: np.ndarray = field(init=False, repr=False)    # (block_rows, cols, n)
+    indexes: np.ndarray = field(init=False, repr=False)   # (block_rows, cols, n)
+    counts: np.ndarray = field(init=False, repr=False)    # (block_rows, cols)
 
     def __post_init__(self):
-        for name in ("masks", "values", "indexes", "counts"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
+        m, n = self.pattern.m, self.pattern.n
+        blocks = _padded_blocks(self.dense, m)
+        nonzero = blocks != 0
+        counts = nonzero.sum(axis=1)
+        if (counts > n).any():
+            raise SparsityViolationError(validate_structured(self.dense, self.pattern))
+        # slot j holds a block's (j+1)-th non-zero; its offset is the number
+        # of offsets i with at most j non-zeros in offsets 0..i
+        ranks = nonzero.cumsum(axis=1)
+        offsets = (ranks[:, :, None, :] <= np.arange(n)[:, None]).sum(axis=1)
+        stored = np.arange(n)[:, None] < counts[:, None, :]
+        offsets = np.where(stored, offsets, 0)
+        packed = {
+            "masks": np.einsum("bmc,m->bc", nonzero, 1 << np.arange(m)),
+            "values": np.where(stored, np.take_along_axis(blocks, offsets, axis=1), 0)
+                        .transpose(0, 2, 1),
+            "indexes": offsets.transpose(0, 2, 1),
+            "counts": counts,
+        }
+        for name, arr in packed.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        b = block_rows(self.rows, self.pattern.m)
-        n = self.pattern.n
-        if self.masks.shape != (b, self.cols):
-            raise ShapeError(f"masks shape {self.masks.shape} != ({b}, {self.cols})")
-        if self.values.shape != (b, self.cols, n) or self.indexes.shape != (b, self.cols, n):
-            raise ShapeError("values/indexes shape mismatch")
-        if self.counts.shape != (b, self.cols):
-            raise ShapeError(f"counts shape {self.counts.shape} != ({b}, {self.cols})")
-        # the array loads every stored slot while unpack reads ``counts`` of
-        # them, so counts that disagree with the masks would split the two
-        popcount = (self.masks[..., None] >> np.arange(self.pattern.m) & 1).sum(axis=-1)
-        if not np.array_equal(self.counts, popcount):
-            raise ValueError("counts differ from the number of bits set in masks")
+
+    @property
+    def rows(self) -> int:
+        return self.dense.rows
+
+    @property
+    def cols(self) -> int:
+        return self.dense.cols
 
     @property
     def block_rows(self) -> int:
@@ -159,15 +172,7 @@ class StructuredSparseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructuredSparseMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.pattern == other.pattern
-            and bool(np.array_equal(self.masks, other.masks))
-            and bool(np.array_equal(self.values, other.values))
-            and bool(np.array_equal(self.indexes, other.indexes))
-            and bool(np.array_equal(self.counts, other.counts))
-        )
+        return self.pattern == other.pattern and self.dense == other.dense
 
 
 def block_rows(rows: int, m: int) -> int:
@@ -192,21 +197,6 @@ def validate_structured(w: DenseMatrix, pattern: SparsityPattern) -> ValidationR
     return ValidationReport(valid=not violations, violations=violations)
 
 
-def _pack_blocks(rows: int, blocks: np.ndarray, pattern: SparsityPattern) -> StructuredSparseMatrix:
-    """Pack (block_rows, m, cols) blocks holding at most ``pattern.n`` non-zeros each."""
-    m, n = pattern.m, pattern.n
-    nonzero = blocks != 0
-    masks = (nonzero << np.arange(m)[:, None]).sum(axis=1)
-    counts = nonzero.sum(axis=1)
-    # a stable sort on "is zero" lists the stored offsets first, ascending
-    offsets = np.argsort(~nonzero, axis=1, kind="stable")[:, :n]
-    stored = np.arange(n)[:, None] < counts[:, None, :]
-    values = np.where(stored, np.take_along_axis(blocks, offsets, axis=1), 0)
-    indexes = np.where(stored, offsets, 0)
-    return StructuredSparseMatrix(rows, blocks.shape[2], pattern, masks,
-                                  values.transpose(0, 2, 1), indexes.transpose(0, 2, 1), counts)
-
-
 def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
     """Keep the n largest-magnitude elements per column block, zero the rest.
 
@@ -218,7 +208,8 @@ def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSpars
     order = np.argsort(-np.abs(blocks), axis=1, kind="stable")
     keep = np.zeros(blocks.shape, dtype=bool)
     np.put_along_axis(keep, order[:, :pattern.n], True, axis=1)
-    return _pack_blocks(w.rows, np.where(keep, blocks, 0), pattern)
+    pruned = np.where(keep, blocks, 0).reshape(-1, w.cols)[: w.rows]
+    return StructuredSparseMatrix(pattern, DenseMatrix(w.rows, w.cols, pruned))
 
 
 def pack(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
@@ -226,16 +217,9 @@ def pack(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
 
     Raises SparsityViolationError (carrying the full report) otherwise.
     """
-    report = validate_structured(w, pattern)
-    if not report.valid:
-        raise SparsityViolationError(report)
-    return _pack_blocks(w.rows, _padded_blocks(w, pattern.m), pattern)
+    return StructuredSparseMatrix(pattern, w)
 
 
 def unpack(sw: StructuredSparseMatrix) -> DenseMatrix:
-    """Expand packed storage back to a dense matrix (inverse of pack)."""
-    m = sw.pattern.m
-    dense = np.zeros((sw.block_rows, m, sw.cols), dtype=np.int64)
-    b, c, j = np.nonzero(np.arange(sw.pattern.n) < sw.counts[:, :, None])
-    dense[b, sw.indexes[b, c, j], c] = sw.values[b, c, j]
-    return DenseMatrix(sw.rows, sw.cols, dense.reshape(-1, sw.cols)[: sw.rows])
+    """The dense values of a packed matrix (inverse of pack)."""
+    return sw.dense

@@ -105,6 +105,16 @@ def test_run_injection_past_window_exit_2(tiny_files, capsys):
     assert not p["report"].exists()
 
 
+@pytest.mark.parametrize("name", ["input_width", "col_out_width", "ic_width", "oc_width"])
+def test_run_width_past_int64_engine_exit_2(tiny_files, capsys, name):
+    p = tiny_files
+    p["cfg"].write_text(json.dumps({"R": 1, "C": 2, "input_width": 8, "ic_width": 16, name: 64}))
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"])])
+    assert rc == 2
+    assert f"{name} must be at most 63 bits" in capsys.readouterr().err
+
+
 def test_run_zero_matrices(tiny_files, tmp_path):
     p = tiny_files
     a0, w0 = tmp_path / "a0.mat", tmp_path / "w0.smat"

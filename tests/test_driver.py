@@ -26,6 +26,17 @@ def test_single_tile_run(worked_example):
     assert run.total_cycles == total_active_cycles(cfg, 2, 4, 2)
 
 
+def test_widths_limited_to_int64_engine(worked_example):
+    """The engine wraps array, IC and OC registers in int64 arithmetic."""
+    _, a, _, w = worked_example
+    for name in ("input_width", "col_out_width", "ic_width", "oc_width"):
+        with pytest.raises(ValueError, match=name):
+            ArrayConfig(rows=1, cols=2, **{name: 64})
+    cfg = ArrayConfig(rows=1, cols=2, col_out_width=63, oc_width=63, cksum_width=100)
+    run = run_multiplication(cfg, a, w)
+    assert run.outputs.data.tolist() == [[-2, 16], [-2, 36]] and not run.flagged
+
+
 def test_multi_tile_accumulation_matches_oracle():
     rng = np.random.default_rng(5)
     cfg = ArrayConfig(rows=2, cols=3)  # tile_k = 8

@@ -70,6 +70,26 @@ def test_inject_flip_semantics(worked_example):
     assert state.read_register(reg) == 48  # involution
 
 
+def test_inject_flip_signed_8bit_register(worked_example):
+    cfg, _, _, w = worked_example
+    state = SimState(cfg)
+    state.load_weights(w)
+    reg = parse_register("tpe.0.0.in.0")  # 8-bit input pipe
+    state.write_register(reg, 0)
+    state.flip_register_bit(reg, 7)
+    assert state.read_register(reg) == -128  # the sign bit
+    state.write_register(reg, -1)
+    state.flip_register_bit(reg, 0)
+    assert state.read_register(reg) == -2
+    state.write_register(reg, 5)
+    state.flip_register_bit(reg, 3)
+    state.flip_register_bit(reg, 3)
+    assert state.read_register(reg) == 5  # involution
+    for bit in (8, -1):
+        with pytest.raises(ValueError):
+            state.flip_register_bit(reg, bit)
+
+
 def test_inject_unknown_register(tiny_cfg):
     state = SimState(tiny_cfg)
     with pytest.raises(ValueError):

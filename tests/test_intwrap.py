@@ -1,16 +1,7 @@
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
-from sparse_abft.intwrap import (
-    fits,
-    flip_bit,
-    from_unsigned,
-    int_max,
-    int_min,
-    to_unsigned,
-    wrap,
-)
+from sparse_abft.intwrap import int_max, int_min, wrap
 
 
 def test_wrap_identity_in_range():
@@ -34,27 +25,3 @@ def test_wrap_is_congruent_and_in_range(v, width):
     w = wrap(v, width)
     assert int_min(width) <= w <= int_max(width)
     assert (w - v) % (1 << width) == 0
-
-
-@given(st.integers(-128, 127))
-def test_unsigned_roundtrip(v):
-    assert from_unsigned(to_unsigned(v, 8), 8) == v
-
-
-def test_flip_bit():
-    assert flip_bit(48, 0, 24) == 49
-    assert flip_bit(0, 7, 8) == -128
-    assert flip_bit(-1, 0, 8) == -2
-    assert flip_bit(flip_bit(5, 3, 8), 3, 8) == 5  # involution
-
-
-def test_flip_bit_range_checked():
-    with pytest.raises(ValueError):
-        flip_bit(0, 8, 8)
-    with pytest.raises(ValueError):
-        flip_bit(0, -1, 8)
-
-
-def test_fits():
-    assert fits(127, 8) and fits(-128, 8)
-    assert not fits(128, 8) and not fits(-129, 8)

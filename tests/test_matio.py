@@ -63,6 +63,7 @@ def test_dense_parse_errors(tmp_path, content):
         "4 1 2 4\n1110 1 2 3\n",   # more stored values than n
         "4 1 2 4\n0001 0\n",       # stored zero value
         "4 1 5 4\n",               # n > m
+        "2 1 2 4\n1000 5\n",       # mask names row 3 of a 2-row matrix
     ],
 )
 def test_packed_parse_errors(tmp_path, content):

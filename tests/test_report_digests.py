@@ -4,7 +4,9 @@ The digests were computed before the wave scheduler was rebuilt around a
 precomputed per-tile schedule; any change to what the simulator computes,
 when a fault fires, or how a trace line is labelled shows up here. The
 inputs are small but cover several rounds per tile, several tiles, one
-injected fault, every trace label kind, and a multi-fault campaign.
+injected fault, every trace label kind, and a multi-fault campaign. The
+``prune`` pin (packed file bytes and stdout) was computed before the packed
+matrix was rebuilt around its dense values.
 """
 
 import hashlib
@@ -26,6 +28,8 @@ RUN_DIGESTS = {
     "trace.csv": "b87ce4ed0250871fd73dfd2c9fdca4a64ee1a6919a93ef5efbd03a44d4bf6870",
 }
 CAMPAIGN_DIGEST = "9ff8d76bb9621844918c9ebdf287474dd8ddd9a1e89eda6be90952f43f951eaa"
+PRUNE_DIGEST = "f7688743d6ccb6bae7f18352adc8267dd0cf87ea98fb4793294d854aaf52c3b5"
+PRUNE_STDOUT = "kept 37 non-zeros of 70 elements (33 zeroed)\n"
 
 
 def sha256(path) -> str:
@@ -63,3 +67,13 @@ def test_campaign_report_pinned(workdir):
     assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
                  "--faults", "1..5", "--seed", "11", "--report", "stats.json"]) == 0
     assert sha256(workdir / "stats.json") == CAMPAIGN_DIGEST
+
+
+def test_prune_output_pinned(workdir, capsys):
+    rng = np.random.default_rng(2403)
+    # 10 rows: the last 2:4 block of each column is half padding; small
+    # magnitudes make ties and all-zero blocks common
+    write_dense("w.mat", DenseMatrix.from_array(rng.integers(-3, 4, size=(10, 7))))
+    assert main(["prune", "--pattern", "2:4", "--in", "w.mat", "--out", "w.smat"]) == 0
+    assert capsys.readouterr().out == PRUNE_STDOUT
+    assert sha256(workdir / "w.smat") == PRUNE_DIGEST

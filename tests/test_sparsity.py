@@ -5,13 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse_abft import (
+    ArrayConfig,
     DenseMatrix,
     SparsityPattern,
     SparsityViolationError,
+    matmul_ref,
     pack,
     prune_magnitude,
+    read_packed,
+    run_multiplication,
     unpack,
     validate_structured,
+    write_packed,
 )
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 
@@ -138,17 +143,16 @@ def test_pack_rejects_invalid():
     assert excinfo.value.report.violations == [(0, 0, 3)]
 
 
-def test_counts_must_match_masks():
-    """A matrix whose counts disagree with its masks would load values into
-    the array that unpack (the oracle's input) skips."""
-    good = pack(DenseMatrix.from_array([[1], [0], [2], [0]]), PATTERN_2_4)
-    assert good.counts.tolist() == [[2]]
-    with pytest.raises(ValueError, match="counts"):
-        StructuredSparseMatrix(good.rows, good.cols, good.pattern, good.masks, good.values,
-                               good.indexes, [[1]])
-    with pytest.raises(ShapeError):
-        StructuredSparseMatrix(good.rows, good.cols, good.pattern, good.masks, good.values,
-                               good.indexes, [[2, 0]])
+def test_packed_arrays_derived_and_read_only():
+    """The packed arrays come from the dense values only, and cannot be
+    edited afterwards."""
+    dense = DenseMatrix.from_array([[0], [0], [0], [5]])
+    sw = StructuredSparseMatrix(PATTERN_2_4, dense)
+    assert sw == pack(dense, PATTERN_2_4) and sw.dense is dense and unpack(sw) is dense
+    assert (sw.rows, sw.cols, sw.block(0, 0)) == (4, 1, (0b1000, [5], [3]))
+    assert sw.values.tolist() == [[[5, 0]]] and sw.indexes.tolist() == [[[3, 0]]]
+    for name in ("masks", "values", "indexes", "counts"):
+        assert not getattr(sw, name).flags.writeable
 
 
 def test_unpack_pack_zero_identity():
@@ -204,7 +208,7 @@ def loop_pack(w, pattern, prune):
 
     With ``prune`` each block keeps its n largest magnitudes (stable sort:
     ties go to the lower offset); otherwise every offset is kept. Zeros are
-    never stored.
+    never stored. Returns the masks, values, indexes and counts arrays.
     """
     m, n = pattern.m, pattern.n
     b = -(-w.rows // m)
@@ -224,7 +228,12 @@ def loop_pack(w, pattern, prune):
                     masks[br, c] |= 1 << idx
                     values[br, c, k], indexes[br, c, k] = block[idx], idx
                     counts[br, c] += 1
-    return StructuredSparseMatrix(w.rows, w.cols, pattern, masks, values, indexes, counts)
+    return {"masks": masks, "values": values, "indexes": indexes, "counts": counts}
+
+
+def assert_packed_as(sw, want):
+    for name, arr in want.items():
+        assert np.array_equal(getattr(sw, name), arr), name
 
 
 def loop_unpack(sw):
@@ -247,10 +256,28 @@ def test_vectorized_packing_matches_loop_reference(seed):
     shape = (int(rng.integers(1, 14)), int(rng.integers(1, 5)))
     w = DenseMatrix.from_array(rng.integers(-3, 4, size=shape))
     pruned = prune_magnitude(w, pattern)
-    want = loop_pack(w, pattern, prune=True)
-    assert pruned == want and np.array_equal(pruned.counts, want.counts)
+    assert_packed_as(pruned, loop_pack(w, pattern, prune=True))
     dense = unpack(pruned)
     assert dense == loop_unpack(pruned)
     packed = pack(dense, pattern)
-    want = loop_pack(dense, pattern, prune=False)
-    assert packed == want and np.array_equal(packed.counts, want.counts)
+    assert_packed_as(packed, loop_pack(dense, pattern, prune=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["2:4", "1:4", "1:3", "3:4"]))
+def test_file_and_array_agree_with_dense(tmp_path_factory, seed, pattern_text):
+    """The packed file and the array both carry exactly the dense values."""
+    rng = np.random.default_rng(seed)
+    pattern = SparsityPattern.parse(pattern_text)
+    cfg = ArrayConfig(rows=int(rng.integers(1, 4)), cols=int(rng.integers(1, 5)),
+                      pattern=pattern)
+    k, cols = int(rng.integers(1, 3 * cfg.tile_k)), int(rng.integers(1, 2 * cfg.cols + 2))
+    # small magnitudes make zeros, and so partly empty blocks, common
+    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-2, 3, size=(k, cols))), pattern)
+    path = tmp_path_factory.mktemp("io") / "w.smat"
+    write_packed(path, w)
+    assert read_packed(path) == w
+    a = DenseMatrix.from_array(rng.integers(-128, 128, size=(int(rng.integers(1, 6)), k)))
+    run = run_multiplication(cfg, a, w)
+    assert not run.flagged
+    assert run.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
