@@ -43,6 +43,8 @@ class SparsityPattern:
     def __post_init__(self):
         if not 1 <= self.n <= self.m:
             raise ValueError(f"invalid pattern {self.n}:{self.m} (need 1 <= n <= m)")
+        if self.m > 63:  # block masks are int64
+            raise ValueError(f"invalid pattern {self.n}:{self.m} (m above 63 does not fit a mask)")
 
     def __str__(self) -> str:
         return f"{self.n}:{self.m}"
@@ -208,7 +210,7 @@ def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSpars
     order = np.argsort(-np.abs(blocks), axis=1, kind="stable")
     keep = np.zeros(blocks.shape, dtype=bool)
     np.put_along_axis(keep, order[:, :pattern.n], True, axis=1)
-    pruned = np.where(keep, blocks, 0).reshape(-1, w.cols)[: w.rows]
+    pruned = np.where(keep, blocks, 0).reshape(len(blocks) * pattern.m, w.cols)[: w.rows]
     return StructuredSparseMatrix(pattern, DenseMatrix(w.rows, w.cols, pruned))
 
 

@@ -63,6 +63,21 @@ def test_prune_parse_failure_exit_2(tmp_path):
     assert main(["prune", "--pattern", "2:4", "--in", str(bad), "--out", "x.smat"]) == 2
 
 
+def test_prune_pattern_m_above_63_exit_2(tmp_path):
+    infile = tmp_path / "w.mat"
+    write_dense(infile, DenseMatrix.zeros(64, 1))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["prune", "--pattern", "1:64", "--in", str(infile), "--out", "x.smat"])
+    assert excinfo.value.code == 2
+
+
+def test_prune_value_outside_int64_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.mat"
+    bad.write_text("2 1\n1\n99999999999999999999\n")
+    assert main(["prune", "--pattern", "2:4", "--in", str(bad), "--out", "x.smat"]) == 2
+    assert "row 1: value 99999999999999999999 outside the int64 range" in capsys.readouterr().err
+
+
 def test_prune_missing_file_exit_3(tmp_path):
     assert main(["prune", "--pattern", "2:4", "--in", str(tmp_path / "nope.mat"),
                  "--out", "x.smat"]) == 3
@@ -143,6 +158,19 @@ def test_run_parse_error_exit_2(tiny_files, tmp_path):
     rc = main(["run", "--config", str(p["cfg"]), "--a", str(bad), "--w", str(p["w"]),
                "--out", str(p["out"])])
     assert rc == 2
+
+
+@pytest.mark.parametrize("operand", ["a", "w"])
+def test_run_value_outside_int64_exit_2(tiny_files, capsys, operand):
+    p = tiny_files
+    header, first, rest = p[operand].read_text().split("\n", 2)
+    tokens = first.split(" ")
+    tokens[-1] = "-9223372036854775809"
+    p[operand].write_text("\n".join([header, " ".join(tokens), rest]))
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"])])
+    assert rc == 2
+    assert "value -9223372036854775809 outside the int64 range" in capsys.readouterr().err
 
 
 def test_run_missing_input_exit_3(tiny_files, tmp_path):

@@ -39,6 +39,16 @@ def test_pattern_parse_and_bounds():
         SparsityPattern.parse("nonsense")
 
 
+def test_pattern_m_limited_to_63():
+    """A block mask is int64: at m = 64 row 63 landed on the sign bit and the
+    packed file could not be read back."""
+    assert SparsityPattern(1, 63).m == 63
+    with pytest.raises(ValueError, match="m above 63"):
+        SparsityPattern(1, 64)
+    with pytest.raises(ValueError, match="m above 63"):
+        SparsityPattern.parse("1:64")
+
+
 # ----------------------------------------------------------------------
 # validate_structured
 
@@ -201,6 +211,12 @@ def test_prune_validates_on_random_dense(seed):
     w = DenseMatrix(8, 4, rng.integers(-128, 128, size=(8, 4)))
     for pattern in (PATTERN_2_4, PATTERN_1_4):
         assert validate_structured(unpack(prune_magnitude(w, pattern)), pattern).valid
+
+
+def test_prune_zero_columns():
+    w = prune_magnitude(DenseMatrix.zeros(5, 0), PATTERN_2_4)
+    assert w.dense == DenseMatrix.zeros(5, 0)
+    assert w.masks.shape == (2, 0)
 
 
 def loop_pack(w, pattern, prune):
