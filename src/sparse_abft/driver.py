@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import ArrayConfig
 from .intwrap import wrap
+from .registers import enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 from .systolic import SimState, tile_active_cycles
 from .tiling import Tile, tile_plan
@@ -62,8 +63,9 @@ def run_multiplication(
 
     Outputs of tiles sharing output columns (inner-dimension chunks) are
     accumulated host-side with wraparound at the column output width, which
-    is congruent to the single-pass architectural result. A fault scheduled
-    past the last active cycle would never fire, so it raises ValueError.
+    is congruent to the single-pass architectural result. A fault past the
+    last active cycle would never fire and a watched register the array
+    lacks could never be read, so both raise ValueError before any cycle.
     """
     if w.pattern != cfg.pattern:
         raise ShapeError(f"weight pattern {w.pattern} != array pattern {cfg.pattern}")
@@ -78,6 +80,8 @@ def run_multiplication(
         if spec.cycle >= window:
             raise ValueError(f"fault at cycle {spec.cycle} would never fire: "
                              f"the run has {window} active cycles")
+    for reg in watch or ():
+        enumerate_registers(cfg).width_of(reg)
     state = SimState(cfg)
     if watch:
         state.watch = list(watch)

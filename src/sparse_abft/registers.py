@@ -18,8 +18,10 @@ so that seeded per-bit sampling is reproducible.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .config import ArrayConfig
@@ -116,40 +118,21 @@ class RegisterMap:
     array_bits: int
     checker_bits: int
 
+    def __post_init__(self):
+        widths = [e.width_bits for e in self.entries]
+        object.__setattr__(self, "_offsets", list(itertools.accumulate(widths, initial=0))[:-1])
+        object.__setattr__(self, "_widths", {e.reg: e.width_bits for e in self.entries})
+
     def locate_bit(self, global_bit: int) -> tuple:
         """Map a global bit index to (RegisterId, bit-within-register)."""
         if not 0 <= global_bit < self.total_bits:
             raise ValueError(f"bit {global_bit} out of range [0, {self.total_bits})")
-        lo, hi = 0, len(self.entries)
-        offsets = self._offsets
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if offsets[mid] <= global_bit:
-                lo = mid
-            else:
-                hi = mid
-        entry = self.entries[lo]
-        return entry.reg, global_bit - offsets[lo]
-
-    @property
-    def _offsets(self):
-        cached = getattr(self, "_offsets_cache", None)
-        if cached is None:
-            cached = []
-            acc = 0
-            for e in self.entries:
-                cached.append(acc)
-                acc += e.width_bits
-            object.__setattr__(self, "_offsets_cache", cached)
-        return cached
+        i = bisect.bisect_right(self._offsets, global_bit) - 1
+        return self.entries[i].reg, global_bit - self._offsets[i]
 
     def width_of(self, reg: RegisterId) -> int:
-        lookup = getattr(self, "_width_cache", None)
-        if lookup is None:
-            lookup = {e.reg: e.width_bits for e in self.entries}
-            object.__setattr__(self, "_width_cache", lookup)
         try:
-            return lookup[reg]
+            return self._widths[reg]
         except KeyError:
             raise ValueError(f"register {reg.name} not in map") from None
 

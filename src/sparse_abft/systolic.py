@@ -38,9 +38,10 @@ Between two fault events the datapath is a fixed shift-and-add network, so
 whole-array operations by ``SimState._advance``, the one clock path. A
 segment ends after every cycle that has scheduled faults (their flips follow
 that cycle's edge), after every cycle on which the corner compares a round
-(which bounds the temporaries to about one round), and after every cycle
-while registers are watched (each trace line follows its cycle's edge).
-``step`` is a one-cycle segment. Within a segment:
+(which bounds the temporaries to about one round), and at the end of the
+tile. Tracing reads watched registers after every edge from the segment's
+intermediates, in cycle order before its flips, so it does not cut
+segments. ``step`` is a one-cycle segment. Within a segment:
 
 * the IC accumulators are running sums of data bundles that restart after
   each round's last digit wave, and digit bundles are split from those sums;
@@ -69,6 +70,7 @@ that only targets the compute/checksum phases.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,16 +86,6 @@ class StateError(RuntimeError):
     """Operation incompatible with the simulator's state (inputs before any weights)."""
 
 
-@dataclass(frozen=True)
-class TpeState:
-    """Snapshot of one tensor PE's registers."""
-
-    weights: tuple
-    indexes: tuple
-    input_pipe: tuple
-    psum: int
-
-
 @dataclass
 class TileResult:
     outputs: DenseMatrix
@@ -107,9 +99,8 @@ class Segment:
     ``west`` holds the bundle entering each PE row (zero for bubbles; digit
     bundles are split from the IC accumulators while clocking), ``is_data``
     marks the rows whose bundle is a data wave, ``row_digit`` the checksum
-    digit entering each row (-1 none), ``corner_data`` and
-    ``corner_digit`` tag the wave whose OC chain output reaches the corner,
-    and ``labels`` name each cycle in traces.
+    digit entering each row (-1 none), and ``corner_data`` and
+    ``corner_digit`` tag the wave whose OC chain output reaches the corner.
     """
 
     west: np.ndarray            # (L, R, m)
@@ -117,7 +108,6 @@ class Segment:
     row_digit: np.ndarray       # (L, R)
     corner_data: np.ndarray     # (L,) bool
     corner_digit: np.ndarray    # (L,)
-    labels: list
 
     def part(self, lo: int, hi: int) -> "Segment":
         """Cycles ``[lo, hi)`` of this segment."""
@@ -232,14 +222,6 @@ class SimState:
         self._check_bit(reg, bit)
         self.write_register(reg, self.read_register(reg) ^ (1 << bit))
 
-    def tpe_state(self, row: int, col: int) -> TpeState:
-        return TpeState(
-            weights=tuple(int(v) for v in self.weights[row, col]),
-            indexes=tuple(int(v) for v in self.indexes[row, col]),
-            input_pipe=tuple(int(v) for v in self.pipe[row, col]),
-            psum=int(self.psum[row, col]),
-        )
-
     # ------------------------------------------------------------------
     # fault scheduling
 
@@ -286,7 +268,6 @@ class SimState:
         cfg = self.cfg
         if west_inputs is None:
             west = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
-            label = "Drain" if self.loaded else "WeightLoad"
         else:
             if not self.loaded:
                 raise StateError("cannot stream inputs before weights are loaded")
@@ -296,10 +277,9 @@ class SimState:
                     f"west inputs shape {west.shape} != ({cfg.rows}, {cfg.pattern.m})"
                 )
             check_ndarray_width(west, cfg.input_width, "west input")
-            label = "Stream"
         idle = np.zeros((1, cfg.rows), dtype=bool)
         self._advance(Segment(west[None], idle, np.full((1, cfg.rows), -1), np.zeros(1, dtype=bool),
-                              np.full(1, -1), [label]))
+                              np.full(1, -1)), None if west_inputs is None else "Stream")
 
     def _lane_weights(self) -> np.ndarray:
         """``(R, m, C)``: the weight each PE applies to each input lane, the
@@ -314,16 +294,18 @@ class SimState:
                 self.weights[:, :, j]
         return lw
 
-    def _advance(self, seg: Segment) -> np.ndarray:
+    def _advance(self, seg: Segment, label: str | None = None) -> np.ndarray:
         """Clock the ``L`` cycles of ``seg`` from the current state.
 
-        Writes the trace line of a one-cycle segment, applies the faults
-        scheduled for the last cycle and returns the ``(L, C)`` bottom-row
-        partial sums standing before each cycle's edge.
+        Writes the segment's trace lines, applies the faults scheduled for
+        the last cycle and returns the ``(L, C)`` bottom-row partial sums
+        standing before each cycle's edge. Trace lines name each cycle after
+        the wave entering PE row 0, unless ``label`` names them all.
         """
         cfg, ck = self.cfg, self.checker
         R, C = cfg.rows, cfg.cols
         L = len(seg.west)
+        traced = self.trace_sink is not None and bool(self.watch)
 
         # IC accumulators before each edge and after the last, wrapped where
         # read: running sums of data bundles, restarting after each
@@ -347,14 +329,19 @@ class SimState:
         # sums[s] adds up one diagonal of the PE columns: the psum standing
         # at its top when the segment starts plus the products added on its
         # way south. sums[:L] are the bottom-row psums before each edge and
-        # sums[L + R - 1 - r] is PE row r's psum after the last edge.
+        # sums[L + R - 1 - r] is PE row r's psum after the last edge; while
+        # rows below r are still missing, sums[R - r:R - r + L] are row r's
+        # psums after each edge.
         lane_weights = self._lane_weights()
         sums = np.zeros((L + R, C), dtype=np.int64)
+        psums = []
         for r in range(R):
             # reversed weight columns put product (i, c) at skewed[i, C-1-c]
             products = _skewed(stream[r] @ lane_weights[r])[:L, ::-1]
             sums[R - r:R - r + L] += products
             sums[R - 1 - r] += self.psum[r]
+            if traced:
+                psums.append(sums[R - r:R - r + L].copy())
 
         # OC chain, the same diagonal sums over columns: one row of chain
         # holds the OC value standing on top, then the bottom-row results
@@ -362,6 +349,41 @@ class SimState:
         chain[C - 1] = ck.oc
         chain[C:C + L] = bottoms = wrap(sums[:L], cfg.col_out_width)
         chain_out = wrap(_skewed(chain).sum(axis=1), cfg.oc_width)
+        compares = seg.corner_digit[-1] == cfg.digits_per_round - 1
+        if traced:
+            # each watched register after every edge, in cycle order, before
+            # any flip; weights and indexes hold still
+            columns = []
+            for reg in self.watch:
+                arr, key, width = self._storage(reg)   # raises for registers this array lacks
+                r, c, k = reg.row, reg.col, reg.kind
+                if k is RegKind.INPUT_PIPE:
+                    values = stream[r, C - c:C - c + L, reg.lane]
+                elif k is RegKind.IC_ACC:
+                    values = ic[1:, r, reg.lane]
+                elif k is RegKind.PSUM:
+                    values = psums[r][:, c]
+                elif k is RegKind.OC_PIPE:
+                    values = _skewed(chain)[C - c:C - c + L, :c + 1].sum(axis=1)
+                elif arr is not None:
+                    values = np.full(L, arr[key])
+                else:
+                    # corner: Python-int running sums, data waves as digit 0 of actual
+                    digits = seg.corner_data - 1 if k is RegKind.CKSUM_ACTUAL else seg.corner_digit
+                    adds = [v << cfg.input_width * d if d >= 0 else 0
+                            for v, d in zip(chain_out[:L].tolist(), digits.tolist())]
+                    values = np.array([*itertools.accumulate(adds, initial=getattr(ck, key))][1:],
+                                      dtype=object)
+                    values[-1] *= not compares   # cleared on the compare edge
+                columns.append((wrap(values, width) if reg.signed else values).tolist())
+            labels = [label] * L if label is not None else [
+                "Stream" if d else f"ChecksumDigit({k})" if k >= 0 else
+                "Drain" if self.loaded else "WeightLoad"
+                for d, k in zip(seg.is_data[:, 0].tolist(), seg.row_digit[:, 0].tolist())]
+            names = [reg.name for reg in self.watch]
+            self.trace_sink.write("".join(
+                f"{self.cycle + i},{labels[i]},{name},{value}\n"
+                for i, values in enumerate(zip(*columns)) for name, value in zip(names, values)))
 
         # commit
         self.psum = wrap(sums[L:][::-1], cfg.col_out_width)
@@ -375,13 +397,10 @@ class SimState:
             digit_k = seg.corner_digit == k
             if digit_k.any():
                 ck.predicted_accumulate(sum(chain_out[digit_k].tolist()), k)
-        if seg.corner_digit[-1] == cfg.digits_per_round - 1:
+        if compares:
             self.round_results.append(ck.compare_and_reset(len(self.round_results)))
 
         T = self.cycle + L - 1
-        if self.trace_sink is not None and self.watch:
-            for reg in self.watch:
-                self.trace_sink.write(f"{T},{seg.labels[-1]},{reg.name},{self.read_register(reg)}\n")
         self.cycle = T + 1
         for spec in self.pending_faults.pop(T, ()):
             self.flip_register_bit(spec.register, spec.bit)
@@ -419,19 +438,12 @@ class SimState:
         west[~is_data] = 0  # row index -1 picked the last row: no data wave there
         # the corner accumulates, on cycle t, the wave presented at t - (R+C+1)
         corner_digit = _lagged(digit, R + C + 1).ravel()
-        watched = self.trace_sink is not None and bool(self.watch)
-        labels = ([("Stream" if d >= 0 else f"ChecksumDigit({k})" if k >= 0 else "Drain")
-                   for d, k in zip(data.tolist(), digit.tolist())] if watched
-                  else [""] * cycles)
         tile = Segment(west, is_data, _lagged(digit, pe_rows),
-                       _lagged(data, R + C + 1).ravel() >= 0, corner_digit, labels)
+                       _lagged(data, R + C + 1).ravel() >= 0, corner_digit)
 
-        if watched:
-            ends = range(1, cycles + 1)
-        else:
-            start = self.cycle
-            ends = {cycles, *(np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1).tolist(),
-                    *(t - start + 1 for t in self.pending_faults if t < start + cycles)}
+        start = self.cycle
+        ends = {cycles, *(np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1).tolist(),
+                *(t - start + 1 for t in self.pending_faults if t < start + cycles)}
         first_round = len(self.round_results)
         bottoms = np.empty((cycles, C), dtype=np.int64)
         lo = 0

@@ -192,6 +192,16 @@ def test_run_trace_file(tiny_files, tmp_path):
     assert all(len(line.split(",")) == 4 for line in lines)
 
 
+def test_run_trace_unknown_register_exit_2_before_first_line(tiny_files, tmp_path):
+    p = tiny_files
+    trace = tmp_path / "trace.csv"
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"]), "--trace", "tpe.0.0.psum,tpe.9.0.psum",
+               "--trace-out", str(trace)])
+    assert rc == 2
+    assert trace.read_text().splitlines() == []
+
+
 def test_run_outputs_byte_identical_across_reruns(tiny_files):
     p = tiny_files
     args = ["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),

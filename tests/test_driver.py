@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,14 @@ from sparse_abft import (
     FaultSpec,
     matmul_ref,
     parse_register,
+    prune_magnitude,
     run_multiplication,
     tile_plan,
     total_active_cycles,
     unpack,
 )
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
-from sparse_abft.systolic import tile_active_cycles
+from sparse_abft.systolic import SimState, tile_active_cycles
 
 from conftest import random_inputs, random_weights
 
@@ -89,3 +92,37 @@ def test_fault_past_run_window_rejected(worked_example):
             run_multiplication(cfg, a, w, faults=[FaultSpec(cycle, psum, 3)])
     run = run_multiplication(cfg, a, w, faults=[FaultSpec(window - 1, psum, 3)])
     assert run.total_cycles == window
+
+
+def test_unknown_watched_register_rejected_before_first_cycle(worked_example):
+    cfg, a, _, w = worked_example
+    sink = io.StringIO()
+    watch = [parse_register("tpe.0.0.psum"), parse_register("tpe.9.0.psum")]
+    with pytest.raises(ValueError, match="tpe.9.0.psum"):
+        run_multiplication(cfg, a, w, watch=watch, trace_sink=sink)
+    assert sink.getvalue() == ""
+
+
+def test_tracing_keeps_the_segment_schedule(monkeypatch):
+    """A traced run clocks the same segments as an untraced one."""
+    cfg = ArrayConfig()
+    rng = np.random.default_rng(1)
+    a = DenseMatrix.from_array(rng.integers(-128, 128, (256, 64)))
+    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-128, 128, (64, 64))), cfg.pattern)
+    advance = SimState._advance
+    calls = []
+
+    def counted(state, *args, **kwargs):
+        calls.append(state.cycle)
+        return advance(state, *args, **kwargs)
+
+    monkeypatch.setattr(SimState, "_advance", counted)
+    untraced = run_multiplication(cfg, a, w)
+    segments = len(calls)
+    watch = [parse_register(name) for name in ("tpe.3.5.psum", "oc.31", "cksum.actual")]
+    sink = io.StringIO()
+    traced = run_multiplication(cfg, a, w, watch=watch, trace_sink=sink)
+    assert len(calls) - segments == segments == 4
+    assert traced.total_cycles == untraced.total_cycles == 1196
+    assert traced.outputs == untraced.outputs
+    assert len(sink.getvalue().splitlines()) == len(watch) * 1196

@@ -217,6 +217,17 @@ CONFIGS = [
     dict(pattern=PATTERN_2_4, ic_width=24),                  # 3 digits per round
 ]
 
+# 30-bit operands with 100-bit corner accumulators
+WIDE_CORNER = dict(input_width=30, ic_width=60, col_out_width=62, oc_width=62, cksum_width=100)
+
+
+def full_scale_tile(cfg, a_rows):
+    """Inputs and weights all at the largest positive value."""
+    top = (1 << cfg.input_width - 1) - 1
+    a = DenseMatrix.from_array(np.full((a_rows, cfg.tile_k), top))
+    w = prune_magnitude(DenseMatrix.from_array(np.full((cfg.tile_k, cfg.cols), top)), cfg.pattern)
+    return a, w
+
 
 @pytest.mark.parametrize("widths", CONFIGS, ids=lambda w: ",".join(f"{k}={v}" for k, v in w.items()))
 def test_random_tiles_with_faults_match_reference(widths):
@@ -255,14 +266,31 @@ def test_mid_round_faults_each_kind():
             run_both(cfg, tiles, random_faults(rng, cfg, window, 4, kinds=(kind,)))
 
 
-def test_traced_run_matches_reference():
+@pytest.mark.parametrize("widths", CONFIGS + [WIDE_CORNER],
+                         ids=lambda w: ",".join(f"{k}={v}" for k, v in w.items()))
+def test_traced_run_matches_reference(widths):
+    """Every register traced on every cycle, with faults at tile edges and
+    on the cycles where the corner compares a round."""
     rng = np.random.default_rng(3)
-    cfg = ArrayConfig(rows=2, cols=3, input_width=4, ic_width=8)
-    tiles = random_tiles(rng, cfg, 2, 20)
-    window = sum(tile_active_cycles(cfg, a.rows) for a, _ in tiles)
-    watch = ["tpe.1.2.psum", "ic.0.acc.3", "oc.2", "cksum.actual", "cksum.predicted"]
-    state = run_both(cfg, tiles, random_faults(rng, cfg, window, 6), watch=watch)
-    assert len(state.trace_sink.getvalue().splitlines()) == len(watch) * window
+    for rows, cols in ((3, 4), (1, 5)):
+        cfg = ArrayConfig(rows=rows, cols=cols, **widths)
+        tiles = random_tiles(rng, cfg, 3, 40)
+        if widths is WIDE_CORNER:   # full-scale operands: corner sums leave the int64 range
+            tiles = [full_scale_tile(cfg, 6)] * 3
+        per_tile = tile_active_cycles(cfg, tiles[0][0].rows)
+        window = 3 * per_tile
+        _, digit = wave_schedule(cfg, tiles[0][0].rows)
+        compares = np.flatnonzero(digit == cfg.digits_per_round - 1) + rows + cols + 1
+        faults = []
+        for cycle in (0, per_tile - 1, per_tile, 2 * per_tile - 1, window - 1,
+                      *compares.tolist(), *(compares + per_tile).tolist()):
+            faults += [FaultSpec(cycle, f.register, f.bit) for f in
+                       random_faults(rng, cfg, 1, 1)
+                       + random_faults(rng, cfg, 1, 1, kinds=(RegKind.CKSUM_ACTUAL,
+                                                              RegKind.CKSUM_PREDICTED))]
+        watch = [entry.reg.name for entry in enumerate_registers(cfg).entries]
+        state = run_both(cfg, tiles, faults + random_faults(rng, cfg, window, 4), watch=watch)
+        assert len(state.trace_sink.getvalue().splitlines()) == len(watch) * window
 
 
 def test_step_matches_reference_from_random_state():
@@ -293,11 +321,8 @@ def test_corner_sums_past_int64_are_exact():
     """30-bit operands at full scale: every wave's OC output is near 2^61,
     so one round's actual and predicted sums leave the int64 range, which
     the 100-bit corner accumulators hold exactly."""
-    cfg = ArrayConfig(rows=2, cols=2, input_width=30, ic_width=60, col_out_width=62,
-                      oc_width=62, cksum_width=100)
-    top = (1 << 29) - 1
-    a = DenseMatrix.from_array(np.full((6, cfg.tile_k), top))
-    w = prune_magnitude(DenseMatrix.from_array(np.full((cfg.tile_k, cfg.cols), top)), cfg.pattern)
+    cfg = ArrayConfig(rows=2, cols=2, **WIDE_CORNER)
+    a, w = full_scale_tile(cfg, 6)
     state = run_both(cfg, [(a, w)], [])
     (result,) = state.round_results
     assert result.actual >= 1 << 63 and result.predicted == result.actual

@@ -40,10 +40,8 @@ def test_load_weights_maps_blocks_to_pes(worked_example):
     cfg, _, _, w = worked_example
     state = SimState(cfg)
     state.load_weights(w)
-    tpe = state.tpe_state(0, 0)
-    assert tpe.weights == (1, -1) and tpe.indexes == (0, 2)
-    tpe = state.tpe_state(0, 1)
-    assert tpe.weights == (2, 3) and tpe.indexes == (1, 3)
+    assert state.weights[0, 0].tolist() == [1, -1] and state.indexes[0, 0].tolist() == [0, 2]
+    assert state.weights[0, 1].tolist() == [2, 3] and state.indexes[0, 1].tolist() == [1, 3]
 
 
 def test_load_weights_1_4_slot1_idle():
@@ -51,11 +49,11 @@ def test_load_weights_1_4_slot1_idle():
     w = pack(DenseMatrix.from_array([[0, 0], [5, 0], [0, 0], [0, -7]]), PATTERN_1_4)
     state = SimState(cfg)
     state.load_weights(w)
-    assert state.tpe_state(0, 0).weights == (5, 0)
-    assert state.tpe_state(0, 0).indexes == (1, 0)
-    assert state.tpe_state(0, 1).weights == (-7, 0)
+    assert state.weights[0, 0].tolist() == [5, 0]
+    assert state.indexes[0, 0].tolist() == [1, 0]
+    assert state.weights[0, 1].tolist() == [-7, 0]
     # slot 1 holds (0, 0) in every PE
-    assert all(state.tpe_state(0, c).weights[1] == 0 for c in range(2))
+    assert all(state.read_register(parse_register(f"tpe.0.{c}.w.1")) == 0 for c in range(2))
 
 
 def test_load_weights_zero_tile_yields_zero_outputs(tiny_cfg):
@@ -86,7 +84,7 @@ def test_step_computes_psum_from_pipe(worked_example):
     state.load_weights(w)
     state.pipe[0, 0] = [1, 2, 3, 4]
     state.step()  # bubble: compute from the latched bundle
-    assert state.tpe_state(0, 0).psum == 1 * 1 + 3 * (-1) == -2
+    assert state.read_register(parse_register("tpe.0.0.psum")) == 1 * 1 + 3 * (-1) == -2
 
 
 def test_step_bubble_passes_north_psum(tiny_cfg):
@@ -95,7 +93,7 @@ def test_step_bubble_passes_north_psum(tiny_cfg):
     state.load_weights(pack(DenseMatrix.zeros(8, 1), PATTERN_2_4))
     state.psum[0, 0] = 1234
     state.step()
-    assert state.tpe_state(1, 0).psum == 1234
+    assert state.read_register(parse_register("tpe.1.0.psum")) == 1234
 
 
 def test_step_psum_wraps_two_complement():
@@ -107,7 +105,7 @@ def test_step_psum_wraps_two_complement():
     state.psum[0, 0] = 2**23 - 1
     state.pipe[1, 0, 0] = 1
     state.step()
-    assert state.tpe_state(1, 0).psum == -(2**23)
+    assert state.read_register(parse_register("tpe.1.0.psum")) == -(2**23)
 
 
 def test_step_rejects_data_before_weights(tiny_cfg):
@@ -132,10 +130,10 @@ def test_input_bundles_advance_east(worked_example):
     state = SimState(cfg)
     state.load_weights(w)
     state.step(np.array([[1, 2, 3, 4]]))
-    assert state.tpe_state(0, 0).input_pipe == (1, 2, 3, 4)
+    assert state.pipe[0, 0].tolist() == [1, 2, 3, 4]
     state.step()
-    assert state.tpe_state(0, 1).input_pipe == (1, 2, 3, 4)
-    assert state.tpe_state(0, 0).input_pipe == (0, 0, 0, 0)
+    assert state.pipe[0, 1].tolist() == [1, 2, 3, 4]
+    assert state.pipe[0, 0].tolist() == [0, 0, 0, 0]
 
 
 def test_skewed_arrival_across_pe_rows():
