@@ -16,6 +16,7 @@ into Silent to produce a four-column table.
 
 from __future__ import annotations
 
+import collections
 import enum
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ArrayConfig
+from .config import ArrayConfig, json_typed
 from .driver import run_multiplication, total_active_cycles
 from .faults import derive_seed, sample_faults
 from .matio import read_dense, read_packed
@@ -39,6 +40,14 @@ class OutcomeCategory(enum.Enum):
     FALSE_NEGATIVE = "false_negative"
     BENIGN = "benign"
 
+
+# the classical four-way taxonomy; the paper-compat view folds Benign into Silent
+PAPER_CATEGORIES = (
+    OutcomeCategory.DETECTED,
+    OutcomeCategory.SILENT,
+    OutcomeCategory.FALSE_POSITIVE,
+    OutcomeCategory.FALSE_NEGATIVE,
+)
 
 CATEGORY_LABELS = {
     OutcomeCategory.DETECTED: "Detected",
@@ -82,15 +91,25 @@ class WorkloadSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WorkloadSpec":
+        json_typed("workload", obj, dict)
         if "a" in obj or "w" in obj:
             if not ("a" in obj and "w" in obj):
                 raise ValueError("file workload needs both 'a' and 'w' paths")
-            return cls(kind="files", a_path=obj["a"], w_path=obj["w"])
+            return cls(kind="files", a_path=json_typed("workload.a", obj["a"], str),
+                       w_path=json_typed("workload.w", obj["w"], str))
         known = {"a_rows", "k", "cols"}
         unknown = set(obj) - known
         if unknown:
             raise ValueError(f"unknown workload keys: {sorted(unknown)}")
-        return cls(kind="synthetic", **{k: int(v) for k, v in obj.items()})
+        return cls(kind="synthetic",
+                   **{k: json_typed(f"workload.{k}", v, int) for k, v in obj.items()})
+
+    def synthetic_shape(self, arr: ArrayConfig) -> tuple:
+        """``(a_rows, k, cols)`` of a synthetic workload on ``arr``.
+
+        A ``k`` or ``cols`` of 0 means one full weight tile.
+        """
+        return self.a_rows, self.k or arr.tile_k, self.cols or arr.cols
 
 
 @dataclass(frozen=True)
@@ -122,8 +141,6 @@ class CampaignOutcome:
     faults: list
     flags: list
     output_corrupted: bool
-    sparsity: str
-    fault_regime: str
 
     def to_json_dict(self) -> dict:
         return {
@@ -144,15 +161,13 @@ def _read_files(cfg: CampaignConfig):
 
 
 def _workload_matrices(cfg: CampaignConfig, index: int, files=None):
-    wl = cfg.workload
     arr = cfg.array
-    if wl.kind == "files":
+    if cfg.workload.kind == "files":
         return files or _read_files(cfg)
-    k = wl.k or arr.tile_k
-    cols = wl.cols or arr.cols
+    a_rows, k, cols = cfg.workload.synthetic_shape(arr)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, index, "workload"))
     lo, hi = -(1 << arr.input_width - 1), (1 << arr.input_width - 1) - 1
-    a = DenseMatrix(wl.a_rows, k, rng.integers(lo, hi + 1, size=(wl.a_rows, k)))
+    a = DenseMatrix(a_rows, k, rng.integers(lo, hi + 1, size=(a_rows, k)))
     # weight magnitudes capped one below the input minimum: keeps every
     # cross-column wave sum inside the OC width even in the worst case
     w_dense = DenseMatrix(k, cols, rng.integers(lo + 1, hi + 1, size=(k, cols)))
@@ -188,8 +203,6 @@ def run_campaign(cfg: CampaignConfig, index: int, files=None) -> CampaignOutcome
         faults=faults,
         flags=flags,
         output_corrupted=corrupted,
-        sparsity=str(arr.pattern),
-        fault_regime=cfg.fault_regime,
     )
 
 
@@ -242,63 +255,52 @@ def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
 
 @dataclass(frozen=True)
 class CategoryStats:
-    total: int
-    counts: dict                # category value -> count
+    """Outcome counts of one campaign batch: one pattern, one fault regime."""
+
+    counts: dict                # category value -> count, every category in enum order
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     def percentage(self, category: OutcomeCategory) -> float:
-        return 100.0 * self.counts.get(category.value, 0) / self.total
+        return 100.0 * self.counts[category.value] / self.total
 
     def paper_compat_percentage(self, category: OutcomeCategory) -> float:
         """Four-way view: Benign folds into Silent."""
-        if category is OutcomeCategory.BENIGN:
-            raise ValueError("benign is not a paper-compat category")
-        count = self.counts.get(category.value, 0)
+        if category not in PAPER_CATEGORIES:
+            raise ValueError(f"{category.value} is not a paper-compat category")
+        count = self.counts[category.value]
         if category is OutcomeCategory.SILENT:
-            count += self.counts.get(OutcomeCategory.BENIGN.value, 0)
+            count += self.counts[OutcomeCategory.BENIGN.value]
         return 100.0 * count / self.total
 
+    def percentages(self, paper_compat: bool = False) -> dict:
+        """Category value -> percentage, in table row order."""
+        if paper_compat:
+            return {c.value: self.paper_compat_percentage(c) for c in PAPER_CATEGORIES}
+        return {c.value: self.percentage(c) for c in OutcomeCategory}
 
-def aggregate(outcomes) -> dict:
-    """Percentage table per (sparsity mode, fault regime) group."""
-    outcomes = list(outcomes)
-    if not outcomes:
+
+def aggregate(outcomes) -> CategoryStats:
+    """Count the outcomes of one ``run_campaigns`` batch by category."""
+    counts = collections.Counter(o.category for o in outcomes)
+    if not counts:
         raise ValueError("no outcomes to aggregate")
-    groups: dict = {}
-    for outcome in outcomes:
-        key = (outcome.sparsity, outcome.fault_regime)
-        groups.setdefault(key, []).append(outcome)
-    table = {}
-    for key in sorted(groups):
-        counts: dict = {}
-        for outcome in groups[key]:
-            counts[outcome.category.value] = counts.get(outcome.category.value, 0) + 1
-        table[key] = CategoryStats(total=len(groups[key]), counts=counts)
-    return table
+    return CategoryStats({c.value: counts[c] for c in OutcomeCategory})
 
 
-def render_stats_table(table: dict, paper_compat: bool = False) -> str:
-    """Text table with the classical category rows, one column per group."""
-    keys = list(table)
-    headers = [f"{sparsity} ({regime} fault{'s' if regime != '1' else ''})"
-               for sparsity, regime in keys]
-    categories = [
-        OutcomeCategory.DETECTED,
-        OutcomeCategory.SILENT,
-        OutcomeCategory.FALSE_POSITIVE,
-        OutcomeCategory.FALSE_NEGATIVE,
-    ]
-    if not paper_compat:
-        categories.append(OutcomeCategory.BENIGN)
-    name_w = max(len(CATEGORY_LABELS[c]) for c in categories)
-    col_w = max(12, *(len(h) for h in headers)) if headers else 12
-    lines = [" " * name_w + " | " + " | ".join(h.rjust(col_w) for h in headers)]
+def render_stats_table(stats: CategoryStats, cfg: CampaignConfig,
+                       paper_compat: bool = False) -> str:
+    """Text table: one row per category, one column for the batch ``cfg`` ran."""
+    regime = cfg.fault_regime
+    header = f"{cfg.array.pattern} ({regime} fault{'s' if regime != '1' else ''})"
+    rows = {CATEGORY_LABELS[OutcomeCategory(value)]: pct
+            for value, pct in stats.percentages(paper_compat).items()}
+    name_w = max(len(label) for label in rows)
+    col_w = max(12, len(header))
+    lines = [" " * name_w + " | " + header.rjust(col_w)]
     lines.append("-" * len(lines[0]))
-    for cat in categories:
-        cells = []
-        for key in keys:
-            stats = table[key]
-            pct = (stats.paper_compat_percentage(cat) if paper_compat
-                   else stats.percentage(cat))
-            cells.append(f"{pct:.2f}%".rjust(col_w))
-        lines.append(CATEGORY_LABELS[cat].ljust(name_w) + " | " + " | ".join(cells))
+    for label, pct in rows.items():
+        lines.append(label.ljust(name_w) + " | " + f"{pct:.2f}%".rjust(col_w))
     return "\n".join(lines)

@@ -7,18 +7,12 @@ Exit codes: 0 success (run: no round flagged), 1 run flagged a round,
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import sys
 
-from .campaign import (
-    CampaignConfig,
-    OutcomeCategory,
-    WorkloadSpec,
-    aggregate,
-    render_stats_table,
-    run_campaigns,
-)
-from .config import ArrayConfig, load_config
+from .campaign import CampaignConfig, WorkloadSpec, aggregate, render_stats_table, run_campaigns
+from .config import ArrayConfig, load_config, read_json
 from .driver import run_multiplication
 from .faults import FaultSpec
 from .matio import read_dense, read_packed, write_dense, write_packed
@@ -114,15 +108,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    cfg = load_config(args.config) if args.config else ArrayConfig()
+    raw = read_json(args.config) if args.config else {}
+    cfg = ArrayConfig.from_json_dict(raw)
     if args.sparsity is not None:
         cfg = cfg.with_pattern(args.sparsity)
-    workload = WorkloadSpec()
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if "workload" in raw:
-            workload = WorkloadSpec.from_json_dict(raw["workload"])
+    workload = WorkloadSpec.from_json_dict(raw.get("workload", {}))
     lo, hi = args.faults
     ccfg = CampaignConfig(
         array=cfg,
@@ -133,47 +123,31 @@ def cmd_campaign(args) -> int:
         workload=workload,
     )
     outcomes = run_campaigns(ccfg)
-    table = aggregate(outcomes)
-
-    counts: dict = {c: 0 for c in ("detected", "silent", "false_positive", "false_negative", "benign")}
-    class_hits: dict = {}
-    for outcome in outcomes:
-        counts[outcome.category.value] += 1
-        for fault in outcome.faults:
-            kind = fault.register.kind.name.lower()
-            class_hits[kind] = class_hits.get(kind, 0) + 1
-    stats = next(iter(table.values()))
+    stats = aggregate(outcomes)
+    class_hits = collections.Counter(
+        fault.register.kind.name.lower() for o in outcomes for fault in o.faults)
+    a_rows, k, cols = workload.synthetic_shape(cfg)
     report = {
         "config_echo": {
             **cfg.to_json_dict(),
             "campaigns": args.campaigns,
             "faults": ccfg.fault_regime,
             "seed": args.seed,
-            "workload": {
-                "kind": workload.kind,
-                "a_rows": workload.a_rows,
-                "k": workload.k or cfg.tile_k,
-                "cols": workload.cols or cfg.cols,
-            },
+            "workload": {"kind": workload.kind, "a_rows": a_rows, "k": k, "cols": cols},
         },
         "totals": {
-            "campaigns": len(outcomes),
-            "faults_injected": sum(len(o.faults) for o in outcomes),
+            "campaigns": stats.total,
+            "faults_injected": class_hits.total(),
         },
-        "categories": counts,
-        "percentages": {name: 100.0 * n / len(outcomes) for name, n in counts.items()},
-        "paper_compat": {
-            "detected": stats.paper_compat_percentage(OutcomeCategory.DETECTED),
-            "silent": stats.paper_compat_percentage(OutcomeCategory.SILENT),
-            "false_positive": stats.paper_compat_percentage(OutcomeCategory.FALSE_POSITIVE),
-            "false_negative": stats.paper_compat_percentage(OutcomeCategory.FALSE_NEGATIVE),
-        },
+        "categories": stats.counts,
+        "percentages": stats.percentages(),
+        "paper_compat": stats.percentages(paper_compat=True),
         "fault_class_hits": class_hits,
         "per_campaign": [o.to_json_dict() for o in outcomes],
     }
     if args.report:
         _dump_json(args.report, report)
-    print(render_stats_table(table, paper_compat=args.paper_compat))
+    print(render_stats_table(stats, ccfg, paper_compat=args.paper_compat))
     return EXIT_OK
 
 

@@ -82,43 +82,56 @@ class ArrayConfig:
         return replace(self, pattern=pattern)
 
     def to_json_dict(self) -> dict:
-        return {
-            "R": self.rows,
-            "C": self.cols,
-            "pattern": str(self.pattern),
-            "input_width": self.input_width,
-            "ic_width": self.ic_width,
-            "oc_width": self.oc_width,
-            "col_out_width": self.col_out_width,
-            "cksum_width": self.cksum_width,
-        }
+        return {"pattern": str(self.pattern),
+                **{key: getattr(self, name) for key, name in _INT_KEYS.items()}}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "ArrayConfig":
         if not isinstance(obj, dict):
             raise ValueError("config must be a JSON object")
-        known = {"R", "C", "pattern", "input_width", "ic_width", "oc_width",
-                 "col_out_width", "cksum_width", "workload"}
-        unknown = set(obj) - known
+        unknown = set(obj) - {*_INT_KEYS, "pattern", "workload"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = {}
-        if "R" in obj:
-            kwargs["rows"] = int(obj["R"])
-        if "C" in obj:
-            kwargs["cols"] = int(obj["C"])
+        kwargs = {name: json_typed(key, obj[key], int)
+                  for key, name in _INT_KEYS.items() if key in obj}
         if "pattern" in obj:
-            kwargs["pattern"] = SparsityPattern.parse(obj["pattern"])
-        for name in ("input_width", "ic_width", "oc_width", "col_out_width", "cksum_width"):
-            if name in obj:
-                kwargs[name] = int(obj[name])
+            kwargs["pattern"] = SparsityPattern.parse(json_typed("pattern", obj["pattern"], str))
         return cls(**kwargs)
 
 
-def load_config(path) -> ArrayConfig:
+# cfg.json key -> ArrayConfig field, for every integer key
+_INT_KEYS = {
+    "R": "rows",
+    "C": "cols",
+    "input_width": "input_width",
+    "ic_width": "ic_width",
+    "oc_width": "oc_width",
+    "col_out_width": "col_out_width",
+    "cksum_width": "cksum_width",
+}
+
+_JSON_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object"}
+
+
+def json_typed(name: str, value, kind: type):
+    """``value`` if its JSON type is ``kind``, else ValueError naming config key ``name``.
+
+    The type must match exactly: a bool is not an integer, and a float or a
+    string is not truncated or parsed into one.
+    """
+    if type(value) is not kind:
+        raise ValueError(f"config {name} must be {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def read_json(path):
+    """Parsed contents of a JSON file; a syntax error is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            obj = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"config {path}: {exc}") from exc
-    return ArrayConfig.from_json_dict(obj)
+
+
+def load_config(path) -> ArrayConfig:
+    return ArrayConfig.from_json_dict(read_json(path))

@@ -1,4 +1,5 @@
 import collections
+import re
 
 import pytest
 
@@ -17,7 +18,7 @@ from sparse_abft import (
     write_packed,
 )
 from sparse_abft import campaign
-from sparse_abft.campaign import render_stats_table, worker_count
+from sparse_abft.campaign import PAPER_CATEGORIES, render_stats_table, worker_count
 from sparse_abft.registers import RegisterId, RegKind
 
 ARRAY_REG = RegisterId(RegKind.PSUM, 0, 0)
@@ -154,33 +155,24 @@ def test_file_workload_read_once_per_call(tmp_path, worked_example, monkeypatch,
 
 def test_aggregate_percentages_sum_to_100():
     cfg = small_campaign(campaigns=40, lo=0, hi=2)
-    table = aggregate(run_campaigns(cfg, workers=1))
-    stats = table[("2:4", "0-2")]
+    stats = aggregate(run_campaigns(cfg, workers=1))
+    assert list(stats.counts) == [c.value for c in OutcomeCategory]
+    assert stats.total == 40
     total = sum(stats.percentage(c) for c in OutcomeCategory)
     assert total == pytest.approx(100.0)
-    compat = sum(
-        stats.paper_compat_percentage(c)
-        for c in (OutcomeCategory.DETECTED, OutcomeCategory.SILENT,
-                  OutcomeCategory.FALSE_POSITIVE, OutcomeCategory.FALSE_NEGATIVE)
-    )
+    compat = sum(stats.paper_compat_percentage(c) for c in PAPER_CATEGORIES)
     assert compat == pytest.approx(100.0)
+    assert list(stats.percentages(paper_compat=True)) == [c.value for c in PAPER_CATEGORIES]
 
 
 def test_aggregate_compat_folds_benign_into_silent():
     cfg = small_campaign(campaigns=10, lo=0, hi=0)
-    stats = aggregate(run_campaigns(cfg, workers=1))[("2:4", "0")]
+    stats = aggregate(run_campaigns(cfg, workers=1))
     assert stats.percentage(OutcomeCategory.BENIGN) == 100.0
     assert stats.percentage(OutcomeCategory.SILENT) == 0.0
     assert stats.paper_compat_percentage(OutcomeCategory.SILENT) == 100.0
     with pytest.raises(ValueError):
         stats.paper_compat_percentage(OutcomeCategory.BENIGN)
-
-
-def test_aggregate_groups_by_mode_and_regime():
-    o24 = run_campaigns(small_campaign("2:4", campaigns=5), workers=1)
-    o14 = run_campaigns(small_campaign("1:4", campaigns=5), workers=1)
-    table = aggregate(o24 + o14)
-    assert set(table) == {("2:4", "1"), ("1:4", "1")}
 
 
 def test_aggregate_empty_errors():
@@ -189,11 +181,12 @@ def test_aggregate_empty_errors():
 
 
 def test_render_table_has_category_rows():
-    table = aggregate(run_campaigns(small_campaign(campaigns=5), workers=1))
-    text = render_stats_table(table)
+    cfg = small_campaign(campaigns=5)
+    stats = aggregate(run_campaigns(cfg, workers=1))
+    text = render_stats_table(stats, cfg)
     for label in ("Detected", "Silent", "False Positive", "False Negative", "Benign"):
         assert label in text
-    compat = render_stats_table(table, paper_compat=True)
+    compat = render_stats_table(stats, cfg, paper_compat=True)
     assert "Benign" not in compat
 
 
@@ -205,6 +198,34 @@ def test_campaign_config_validation():
         CampaignConfig(array=ArrayConfig(), campaigns=0, fault_lo=1, fault_hi=1, master_seed=0)
     with pytest.raises(ValueError):
         CampaignConfig(array=ArrayConfig(), campaigns=1, fault_lo=3, fault_hi=1, master_seed=0)
+
+
+@pytest.mark.parametrize("obj,message", [
+    ({"R": 2.5}, "config R must be an integer, got 2.5"),
+    ({"R": True}, "config R must be an integer, got True"),
+    ({"C": "4"}, "config C must be an integer, got '4'"),
+    ({"input_width": 4.9}, "config input_width must be an integer, got 4.9"),
+    ({"cksum_width": None}, "config cksum_width must be an integer, got None"),
+    ({"pattern": 5}, "config pattern must be a string, got 5"),
+    ({"pattern": None}, "config pattern must be a string, got None"),
+])
+def test_array_config_rejects_mistyped_values(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ArrayConfig.from_json_dict(obj)
+
+
+@pytest.mark.parametrize("obj,message", [
+    (5, "config workload must be an object, got 5"),
+    (None, "config workload must be an object, got None"),
+    ({"a_rows": 2.5}, "config workload.a_rows must be an integer, got 2.5"),
+    ({"k": True}, "config workload.k must be an integer, got True"),
+    ({"cols": "5"}, "config workload.cols must be an integer, got '5'"),
+    ({"a": 0, "w": "w.smat"}, "config workload.a must be a string, got 0"),
+    ({"a": "a.mat", "w": None}, "config workload.w must be a string, got None"),
+])
+def test_workload_spec_rejects_mistyped_values(obj, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WorkloadSpec.from_json_dict(obj)
 
 
 def test_worker_count_env(monkeypatch):

@@ -1,10 +1,19 @@
+import collections
 import json
 import subprocess
 import sys
 
 import pytest
 
-from sparse_abft import DenseMatrix, read_dense, read_packed, write_dense, write_packed
+from sparse_abft import (
+    DenseMatrix,
+    OutcomeCategory,
+    parse_register,
+    read_dense,
+    read_packed,
+    write_dense,
+    write_packed,
+)
 from sparse_abft.cli import main
 from sparse_abft.sparsity import PATTERN_2_4, pack, unpack
 
@@ -253,6 +262,24 @@ def test_campaign_paper_compat_table(tiny_files, tmp_path, capsys):
     assert "1:4" in out
 
 
+def test_campaign_report_is_consistent(tiny_files, tmp_path):
+    """Summary blocks agree with a recount of the per-campaign entries."""
+    p = tiny_files
+    report_path = tmp_path / "stats.json"
+    assert main(["campaign", "--config", str(p["cfg"]), "--campaigns", "16",
+                 "--faults", "1..5", "--seed", "3", "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    per = report["per_campaign"]
+    categories = collections.Counter(c["category"] for c in per)
+    assert report["categories"] == {c.value: categories[c.value] for c in OutcomeCategory}
+    kinds = collections.Counter(parse_register(f["register"]).kind.name.lower()
+                                for c in per for f in c["faults"])
+    assert report["fault_class_hits"] == dict(kinds)
+    assert report["totals"] == {"campaigns": 16, "faults_injected": sum(kinds.values())}
+    assert sum(report["percentages"].values()) == pytest.approx(100.0)
+    assert sum(report["paper_compat"].values()) == pytest.approx(100.0)
+
+
 def test_campaign_bad_fault_range(tiny_files, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["campaign", "--config", str(tiny_files["cfg"]), "--campaigns", "2",
@@ -264,6 +291,36 @@ def test_campaign_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"R": 1, "C": 2, "bogus": 9}))
     assert main(["campaign", "--config", str(cfg), "--campaigns", "1"]) == 2
+
+
+MISTYPED_CONFIGS = [
+    ("run", {"pattern": 5}, "config pattern must be a string, got 5"),
+    ("run", {"pattern": None}, "config pattern must be a string, got None"),
+    ("run", {"R": 2.5}, "config R must be an integer, got 2.5"),
+    ("run", {"R": True}, "config R must be an integer, got True"),
+    ("run", {"input_width": 4.9}, "config input_width must be an integer, got 4.9"),
+    ("campaign", {"pattern": 5}, "config pattern must be a string, got 5"),
+    ("campaign", {"pattern": None}, "config pattern must be a string, got None"),
+    ("campaign", {"R": 2.5}, "config R must be an integer, got 2.5"),
+    ("campaign", {"workload": 5}, "config workload must be an object, got 5"),
+    ("campaign", {"workload": None}, "config workload must be an object, got None"),
+    ("campaign", {"workload": {"a_rows": 2.5}}, "config workload.a_rows must be an integer, got 2.5"),
+    ("campaign", {"workload": {"a": 0, "w": "w.smat"}}, "config workload.a must be a string, got 0"),
+]
+
+
+@pytest.mark.parametrize("command,bad,message", MISTYPED_CONFIGS)
+def test_mistyped_config_exit_2(tiny_files, capsys, command, bad, message):
+    p = tiny_files
+    p["cfg"].write_text(json.dumps({"R": 1, "C": 2, **bad}))
+    if command == "run":
+        argv = ["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+                "--out", str(p["out"])]
+    else:
+        argv = ["campaign", "--config", str(p["cfg"]), "--campaigns", "2"]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not p["out"].exists()
 
 
 def test_console_script_help_runs():

@@ -6,7 +6,8 @@ when a fault fires, or how a trace line is labelled shows up here. The
 inputs are small but cover several rounds per tile, several tiles, one
 injected fault, every trace label kind, and a multi-fault campaign. The
 ``prune`` pin (packed file bytes and stdout) was computed before the packed
-matrix was rebuilt around its dense values.
+matrix was rebuilt around its dense values, and the campaign stdout pins
+before the outcome counting moved into one campaign summary.
 """
 
 import hashlib
@@ -28,6 +29,34 @@ RUN_DIGESTS = {
     "trace.csv": "b87ce4ed0250871fd73dfd2c9fdca4a64ee1a6919a93ef5efbd03a44d4bf6870",
 }
 CAMPAIGN_DIGEST = "9ff8d76bb9621844918c9ebdf287474dd8ddd9a1e89eda6be90952f43f951eaa"
+CAMPAIGN_STDOUT = {
+    "1..5": """\
+               | 2:4 (1-5 faults)
+---------------------------------
+Detected       |           66.67%
+Silent         |            8.33%
+False Positive |           25.00%
+False Negative |            0.00%
+Benign         |            0.00%
+""",
+    "1..5 --paper-compat": """\
+               | 2:4 (1-5 faults)
+---------------------------------
+Detected       |           66.67%
+Silent         |            8.33%
+False Positive |           25.00%
+False Negative |            0.00%
+""",
+    "1": """\
+               | 2:4 (1 fault)
+------------------------------
+Detected       |        33.33%
+Silent         |         8.33%
+False Positive |        50.00%
+False Negative |         0.00%
+Benign         |         8.33%
+""",
+}
 PRUNE_DIGEST = "f7688743d6ccb6bae7f18352adc8267dd0cf87ea98fb4793294d854aaf52c3b5"
 PRUNE_STDOUT = "kept 37 non-zeros of 70 elements (33 zeroed)\n"
 
@@ -61,12 +90,23 @@ def test_run_report_and_trace_pinned(workdir):
     assert {name: sha256(workdir / name) for name in RUN_DIGESTS} == RUN_DIGESTS
 
 
+CAMPAIGN_CFG = {**ARRAY, "workload": {"a_rows": 20, "k": 12, "cols": 5}}
+
+
 def test_campaign_report_pinned(workdir):
-    cfg = {**ARRAY, "workload": {"a_rows": 20, "k": 12, "cols": 5}}
-    (workdir / "cfg.json").write_text(json.dumps(cfg))
+    (workdir / "cfg.json").write_text(json.dumps(CAMPAIGN_CFG))
     assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
                  "--faults", "1..5", "--seed", "11", "--report", "stats.json"]) == 0
     assert sha256(workdir / "stats.json") == CAMPAIGN_DIGEST
+
+
+@pytest.mark.parametrize("flags", sorted(CAMPAIGN_STDOUT))
+def test_campaign_stdout_pinned(workdir, capsys, flags):
+    (workdir / "cfg.json").write_text(json.dumps(CAMPAIGN_CFG))
+    faults, *extra = flags.split()
+    assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
+                 "--faults", faults, "--seed", "11", *extra]) == 0
+    assert capsys.readouterr().out == CAMPAIGN_STDOUT[flags]
 
 
 def test_prune_output_pinned(workdir, capsys):
