@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ArrayConfig, json_typed
-from .driver import run_multiplication, total_active_cycles
+from .driver import reference_run, run_multiplication, total_active_cycles
 from .faults import derive_seed, sample_faults
 from .matio import read_dense, read_packed
 from .oracle import golden_result
@@ -92,15 +92,15 @@ class WorkloadSpec:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WorkloadSpec":
         json_typed("workload", obj, dict)
-        if "a" in obj or "w" in obj:
+        files = "a" in obj or "w" in obj
+        unknown = set(obj) - ({"a", "w"} if files else {"a_rows", "k", "cols"})
+        if unknown:
+            raise ValueError(f"unknown workload keys: {sorted(unknown)}")
+        if files:
             if not ("a" in obj and "w" in obj):
                 raise ValueError("file workload needs both 'a' and 'w' paths")
             return cls(kind="files", a_path=json_typed("workload.a", obj["a"], str),
                        w_path=json_typed("workload.w", obj["w"], str))
-        known = {"a_rows", "k", "cols"}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(f"unknown workload keys: {sorted(unknown)}")
         return cls(kind="synthetic",
                    **{k: json_typed(f"workload.{k}", v, int) for k, v in obj.items()})
 
@@ -152,18 +152,20 @@ class CampaignOutcome:
         }
 
 
-def _read_files(cfg: CampaignConfig):
-    """``(A, W)`` of a file workload, ``None`` for a synthetic one."""
-    wl = cfg.workload
+def _file_workload(cfg: CampaignConfig, with_reference: bool):
+    """``(A, W, golden, reference)`` of a file workload, ``None`` for a
+    synthetic one; ``reference`` is its ``reference_run`` or ``None``."""
+    wl, arr = cfg.workload, cfg.array
     if wl.kind != "files":
         return None
-    return read_dense(wl.a_path), read_packed(wl.w_path)
+    a, w = read_dense(wl.a_path), read_packed(wl.w_path)
+    return (a, w, golden_result(a, unpack(w), arr.col_out_width),
+            reference_run(arr, a, w) if with_reference else None)
 
 
-def _workload_matrices(cfg: CampaignConfig, index: int, files=None):
+def _synthetic_workload(cfg: CampaignConfig, index: int):
+    """``(A, W, golden, None)`` drawn for one campaign of a synthetic workload."""
     arr = cfg.array
-    if cfg.workload.kind == "files":
-        return files or _read_files(cfg)
     a_rows, k, cols = cfg.workload.synthetic_shape(arr)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, index, "workload"))
     lo, hi = -(1 << arr.input_width - 1), (1 << arr.input_width - 1) - 1
@@ -171,18 +173,20 @@ def _workload_matrices(cfg: CampaignConfig, index: int, files=None):
     # weight magnitudes capped one below the input minimum: keeps every
     # cross-column wave sum inside the OC width even in the worst case
     w_dense = DenseMatrix(k, cols, rng.integers(lo + 1, hi + 1, size=(k, cols)))
-    return a, prune_magnitude(w_dense, arr.pattern)
+    w = prune_magnitude(w_dense, arr.pattern)
+    return a, w, golden_result(a, unpack(w), arr.col_out_width), None
 
 
-def run_campaign(cfg: CampaignConfig, index: int, files=None) -> CampaignOutcome:
+def run_campaign(cfg: CampaignConfig, index: int, workload=None) -> CampaignOutcome:
     """Execute one seeded campaign and classify its outcome.
 
-    ``files`` is the ``(A, W)`` pair of a file workload as the caller read
-    it; without it the campaign reads the files itself.
+    ``workload`` is what ``run_campaigns`` shares among the campaigns of a
+    file workload (``_file_workload``); without it the campaign reads the
+    files itself and simulates every tile.
     """
     arr = cfg.array
-    a, w = _workload_matrices(cfg, index, files)
-    golden = golden_result(a, unpack(w), arr.col_out_width)
+    a, w, golden, reference = (workload or _file_workload(cfg, with_reference=False)
+                               or _synthetic_workload(cfg, index))
 
     count_rng = np.random.default_rng(derive_seed(cfg.master_seed, index, "count"))
     count = int(count_rng.integers(cfg.fault_lo, cfg.fault_hi + 1))
@@ -194,7 +198,7 @@ def run_campaign(cfg: CampaignConfig, index: int, files=None) -> CampaignOutcome
         window,
     )
 
-    run = run_multiplication(arr, a, w, faults=faults)
+    run = run_multiplication(arr, a, w, faults=faults, reference=reference)
     flags = [r.flag for r in run.rounds]
     corrupted = run.outputs != golden.product
     return CampaignOutcome(
@@ -218,35 +222,37 @@ def worker_count() -> int:
     return n or (os.cpu_count() or 1)
 
 
-# a file workload's (A, W) in a pool worker, set by its initializer; the
-# pool, and so the worker, lives for one run_campaigns call
-_worker_files = None
+# a file workload's shared data in a pool worker, set by its initializer;
+# the pool, and so the worker, lives for one run_campaigns call
+_worker_workload = None
 
 
-def _init_worker(files) -> None:
-    global _worker_files
-    _worker_files = files
+def _init_worker(workload) -> None:
+    global _worker_workload
+    _worker_workload = workload
 
 
 def _worker(args) -> CampaignOutcome:
     cfg, index = args
-    return run_campaign(cfg, index, _worker_files)
+    return run_campaign(cfg, index, _worker_workload)
 
 
 def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
     """Run all campaigns; result order is by index regardless of scheduling.
 
-    A file workload is read once here, so every campaign of the call sees
-    the same matrices; nothing is kept after the call returns.
+    A file workload is read, and its golden result and fault-free
+    ``reference_run`` computed, once here: every campaign sees the same
+    matrices and simulates only the tiles its faults reach, with the outcome
+    of simulating every tile. Nothing is kept after the call returns.
     """
     workers = workers or worker_count()
     indexes = range(cfg.campaigns)
-    files = _read_files(cfg)
+    workload = _file_workload(cfg, with_reference=cfg.campaigns > 1)
     if workers <= 1 or cfg.campaigns < 4:
-        return [run_campaign(cfg, i, files) for i in indexes]
+        return [run_campaign(cfg, i, workload) for i in indexes]
     chunk = max(1, cfg.campaigns // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(files,)) as pool:
+                             initargs=(workload,)) as pool:
         return list(pool.map(_worker, [(cfg, i) for i in indexes], chunksize=chunk))
 
 

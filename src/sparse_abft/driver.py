@@ -6,6 +6,13 @@ sampled over the whole run lands in whichever tile owns that cycle. Array
 and checker registers are deliberately not reset between tiles: the drain
 bubbles flush them naturally, and late-drain corruption survives into the
 next tile exactly as it would in hardware.
+
+Faulty runs of one workload can share a ``Reference``: its tile operands and
+one fault-free run. The engine is deterministic, so from an equal state, on
+equal inputs and with no fault, a run repeats the reference exactly. While
+the run's state equals the reference's (at the start, and after a simulated
+tile that ends in the reference's state), each tile that ends before the next
+fault is taken from the reference, and the next one starts from its state.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .intwrap import wrap
 from .registers import enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 from .systolic import SimState, tile_active_cycles
-from .tiling import Tile, tile_plan
+from .tiling import tile_plan
 
 
 @dataclass
@@ -30,25 +37,48 @@ class RunResult:
     total_cycles: int
 
 
+@dataclass(frozen=True)
+class Reference:
+    """A workload's tile operands and its fault-free run on them."""
+
+    operands: list      # (Tile, A slice, packed W tile) of each tile, in run order
+    starts: list        # a SimState copy before each tile and after the last
+    results: list       # TileResult of each tile
+
+
 def total_active_cycles(cfg: ArrayConfig, a_rows: int, k: int, cols: int) -> int:
     """Length of the fault-injection window for a full multiplication."""
     plan = tile_plan(a_rows, k, cols, cfg)
     return len(plan.tiles) * tile_active_cycles(cfg, a_rows)
 
 
-def _slice_a_tile(a: DenseMatrix, tile: Tile, cfg: ArrayConfig) -> DenseMatrix:
-    k_lo, k_hi = tile.k_range
-    data = np.zeros((a.rows, cfg.tile_k), dtype=np.int64)
-    data[:, : k_hi - k_lo] = a.data[:, k_lo:k_hi]
-    return DenseMatrix(a.rows, cfg.tile_k, data)
+def tile_operands(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -> list:
+    """``(tile, A slice, packed W tile)`` of each tile, edge chunks zero-padded."""
+    if w.pattern != cfg.pattern:
+        raise ShapeError(f"weight pattern {w.pattern} != array pattern {cfg.pattern}")
+    if a.cols != w.rows:
+        raise ShapeError(f"inner dimensions differ: A has {a.cols}, W has {w.rows}")
+    a.check_width(cfg.input_width)
+    operands = []
+    for tile in tile_plan(a.rows, a.cols, w.cols, cfg).tiles:
+        (k_lo, k_hi), (c_lo, c_hi) = tile.k_range, tile.col_range
+        a_data = np.zeros((a.rows, cfg.tile_k), dtype=np.int64)
+        a_data[:, : k_hi - k_lo] = a.data[:, k_lo:k_hi]
+        w_data = np.zeros((cfg.tile_k, cfg.cols), dtype=np.int64)
+        w_data[: k_hi - k_lo, : c_hi - c_lo] = w.dense.data[k_lo:k_hi, c_lo:c_hi]
+        operands.append((tile, DenseMatrix(a.rows, cfg.tile_k, a_data), StructuredSparseMatrix(
+            cfg.pattern, DenseMatrix(cfg.tile_k, cfg.cols, w_data))))
+    return operands
 
 
-def _slice_w_tile(w: StructuredSparseMatrix, tile: Tile, cfg: ArrayConfig) -> StructuredSparseMatrix:
-    k_lo, k_hi = tile.k_range
-    c_lo, c_hi = tile.col_range
-    data = np.zeros((cfg.tile_k, cfg.cols), dtype=np.int64)
-    data[: k_hi - k_lo, : c_hi - c_lo] = w.dense.data[k_lo:k_hi, c_lo:c_hi]
-    return StructuredSparseMatrix(cfg.pattern, DenseMatrix(cfg.tile_k, cfg.cols, data))
+def reference_run(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -> Reference:
+    """The fault-free run that faulty runs of ``A W`` reuse (module docstring)."""
+    operands, state = tile_operands(cfg, a, w), SimState(cfg)
+    starts, results = [], []
+    for _, a_tile, w_tile in operands:
+        starts.append(state.copy())
+        results.append(state.run_tile(a_tile, w_tile))
+    return Reference(operands, starts + [state.copy()], results)
 
 
 def run_multiplication(
@@ -58,6 +88,7 @@ def run_multiplication(
     faults=(),
     watch=None,
     trace_sink=None,
+    reference: Reference | None = None,
 ) -> RunResult:
     """Run C = A W on the simulated array, tile by tile.
 
@@ -66,14 +97,11 @@ def run_multiplication(
     is congruent to the single-pass architectural result. A fault past the
     last active cycle would never fire and a watched register the array
     lacks could never be read, so both raise ValueError before any cycle.
+    A traced run clocks every cycle; others take the tiles no fault reaches
+    from ``reference``, the ``reference_run`` (which checks them) of cfg, A, W.
     """
-    if w.pattern != cfg.pattern:
-        raise ShapeError(f"weight pattern {w.pattern} != array pattern {cfg.pattern}")
-    if a.cols != w.rows:
-        raise ShapeError(f"inner dimensions differ: A has {a.cols}, W has {w.rows}")
-    a.check_width(cfg.input_width)
-
-    plan = tile_plan(a.rows, a.cols, w.cols, cfg)
+    reuse = reference is not None and not watch
+    operands = reference.operands if reuse else tile_operands(cfg, a, w)
     window = total_active_cycles(cfg, a.rows, a.cols, w.cols)
     faults = list(faults)
     for spec in faults:
@@ -90,10 +118,17 @@ def run_multiplication(
 
     result = np.zeros((a.rows, w.cols), dtype=np.int64)
     rounds = []
-    for tile in plan.tiles:
-        a_tile = _slice_a_tile(a, tile, cfg)
-        w_tile = _slice_w_tile(w, tile, cfg)
-        tile_res = state.run_tile(a_tile, w_tile)
+    # synced: the run stands where the reference does, though ``state`` lags
+    synced = reuse
+    cycles = tile_active_cycles(cfg, a.rows)
+    for i, (tile, a_tile, w_tile) in enumerate(operands):
+        if synced and min(state.pending_faults, default=window) >= (i + 1) * cycles:
+            tile_res = reference.results[i]
+        else:
+            if synced:
+                state = reference.starts[i].copy(state.pending_faults)
+            tile_res = state.run_tile(a_tile, w_tile)
+            synced = reuse and state.matches(reference.starts[i + 1])
         c_lo, c_hi = tile.col_range
         result[:, c_lo:c_hi] = wrap(
             result[:, c_lo:c_hi] + tile_res.outputs.data[:, : c_hi - c_lo],
@@ -105,5 +140,5 @@ def run_multiplication(
         outputs=DenseMatrix(a.rows, w.cols, result),
         rounds=rounds,
         flagged=any(r.flag for r in rounds),
-        total_cycles=state.cycle,
+        total_cycles=reference.starts[-1].cycle if synced else state.cycle,
     )

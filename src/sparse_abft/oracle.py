@@ -2,7 +2,9 @@
 
 The oracle computes with 64-bit intermediates and wraps only at the declared
 output width, so it can distinguish the mathematically true product from the
-value the architecture produces.
+value the architecture produces; int64 is exact modulo ``2^64``. Checksum
+totals are summed in int64 while ``max|A| max|W| k rows cols < 2^63``, and
+exactly, as Python ints, past that.
 """
 
 from __future__ import annotations
@@ -21,8 +23,13 @@ def _product(a: DenseMatrix, w_dense: DenseMatrix):
 
 
 def _identity(a: DenseMatrix, w_dense: DenseMatrix, product):
+    a_data, w_data = a.data, w_dense.data
+    peak_a, peak_w = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a_data, w_data))
+    if peak_a * peak_w * a.cols * a.rows * w_dense.cols >= 1 << 63:
+        a_data, w_data = a_data.astype(object), w_data.astype(object)
+        product = a_data @ w_data
     total = int(product.sum())
-    dot = int(a.data.sum(axis=0) @ w_dense.data.sum(axis=1))
+    dot = int(a_data.sum(axis=0) @ w_data.sum(axis=1))
     return total, dot, total == dot
 
 

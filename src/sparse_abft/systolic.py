@@ -27,9 +27,9 @@ digit waves of the finished round, then streaming resumes immediately. Only
 the end of a tile appends ``R + C + 1`` bubble cycles to flush the pipeline.
 
 Which wave is presented on which cycle depends only on the configuration and
-the tile's row count, so ``wave_schedule`` computes it once per tile, and
-``run_tile`` derives from it every per-cycle input: the west data bundles,
-the data and digit row masks and the corner tags.
+the tile's row count, so every per-cycle input derived from ``wave_schedule``
+is built once per configuration and row count and shared read-only;
+``run_tile`` only gathers the west data bundles of its own input tile.
 
 Segments
 --------
@@ -70,8 +70,10 @@ that only targets the compute/checksum phases.
 
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -143,7 +145,7 @@ def wave_schedule(cfg: ArrayConfig, a_rows: int):
 
 def tile_active_cycles(cfg: ArrayConfig, a_rows: int) -> int:
     """Cycles one tile occupies: all waves plus the pipeline flush."""
-    return len(wave_schedule(cfg, a_rows)[0])
+    return _tile_schedule(cfg, a_rows)[1][-1]
 
 
 def _lagged(waves: np.ndarray, lags) -> np.ndarray:
@@ -151,6 +153,27 @@ def _lagged(waves: np.ndarray, lags) -> np.ndarray:
     ``-1`` where that reaches before the tile's first cycle."""
     at = np.arange(len(waves))[:, None] - np.asarray(lags)
     return np.where(at >= 0, waves[at], -1)
+
+
+@functools.lru_cache(maxsize=32)
+def _tile_schedule(cfg: ArrayConfig, a_rows: int):
+    """``(inputs, cuts, out_rows)`` of a tile: its ``Segment``, holding for
+    ``west`` the input row each PE row receives (-1 none), the segment ends
+    after each round's compare and at its end, and each output row's first
+    bottom-row cycle."""
+    R, C = cfg.rows, cfg.cols
+    data, digit = wave_schedule(cfg, a_rows)
+    # PE row r receives on cycle t the wave presented on cycle t - r; the
+    # corner accumulates, on cycle t, the wave presented at t - (R+C+1)
+    row_data = _lagged(data, np.arange(R))
+    corner_digit = _lagged(digit, R + C + 1).ravel()
+    inputs = Segment(row_data, row_data >= 0, _lagged(digit, np.arange(R)),
+                     _lagged(data, R + C + 1).ravel() >= 0, corner_digit)
+    out_rows = np.flatnonzero(data >= 0) + R + 1
+    for arr in (*(getattr(inputs, f.name) for f in fields(inputs)), out_rows):
+        arr.flags.writeable = False
+    cuts = np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1
+    return inputs, (*cuts.tolist(), len(data)), out_rows
 
 
 class SimState:
@@ -212,6 +235,8 @@ class SimState:
             setattr(self.checker, key, value)
         else:
             arr[key] = value
+        if arr is self.weights or arr is self.indexes:
+            vars(self).pop("_lane_weights", None)
 
     def _check_bit(self, reg: RegisterId, bit: int) -> None:
         width = enumerate_registers(self.cfg).width_of(reg)
@@ -256,6 +281,30 @@ class SimState:
         self.indexes[:, :, :n] = w_tile.indexes
         self.loaded = True
         self._loaded_tile = w_tile
+        vars(self).pop("_lane_weights", None)
+
+    # ------------------------------------------------------------------
+    # snapshots: all that steers later cycles is every register, the cycle,
+    # the round count (later rounds are numbered on) and the resident W tile
+    # (run_tile keeps it when it recurs)
+
+    def _arrays(self) -> tuple:
+        return self.weights, self.indexes, self.pipe, self.psum, self.checker.ic, self.checker.oc
+
+    def copy(self, pending_faults=None) -> "SimState":
+        """An independent copy with ``pending_faults`` (default none) scheduled."""
+        other, arrays = copy.copy(self), self._arrays()
+        ck = other.checker = copy.copy(self.checker)
+        other.weights, other.indexes, other.pipe, other.psum, ck.ic, ck.oc = (x.copy() for x in arrays)
+        other.round_results, other.pending_faults = list(self.round_results), pending_faults or {}
+        return other
+
+    def matches(self, other: "SimState") -> bool:
+        """Whether all that steers later cycles is equal in ``other``."""
+        def scalars(s):
+            return s.cycle, len(s.round_results), s._loaded_tile, s.checker.actual, s.checker.predicted
+        return (scalars(self) == scalars(other)
+                and all(map(np.array_equal, self._arrays(), other._arrays())))
 
     def step(self, west_inputs=None) -> None:
         """Raw clock edge with explicit per-row west bundles (or bubbles).
@@ -281,9 +330,11 @@ class SimState:
         self._advance(Segment(west[None], idle, np.full((1, cfg.rows), -1), np.zeros(1, dtype=bool),
                               np.full(1, -1)), None if west_inputs is None else "Stream")
 
+    @functools.cached_property
     def _lane_weights(self) -> np.ndarray:
         """``(R, m, C)``: the weight each PE applies to each input lane, the
-        columns in reverse order (see ``_advance``)."""
+        columns in reverse order (see ``_advance``). Dropped when a weight or
+        index register is written, so it is rebuilt once per weight load."""
         cfg = self.cfg
         lw = np.zeros((cfg.rows, cfg.pattern.m, cfg.cols), dtype=np.int64)
         for j in range(cfg.pattern.n):
@@ -332,12 +383,11 @@ class SimState:
         # sums[L + R - 1 - r] is PE row r's psum after the last edge; while
         # rows below r are still missing, sums[R - r:R - r + L] are row r's
         # psums after each edge.
-        lane_weights = self._lane_weights()
         sums = np.zeros((L + R, C), dtype=np.int64)
         psums = []
         for r in range(R):
             # reversed weight columns put product (i, c) at skewed[i, C-1-c]
-            products = _skewed(stream[r] @ lane_weights[r])[:L, ::-1]
+            products = _skewed(stream[r] @ self._lane_weights[r])[:L, ::-1]
             sums[R - r:R - r + L] += products
             sums[R - 1 - r] += self.psum[r]
             if traced:
@@ -428,22 +478,14 @@ class SimState:
             self.load_weights(w_tile)
         self.schedule_faults(faults)
 
-        data, digit = wave_schedule(cfg, a_tile.rows)
-        cycles = len(data)
-        pe_rows = np.arange(R)
-        # PE row r receives on cycle t the wave presented on cycle t - r
-        row_data = _lagged(data, pe_rows)
-        is_data = row_data >= 0
-        west = a_tile.data.reshape(a_tile.rows, R, m)[row_data, pe_rows]
-        west[~is_data] = 0  # row index -1 picked the last row: no data wave there
-        # the corner accumulates, on cycle t, the wave presented at t - (R+C+1)
-        corner_digit = _lagged(digit, R + C + 1).ravel()
-        tile = Segment(west, is_data, _lagged(digit, pe_rows),
-                       _lagged(data, R + C + 1).ravel() >= 0, corner_digit)
+        inputs, cuts, out_rows = _tile_schedule(cfg, a_tile.rows)
+        cycles = cuts[-1]
+        # row index -1 picks the appended zero row: no data wave there
+        rows = np.concatenate([a_tile.data, np.zeros((1, cfg.tile_k), dtype=np.int64)])
+        tile = replace(inputs, west=rows.reshape(-1, R, m)[inputs.west, np.arange(R)])
 
         start = self.cycle
-        ends = {cycles, *(np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1).tolist(),
-                *(t - start + 1 for t in self.pending_faults if t < start + cycles)}
+        ends = {*cuts, *(t - start + 1 for t in self.pending_faults if t < start + cycles)}
         first_round = len(self.round_results)
         bottoms = np.empty((cycles, C), dtype=np.int64)
         lo = 0
@@ -453,6 +495,6 @@ class SimState:
 
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
-        outputs = _skewed(bottoms)[np.flatnonzero(data >= 0) + R + 1]
+        outputs = _skewed(bottoms)[out_rows]
         return TileResult(outputs=DenseMatrix(a_tile.rows, C, outputs),
                           rounds=self.round_results[first_round:])

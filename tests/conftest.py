@@ -8,10 +8,13 @@ import pytest
 from sparse_abft import (
     ArrayConfig,
     DenseMatrix,
+    FaultSpec,
     SparsityPattern,
+    enumerate_registers,
     pack,
     prune_magnitude,
 )
+from sparse_abft.registers import RegKind
 
 
 @pytest.fixture
@@ -44,3 +47,18 @@ def random_weights(rng: np.random.Generator, k: int, cols: int, pattern: Sparsit
     hi = (1 << width - 1) - 1
     dense = DenseMatrix(k, cols, rng.integers(-hi, hi + 1, size=(k, cols)))
     return prune_magnitude(dense, pattern)
+
+
+def random_faults(rng, cfg, window, count, kinds=tuple(RegKind)):
+    """``count`` faults over ``[0, window)``, each on a register of a random kind."""
+    by_kind = {}
+    for entry in enumerate_registers(cfg).entries:
+        by_kind.setdefault(entry.reg.kind, []).append(entry)
+    kinds = [k for k in kinds if k in by_kind]
+    faults = []
+    for _ in range(count):
+        entries = by_kind[kinds[rng.integers(len(kinds))]]
+        entry = entries[rng.integers(len(entries))]
+        faults.append(FaultSpec(int(rng.integers(window)), entry.reg,
+                                int(rng.integers(entry.width_bits))))
+    return faults

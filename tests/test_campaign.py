@@ -138,16 +138,17 @@ def test_file_workload_read_once_per_call(tmp_path, worked_example, monkeypatch,
     write_packed(w_path, w)
     cfg = CampaignConfig(ArrayConfig(rows=1, cols=2), 5, 1, 2, 1,
                          WorkloadSpec(kind="files", a_path=str(a_path), w_path=str(w_path)))
-    reads = collections.Counter()
-    for name in ("read_dense", "read_packed"):
-        def counted(path, _read=getattr(campaign, name), _name=name):
-            reads[_name] += 1
-            return _read(path)
+    calls = collections.Counter()
+    for name in ("read_dense", "read_packed", "reference_run"):
+        def counted(*args, _call=getattr(campaign, name), _name=name):
+            calls[_name] += 1
+            return _call(*args)
         monkeypatch.setattr(campaign, name, counted)
     outcomes = run_campaigns(cfg, workers=workers)
-    assert reads == {"read_dense": 1, "read_packed": 1}
+    assert calls == {"read_dense": 1, "read_packed": 1, "reference_run": 1}
     assert [o.to_json_dict() for o in outcomes] == [
         run_campaign(cfg, i).to_json_dict() for i in range(5)]
+    assert calls["reference_run"] == 1     # a lone campaign simulates every tile
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +223,8 @@ def test_array_config_rejects_mistyped_values(obj, message):
     ({"cols": "5"}, "config workload.cols must be an integer, got '5'"),
     ({"a": 0, "w": "w.smat"}, "config workload.a must be a string, got 0"),
     ({"a": "a.mat", "w": None}, "config workload.w must be a string, got None"),
+    ({"a": "a.mat", "w": "w.smat", "a_rows": 7}, "unknown workload keys: ['a_rows']"),
+    ({"a": "a.mat", "k": 8, "cols": 2}, "unknown workload keys: ['cols', 'k']"),
 ])
 def test_workload_spec_rejects_mistyped_values(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):

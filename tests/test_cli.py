@@ -8,12 +8,14 @@ import pytest
 from sparse_abft import (
     DenseMatrix,
     OutcomeCategory,
+    SimState,
     parse_register,
     read_dense,
     read_packed,
     write_dense,
     write_packed,
 )
+from sparse_abft import driver
 from sparse_abft.cli import main
 from sparse_abft.sparsity import PATTERN_2_4, pack, unpack
 
@@ -119,6 +121,17 @@ def test_run_injection_flags_and_exits_1(tiny_files):
     assert report["injected"] == [{"cycle": 1, "register": "tpe.0.0.psum", "bit": 4}]
 
 
+def test_run_never_builds_a_reference(tiny_files, monkeypatch):
+    """A user's run simulates every tile: no reference run, no state copy."""
+    def refuse(*args):
+        raise AssertionError("run built a reference")
+    monkeypatch.setattr(driver, "reference_run", refuse)
+    monkeypatch.setattr(SimState, "copy", refuse)
+    p = tiny_files
+    assert main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+                 "--out", str(p["out"]), "--inject", "1:tpe.0.0.psum:4"]) == 1
+
+
 def test_run_injection_past_window_exit_2(tiny_files, capsys):
     p = tiny_files
     rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
@@ -158,6 +171,20 @@ def test_run_shape_mismatch_exit_4(tiny_files, tmp_path):
     rc = main(["run", "--config", str(p["cfg"]), "--a", str(a_bad), "--w", str(p["w"]),
                "--out", str(p["out"])])
     assert rc == 4
+
+
+@pytest.mark.parametrize("bad", ["inner dimension", "pattern"])
+def test_campaign_file_shape_mismatch_exit_4(tiny_files, tmp_path, bad):
+    """The shared fault-free run checks the files as each campaign would."""
+    p = tiny_files
+    a_path, cfg = p["a"], {"R": 1, "C": 2}
+    if bad == "inner dimension":
+        a_path = tmp_path / "bad_a.mat"
+        write_dense(a_path, DenseMatrix.zeros(2, 5))
+    else:
+        cfg["pattern"] = "1:4"    # the weights are 2:4
+    p["cfg"].write_text(json.dumps({**cfg, "workload": {"a": str(a_path), "w": str(p["w"])}}))
+    assert main(["campaign", "--config", str(p["cfg"]), "--campaigns", "5"]) == 4
 
 
 def test_run_parse_error_exit_2(tiny_files, tmp_path):
@@ -306,12 +333,14 @@ MISTYPED_CONFIGS = [
     ("campaign", {"workload": None}, "config workload must be an object, got None"),
     ("campaign", {"workload": {"a_rows": 2.5}}, "config workload.a_rows must be an integer, got 2.5"),
     ("campaign", {"workload": {"a": 0, "w": "w.smat"}}, "config workload.a must be a string, got 0"),
+    ("campaign", {"workload": {"a": "a.mat", "w": "w.smat", "a_rows": 7}}, "unknown workload keys: ['a_rows']"),
 ]
 
 
 @pytest.mark.parametrize("command,bad,message", MISTYPED_CONFIGS)
-def test_mistyped_config_exit_2(tiny_files, capsys, command, bad, message):
+def test_mistyped_config_exit_2(tiny_files, capsys, monkeypatch, command, bad, message):
     p = tiny_files
+    monkeypatch.chdir(p["a"].parent)   # workload paths name the tiny files
     p["cfg"].write_text(json.dumps({"R": 1, "C": 2, **bad}))
     if command == "run":
         argv = ["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),

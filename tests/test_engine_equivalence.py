@@ -26,7 +26,7 @@ from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern
 from sparse_abft.systolic import TileResult, _lagged, tile_active_cycles, wave_schedule
 
-from conftest import random_inputs, random_weights
+from conftest import random_faults, random_inputs, random_weights
 
 PATTERN_1_3 = SparsityPattern(1, 3)
 
@@ -158,21 +158,6 @@ def registers(state: SimState) -> dict:
         "rounds": [r.to_json_dict() for r in state.round_results],
         "pending": sorted(state.pending_faults),
     }
-
-
-def random_faults(rng, cfg, window, count, kinds=tuple(RegKind)):
-    """``count`` faults over ``[0, window)``, each on a register of a random kind."""
-    by_kind = {}
-    for entry in enumerate_registers(cfg).entries:
-        by_kind.setdefault(entry.reg.kind, []).append(entry)
-    kinds = [k for k in kinds if k in by_kind]
-    faults = []
-    for _ in range(count):
-        entries = by_kind[kinds[rng.integers(len(kinds))]]
-        entry = entries[rng.integers(len(entries))]
-        faults.append(FaultSpec(int(rng.integers(window)), entry.reg,
-                                int(rng.integers(entry.width_bits))))
-    return faults
 
 
 def run_both(cfg, tiles, faults, watch=()):

@@ -56,6 +56,16 @@ def test_identity_holds_on_random_pairs(seed):
     assert slow == total
 
 
+def test_totals_past_int64_are_exact():
+    """Every int64 sum here wraps to 0; the true total is 2^71."""
+    a = DenseMatrix.from_array([[2**40, 2**40]])
+    w = DenseMatrix.from_array([[2**30], [2**30]])
+    assert checksum_identity(a, w) == (2**71, 2**71, True)
+    golden = golden_result(a, w, 24)
+    assert golden.total_checksum == 2**71
+    assert golden.product == matmul_ref(a, w, 24)
+
+
 def test_golden_result_fields(worked_example):
     _, a, w_dense, _ = worked_example
     g = golden_result(a, w_dense, 24)

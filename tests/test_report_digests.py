@@ -6,8 +6,9 @@ when a fault fires, or how a trace line is labelled shows up here. The
 inputs are small but cover several rounds per tile, several tiles, one
 injected fault, every trace label kind, and a multi-fault campaign. The
 ``prune`` pin (packed file bytes and stdout) was computed before the packed
-matrix was rebuilt around its dense values, and the campaign stdout pins
-before the outcome counting moved into one campaign summary.
+matrix was rebuilt around its dense values, the campaign stdout pins
+before the outcome counting moved into one campaign summary, and the file
+workload pins before its campaigns began to share one fault-free run.
 """
 
 import hashlib
@@ -56,6 +57,11 @@ False Positive |        50.00%
 False Negative |         0.00%
 Benign         |         8.33%
 """,
+}
+# a 20x12 . 12x5 file workload: two inner-dimension chunks by two column chunks
+FILE_CAMPAIGN_DIGESTS = {
+    "1..5": "d4578070fcd14e57a5a689cd6d745b63d58184b3d1b58eb991b932e89264b7fd",
+    "1": "dd37405f997fe0d47c92b0f1296944e053ef7706c56e9024dd343105bf68b357",
 }
 PRUNE_DIGEST = "f7688743d6ccb6bae7f18352adc8267dd0cf87ea98fb4793294d854aaf52c3b5"
 PRUNE_STDOUT = "kept 37 non-zeros of 70 elements (33 zeroed)\n"
@@ -107,6 +113,20 @@ def test_campaign_stdout_pinned(workdir, capsys, flags):
     assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
                  "--faults", faults, "--seed", "11", *extra]) == 0
     assert capsys.readouterr().out == CAMPAIGN_STDOUT[flags]
+
+
+@pytest.mark.parametrize("faults", sorted(FILE_CAMPAIGN_DIGESTS))
+def test_file_campaign_report_pinned(workdir, faults):
+    """The four-tile file workload's report; its ``config_echo.workload``
+    still echoes the synthetic defaults, not the files' shape."""
+    rng = np.random.default_rng(2404)
+    write_dense("a.mat", DenseMatrix.from_array(rng.integers(-8, 8, size=(20, 12))))
+    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-7, 8, size=(12, 5))), PATTERN_2_4)
+    write_packed("w.smat", w)
+    (workdir / "cfg.json").write_text(json.dumps({**ARRAY, "workload": {"a": "a.mat", "w": "w.smat"}}))
+    assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
+                 "--faults", faults, "--seed", "12", "--report", "stats.json"]) == 0
+    assert sha256(workdir / "stats.json") == FILE_CAMPAIGN_DIGESTS[faults]
 
 
 def test_prune_output_pinned(workdir, capsys):
