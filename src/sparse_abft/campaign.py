@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import collections
 import enum
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -211,7 +211,8 @@ def run_campaign(cfg: CampaignConfig, index: int, workload=None) -> CampaignOutc
 
 
 def worker_count() -> int:
-    """Worker cap from SPARSE_ABFT_THREADS (0 or unset = auto)."""
+    """Cap on the processes that compute a ``run_campaigns`` call, the caller
+    included, from SPARSE_ABFT_THREADS (0 or unset = one per CPU)."""
     raw = os.environ.get("SPARSE_ABFT_THREADS", "0")
     try:
         n = int(raw)
@@ -222,19 +223,28 @@ def worker_count() -> int:
     return n or (os.cpu_count() or 1)
 
 
-# a file workload's shared data in a pool worker, set by its initializer;
-# the pool, and so the worker, lives for one run_campaigns call
-_worker_workload = None
+def _run_share(conn, cfg: CampaignConfig, share: range, workload) -> None:
+    """Child process body: send ``(True, outcomes)`` of ``share``, or
+    ``(False, exception)`` if a campaign raised."""
+    try:
+        reply = (True, [run_campaign(cfg, i, workload) for i in share])
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
 
 
-def _init_worker(workload) -> None:
-    global _worker_workload
-    _worker_workload = workload
-
-
-def _worker(args) -> CampaignOutcome:
-    cfg, index = args
-    return run_campaign(cfg, index, _worker_workload)
+def _receive(child, conn) -> list:
+    """Outcomes a child sent; its exception, re-raised, if it sent one."""
+    try:
+        ok, result = conn.recv()
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"campaign process exited with code {child.exitcode} "
+                           "without sending its outcomes") from None
+    if not ok:
+        raise result
+    return result
 
 
 def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
@@ -243,17 +253,48 @@ def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
     A file workload is read, and its golden result and fault-free
     ``reference_run`` computed, once here: every campaign sees the same
     matrices and simulates only the tiles its faults reach, with the outcome
-    of simulating every tile. Nothing is kept after the call returns.
+    of simulating every tile.
+
+    With ``workers`` > 1 (0 = ``worker_count()``) and at least 4 campaigns,
+    the indexes are split into ``p = min(workers, campaigns)`` strided shares
+    ``range(k, campaigns, p)``. Shares 1..p-1 each run in a child process
+    started here, after everything the campaigns share (the file workload and
+    the register map) is built, so a forked child inherits it; share 0 runs in
+    the calling process. Every child is joined before the call returns or
+    raises, and nothing is kept after it: a child's exception is re-raised
+    here, and a child that exits without replying raises ``RuntimeError``.
     """
     workers = workers or worker_count()
-    indexes = range(cfg.campaigns)
     workload = _file_workload(cfg, with_reference=cfg.campaigns > 1)
     if workers <= 1 or cfg.campaigns < 4:
-        return [run_campaign(cfg, i, workload) for i in indexes]
-    chunk = max(1, cfg.campaigns // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                             initargs=(workload,)) as pool:
-        return list(pool.map(_worker, [(cfg, i) for i in indexes], chunksize=chunk))
+        return [run_campaign(cfg, i, workload) for i in range(cfg.campaigns)]
+    enumerate_registers(cfg.array)      # cached, so forked children inherit the map
+    processes = min(workers, cfg.campaigns)
+    shares = [range(k, cfg.campaigns, processes) for k in range(processes)]
+    children = []
+    try:
+        for share in shares[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_share, args=(send, cfg, share, workload))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        outcomes = [run_campaign(cfg, i, workload) for i in shares[0]]
+        for child, receive in children:
+            outcomes += _receive(child, receive)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+    outcomes.sort(key=lambda o: o.index)
+    if [o.index for o in outcomes] != list(range(cfg.campaigns)):
+        raise RuntimeError(
+            f"campaign outcomes do not cover indexes 0..{cfg.campaigns - 1} once each")
+    return outcomes
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,14 @@
 import collections
+import dataclasses
+import multiprocessing
+import os
+import pathlib
 import re
+import subprocess
+import sys
+import time
 
+import numpy as np
 import pytest
 
 from sparse_abft import (
@@ -20,6 +28,9 @@ from sparse_abft import (
 from sparse_abft import campaign
 from sparse_abft.campaign import PAPER_CATEGORIES, render_stats_table, worker_count
 from sparse_abft.registers import RegisterId, RegKind
+from sparse_abft.sparsity import ShapeError
+
+from conftest import random_inputs, random_weights
 
 ARRAY_REG = RegisterId(RegKind.PSUM, 0, 0)
 CHECKER_REG = RegisterId(RegKind.OC_PIPE, col=0)
@@ -104,13 +115,128 @@ def test_fault_specs_pair_across_sparsity_modes():
     assert a == b
 
 
-def test_run_campaigns_parallel_matches_serial():
-    cfg = small_campaign(campaigns=12)
+def multi_tile_files(tmp_path, campaigns, lo=1, hi=3, seed=5):
+    """A file workload of four tiles (two k chunks, two column chunks) on a 2x4 array."""
+    arr = ArrayConfig(rows=2, cols=4)
+    rng = np.random.default_rng(seed)
+    a_path, w_path = tmp_path / "a.mat", tmp_path / "w.smat"
+    write_dense(a_path, random_inputs(rng, 24, 2 * arr.tile_k))
+    write_packed(w_path, random_weights(rng, 2 * arr.tile_k, 2 * arr.cols, arr.pattern))
+    return CampaignConfig(arr, campaigns, lo, hi, seed,
+                          WorkloadSpec(kind="files", a_path=str(a_path), w_path=str(w_path)))
+
+
+@pytest.mark.parametrize("kind,workers,campaigns", [
+    *(("synthetic", workers, campaigns) for workers in (2, 3) for campaigns in (4, 5, 12)),
+    ("files", 3, 5),
+])
+def test_run_campaigns_parallel_matches_serial(tmp_path, kind, workers, campaigns):
+    if kind == "files":
+        cfg = multi_tile_files(tmp_path, campaigns)
+    else:
+        cfg = small_campaign(lo=1, hi=3, campaigns=campaigns)
     serial = run_campaigns(cfg, workers=1)
-    parallel = run_campaigns(cfg, workers=2)
-    assert [(o.index, o.category, o.faults) for o in serial] == [
-        (o.index, o.category, o.faults) for o in parallel
-    ]
+    parallel = run_campaigns(cfg, workers=workers)
+    assert [o.to_json_dict() for o in parallel] == [o.to_json_dict() for o in serial]
+    assert multiprocessing.active_children() == []
+
+
+SPAWN_CHECK = """
+import multiprocessing, sys
+from sparse_abft import ArrayConfig, CampaignConfig, WorkloadSpec, run_campaigns
+
+multiprocessing.set_start_method("spawn")
+synthetic = CampaignConfig(ArrayConfig(rows=2, cols=4), 6, 1, 3, 42, WorkloadSpec(a_rows=64))
+files = CampaignConfig(ArrayConfig(rows=2, cols=4), 6, 1, 3, 5,
+                       WorkloadSpec(kind="files", a_path=sys.argv[1], w_path=sys.argv[2]))
+for cfg in (synthetic, files):
+    serial = [o.to_json_dict() for o in run_campaigns(cfg, workers=1)]
+    spawned = [o.to_json_dict() for o in run_campaigns(cfg, workers=2)]
+    assert spawned == serial, cfg.workload.kind
+    assert multiprocessing.active_children() == []
+print(multiprocessing.get_start_method(), "ok")
+"""
+
+
+def test_run_campaigns_under_spawn_matches_serial(tmp_path):
+    """Children started with spawn unpickle the config, their share and the
+    file workload's shared data (with its ``Reference``) instead of
+    inheriting them."""
+    workload = multi_tile_files(tmp_path, 6).workload
+    src = str(pathlib.Path(campaign.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", SPAWN_CHECK, workload.a_path, workload.w_path],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["spawn", "ok"]
+
+
+def fail_at(monkeypatch, index, fail):
+    """Make ``run_campaign`` call ``fail()`` for campaign ``index``."""
+    real = campaign.run_campaign
+
+    def patched(cfg, i, workload=None):
+        if i == index:
+            fail()
+        return real(cfg, i, workload)
+    monkeypatch.setattr(campaign, "run_campaign", patched)
+
+
+def raiser(exc):
+    def fail():
+        raise exc
+    return fail
+
+
+# one per CLI exit code: ValueError -> 2, OSError -> 3, ShapeError -> 4
+@pytest.mark.parametrize("exc", [
+    ValueError("all dimensions must be at least 1"),
+    FileNotFoundError(2, "No such file or directory", "a.mat"),
+    ShapeError("inner dimensions differ: A has 3, W has 4"),
+], ids=["ValueError", "OSError", "ShapeError"])
+def test_child_exception_reraised_with_type_and_message(monkeypatch, exc):
+    fail_at(monkeypatch, 3, raiser(exc))    # index 3 is in a child's share at 2 workers
+    with pytest.raises(type(exc)) as excinfo:
+        run_campaigns(small_campaign(campaigns=8), workers=2)
+    assert type(excinfo.value) is type(exc)
+    assert str(excinfo.value) == str(exc)
+    assert multiprocessing.active_children() == []
+
+
+def test_child_exit_without_reply_raises(monkeypatch):
+    fail_at(monkeypatch, 1, lambda: os._exit(7))
+    with pytest.raises(RuntimeError, match="exited with code 7"):
+        run_campaigns(small_campaign(campaigns=8), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_caller_exception_stops_every_child(monkeypatch):
+    real = campaign.run_campaign
+
+    def patched(cfg, i, workload=None):
+        if i == 0:      # the caller's share
+            raise ValueError("caller's share")
+        if i == 1:      # a child's share, still running when the caller fails
+            time.sleep(60)
+        return real(cfg, i, workload)
+    monkeypatch.setattr(campaign, "run_campaign", patched)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="caller's share"):
+        run_campaigns(small_campaign(campaigns=12), workers=3)
+    assert time.monotonic() - start < 30
+    assert multiprocessing.active_children() == []
+
+
+def test_merged_indexes_must_be_exact(monkeypatch):
+    real = campaign.run_campaign
+
+    def misindexed(cfg, i, workload=None):
+        outcome = real(cfg, i, workload)
+        return dataclasses.replace(outcome, index=0) if i == 5 else outcome
+    monkeypatch.setattr(campaign, "run_campaign", misindexed)
+    with pytest.raises(RuntimeError, match="indexes 0..7"):
+        run_campaigns(small_campaign(campaigns=8), workers=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_file_workload(tmp_path, worked_example):

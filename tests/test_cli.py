@@ -1,5 +1,6 @@
 import collections
 import json
+import multiprocessing
 import subprocess
 import sys
 
@@ -318,6 +319,17 @@ def test_campaign_bad_config_exit_2(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"R": 1, "C": 2, "bogus": 9}))
     assert main(["campaign", "--config", str(cfg), "--campaigns", "1"]) == 2
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_campaign_error_in_fanned_out_campaigns_exit_2(tmp_path, capsys, monkeypatch, threads):
+    """The error every campaign raises reaches the CLI alike, serial or fanned out."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 2, "C": 4, "workload": {"a_rows": 0}}))
+    monkeypatch.setenv("SPARSE_ABFT_THREADS", threads)
+    assert main(["campaign", "--config", str(cfg), "--campaigns", "8"]) == 2
+    assert capsys.readouterr().err == "error: all dimensions must be at least 1\n"
+    assert multiprocessing.active_children() == []
 
 
 MISTYPED_CONFIGS = [
