@@ -82,12 +82,15 @@ def classify(faults, flag_history, output_corrupted) -> OutcomeCategory:
 class WorkloadSpec:
     """Synthetic generator shape, or a pair of matrix files."""
 
-    kind: str = "synthetic"     # "synthetic" | "files"
     a_rows: int = 512
     k: int = 0                  # 0 = one full weight tile
     cols: int = 0               # 0 = array width
-    a_path: str = ""
-    w_path: str = ""
+    a_path: str | None = None   # a file workload names both files
+    w_path: str | None = None
+
+    @property
+    def kind(self) -> str:
+        return "synthetic" if self.a_path is None and self.w_path is None else "files"
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "WorkloadSpec":
@@ -99,10 +102,9 @@ class WorkloadSpec:
         if files:
             if not ("a" in obj and "w" in obj):
                 raise ValueError("file workload needs both 'a' and 'w' paths")
-            return cls(kind="files", a_path=json_typed("workload.a", obj["a"], str),
+            return cls(a_path=json_typed("workload.a", obj["a"], str),
                        w_path=json_typed("workload.w", obj["w"], str))
-        return cls(kind="synthetic",
-                   **{k: json_typed(f"workload.{k}", v, int) for k, v in obj.items()})
+        return cls(**{k: json_typed(f"workload.{k}", v, int) for k, v in obj.items()})
 
     def synthetic_shape(self, arr: ArrayConfig) -> tuple:
         """``(a_rows, k, cols)`` of a synthetic workload on ``arr``.
@@ -255,21 +257,19 @@ def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
     matrices and simulates only the tiles its faults reach, with the outcome
     of simulating every tile.
 
-    With ``workers`` > 1 (0 = ``worker_count()``) and at least 4 campaigns,
-    the indexes are split into ``p = min(workers, campaigns)`` strided shares
-    ``range(k, campaigns, p)``. Shares 1..p-1 each run in a child process
-    started here, after everything the campaigns share (the file workload and
-    the register map) is built, so a forked child inherits it; share 0 runs in
-    the calling process. Every child is joined before the call returns or
-    raises, and nothing is kept after it: a child's exception is re-raised
-    here, and a child that exits without replying raises ``RuntimeError``.
+    The indexes are split into ``p`` strided shares ``range(k, campaigns, p)``,
+    ``p = min(workers, campaigns)`` with ``workers`` > 1 (0 = ``worker_count()``)
+    and at least 4 campaigns, else 1. Share 0 runs in the calling process, each
+    other share in a child process started once everything the campaigns share
+    (file workload, register map) is built, so a forked child inherits it. Every
+    child is joined before the call returns or raises: its exception is
+    re-raised here, and its exit without a reply raises ``RuntimeError``, as
+    do merged indexes other than exactly ``0..campaigns-1``.
     """
     workers = workers or worker_count()
     workload = _file_workload(cfg, with_reference=cfg.campaigns > 1)
-    if workers <= 1 or cfg.campaigns < 4:
-        return [run_campaign(cfg, i, workload) for i in range(cfg.campaigns)]
     enumerate_registers(cfg.array)      # cached, so forked children inherit the map
-    processes = min(workers, cfg.campaigns)
+    processes = min(workers, cfg.campaigns) if workers > 1 and cfg.campaigns >= 4 else 1
     shares = [range(k, cfg.campaigns, processes) for k in range(processes)]
     children = []
     try:

@@ -7,15 +7,15 @@ The checker owns three groups of state, all embedded in the simulator:
 * OC adder chain (south edge): one pipeline register per column, forming the
   running west-to-east sum of bottom-of-column results.
 * Corner accumulators (south-east): ``actual`` collects OC outputs of data
-  waves; ``predicted`` collects OC outputs of digit waves, shifted by
-  ``2^(input_width * k)`` for digit ``k``.
+  waves; ``predicted`` collects OC outputs of digit waves, each weighted by
+  ``2^(input_width * k)`` for digit ``k`` before it arrives here.
 
-Digit decomposition is signed and least-significant first: the low digit is
-the two's-complement reading of the low byte, and each higher digit is what
-remains after subtracting the lower ones. Within the streaming cap of
-``2^(ic_width - input_width)`` rows every reachable accumulator value
-decomposes into digits that fit the input width, so the array's signed
-multipliers can be reused unmodified.
+Signed digits, least-significant first, follow one bias-and-mask rule (the
+form of ``intwrap.wrap``): with ``B = sum(2^(j*w + w - 1) for j < D)``, digit
+``k`` of ``v`` is ``((v + B) >> k*w & (2^w - 1)) - 2^(w-1)``, and ``v`` fits
+``D`` signed ``w``-bit digits iff ``0 <= v + B < 2^(D*w)``. Within the
+streaming cap of ``2^(ic_width - input_width)`` rows every reachable
+accumulator value fits, so the array's signed multipliers are reused.
 """
 
 from __future__ import annotations
@@ -32,30 +32,32 @@ class DigitRangeError(ValueError):
     """Accumulator value not representable in the configured digits."""
 
 
+def _digit_bias(digit_count: int, digit_width: int) -> int:
+    """``B``: added to a value, it makes every signed digit an unsigned field."""
+    return sum(1 << (j * digit_width + digit_width - 1) for j in range(digit_count))
+
+
+def _digit(biased, k, digit_width: int):
+    """Signed digit ``k`` (an int or an array of them) of ``biased = v + B``."""
+    return (biased >> (k * digit_width) & ((1 << digit_width) - 1)) - (1 << (digit_width - 1))
+
+
 def split_digits(value, digit_count: int, digit_width: int, strict: bool = True) -> list:
     """Decompose a value into signed digits, least-significant first.
 
-    ``value`` is an int, giving a list of ints, or an int64 array, giving a
-    list of arrays of its shape. With ``strict=True`` a value whose top digit
-    does not fit the digit width raises DigitRangeError; this cannot happen
-    for sums of at most ``2^(digit_width * (digit_count - 1))``
-    digit_width-wide values. With ``strict=False`` the top digit wraps,
-    which is what the register-width hardware does when a fault pushes an
-    accumulator out of range.
+    ``value`` is an int, giving ints, or an int64 array (``digit_count *
+    digit_width`` <= 63), giving arrays of its shape. With ``strict=True`` a
+    value that does not fit raises DigitRangeError, which sums of at most
+    ``2^(digit_width * (digit_count - 1))`` digit_width-wide values never do.
+    With ``strict=False`` the top digit wraps, as the register-width hardware
+    does when a fault pushes an accumulator out of range.
     """
-    digits = []
-    remaining = value if isinstance(value, np.ndarray) else int(value)
-    for _ in range(digit_count - 1):
-        digit = wrap(remaining, digit_width)
-        digits.append(digit)
-        remaining = (remaining - digit) >> digit_width
-    top = wrap(remaining, digit_width)
-    if strict and np.any(top != remaining):
+    value = value if isinstance(value, np.ndarray) else int(value)
+    biased = value + _digit_bias(digit_count, digit_width)
+    if strict and np.any(biased >> (digit_count * digit_width)):
         raise DigitRangeError(
-            f"value {value} needs top digit {remaining}, outside signed {digit_width}-bit range"
-        )
-    digits.append(top)
-    return digits
+            f"value {value} does not fit {digit_count} signed {digit_width}-bit digits")
+    return [_digit(biased, k, digit_width) for k in range(digit_count)]
 
 
 @dataclass
@@ -87,13 +89,12 @@ class CheckerState:
         self.predicted = 0
 
     def actual_accumulate(self, wave_sum: int) -> None:
-        """Add one data wave's OC-chain output to the actual checksum."""
+        """Add data waves' OC-chain outputs to the actual checksum."""
         self.actual = int(wrap(self.actual + int(wave_sum), self.cfg.cksum_width))
 
-    def predicted_accumulate(self, wave_sum: int, digit_k: int) -> None:
-        """Shift-accumulate one digit wave's OC-chain output."""
-        shifted = int(wave_sum) << (self.cfg.input_width * digit_k)
-        self.predicted = int(wrap(self.predicted + shifted, self.cfg.cksum_width))
+    def predicted_accumulate(self, weighted_sum: int) -> None:
+        """Add digit waves' OC-chain outputs, each already weighted by its digit."""
+        self.predicted = int(wrap(self.predicted + int(weighted_sum), self.cfg.cksum_width))
 
     def compare_and_reset(self, round_index: int) -> ChecksumRoundResult:
         """Latch the round result and clear the corner accumulators."""
@@ -111,9 +112,8 @@ class CheckerState:
         """Digit ``digit_k`` of the IC accumulator values ``ic`` (wrapping).
 
         ``ic`` holds one row of lane values, or a stack of them with one
-        digit index per row in ``digit_k``.
+        digit index per row in ``digit_k``; only that digit is computed.
         """
         cfg = self.cfg
-        digits = np.stack(split_digits(np.asarray(ic), cfg.digits_per_round, cfg.input_width,
-                                       strict=False), axis=-2)
-        return np.take_along_axis(digits, np.asarray(digit_k)[..., None, None], axis=-2)[..., 0, :]
+        biased = np.asarray(ic) + _digit_bias(cfg.digits_per_round, cfg.input_width)
+        return _digit(biased, np.asarray(digit_k)[..., None], cfg.input_width)

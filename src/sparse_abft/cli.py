@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import dataclasses
 import json
 import sys
 
@@ -78,7 +79,7 @@ def cmd_run(args) -> int:
     a = read_dense(args.a)
     w = read_packed(args.w)
     if w.pattern != cfg.pattern:
-        cfg = cfg.with_pattern(w.pattern)
+        cfg = dataclasses.replace(cfg, pattern=w.pattern)
 
     watch = None
     trace_fh = None
@@ -111,7 +112,7 @@ def cmd_campaign(args) -> int:
     raw = read_json(args.config) if args.config else {}
     cfg = ArrayConfig.from_json_dict(raw)
     if args.sparsity is not None:
-        cfg = cfg.with_pattern(args.sparsity)
+        cfg = dataclasses.replace(cfg, pattern=args.sparsity)
     workload = WorkloadSpec.from_json_dict(raw.get("workload", {}))
     lo, hi = args.faults
     ccfg = CampaignConfig(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .sparsity import SparsityPattern, PATTERN_2_4
 
@@ -77,9 +77,6 @@ class ArrayConfig:
     def digits_per_round(self) -> int:
         """Digit waves needed to push one ic_width checksum through the array."""
         return self.ic_width // self.input_width
-
-    def with_pattern(self, pattern: SparsityPattern) -> "ArrayConfig":
-        return replace(self, pattern=pattern)
 
     def to_json_dict(self) -> dict:
         return {"pattern": str(self.pattern),

@@ -6,11 +6,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from .config import ArrayConfig
-from .registers import RegisterId, RegisterMap, RegKind
-from .sparsity import StructuredSparseMatrix
+from .registers import RegisterId, RegisterMap
 
 
 @dataclass(frozen=True, order=True)
@@ -50,35 +46,3 @@ def sample_faults(seed: int, register_map: RegisterMap, count: int, active_cycle
         cycle = rng.randrange(active_cycles)
         specs.append(FaultSpec(cycle=cycle, register=reg, bit=bit))
     return specs
-
-
-# ----------------------------------------------------------------------
-# targeted fault populations for the silent-fault mechanism checks
-
-def silent_pipe_targets(cfg: ArrayConfig, w_tile: StructuredSparseMatrix) -> list:
-    """Input-pipe registers whose lane is never selected at or east of them.
-
-    A flip there rides the bundle east but no multiplexer ever picks the
-    lane, so it cannot reach any partial sum or checksum.
-    """
-    # selected[r, c, lane]: some stored weight of PE (r, c) reads the lane;
-    # stored values are never zero and unused slots always are
-    selected = ((w_tile.indexes[..., None] == np.arange(cfg.pattern.m))
-                & (w_tile.values != 0)[..., None]).any(axis=2)
-    col_index = np.arange(cfg.cols)
-    last_selected = np.where(selected, col_index[:, None], -1).max(axis=1)   # (rows, m)
-    rows, lanes, cols = np.nonzero(col_index > last_selected[:, :, None])
-    return [RegisterId(RegKind.INPUT_PIPE, r, c, lane)
-            for r, lane, c in zip(rows.tolist(), lanes.tolist(), cols.tolist())]
-
-
-def idle_slot_registers(cfg: ArrayConfig) -> list:
-    """Weight/index slots beyond the active pattern (idle in 1:4 mode)."""
-    regs = []
-    for r in range(cfg.rows):
-        for c in range(cfg.cols):
-            for j in range(cfg.pattern.n, cfg.slots):
-                regs.append(RegisterId(RegKind.WEIGHT, r, c, j))
-                if cfg.index_width > 0:
-                    regs.append(RegisterId(RegKind.INDEX, r, c, j))
-    return regs

@@ -105,23 +105,23 @@ def parse_register(name: str) -> RegisterId:
 @dataclass(frozen=True)
 class RegisterEntry:
     reg: RegisterId
-    owner: Owner
     width_bits: int
 
 
 @dataclass(frozen=True)
 class RegisterMap:
-    """Flat register population with cumulative bit offsets for sampling."""
+    """Flat register population; bit offsets and totals derive from the entries."""
 
     entries: tuple
-    total_bits: int
-    array_bits: int
-    checker_bits: int
 
     def __post_init__(self):
         widths = [e.width_bits for e in self.entries]
-        object.__setattr__(self, "_offsets", list(itertools.accumulate(widths, initial=0))[:-1])
-        object.__setattr__(self, "_widths", {e.reg: e.width_bits for e in self.entries})
+        array_bits = sum(e.width_bits for e in self.entries if e.reg.owner is Owner.ARRAY)
+        for name, value in (("_offsets", list(itertools.accumulate(widths, initial=0))[:-1]),
+                            ("_widths", {e.reg: e.width_bits for e in self.entries}),
+                            ("total_bits", sum(widths)), ("array_bits", array_bits),
+                            ("checker_bits", sum(widths) - array_bits)):
+            object.__setattr__(self, name, value)
 
     def locate_bit(self, global_bit: int) -> tuple:
         """Map a global bit index to (RegisterId, bit-within-register)."""
@@ -149,7 +149,7 @@ def enumerate_registers(cfg: ArrayConfig) -> RegisterMap:
 
     def add(reg: RegisterId, width: int):
         if width > 0:
-            entries.append(RegisterEntry(reg, reg.owner, width))
+            entries.append(RegisterEntry(reg, width))
 
     for r in range(cfg.rows):
         for c in range(cfg.cols):
@@ -167,12 +167,4 @@ def enumerate_registers(cfg: ArrayConfig) -> RegisterMap:
         add(RegisterId(RegKind.OC_PIPE, col=c), cfg.oc_width)
     add(RegisterId(RegKind.CKSUM_ACTUAL), cfg.cksum_width)
     add(RegisterId(RegKind.CKSUM_PREDICTED), cfg.cksum_width)
-
-    array_bits = sum(e.width_bits for e in entries if e.owner is Owner.ARRAY)
-    checker_bits = sum(e.width_bits for e in entries if e.owner is Owner.CHECKER)
-    return RegisterMap(
-        entries=tuple(entries),
-        total_bits=array_bits + checker_bits,
-        array_bits=array_bits,
-        checker_bits=checker_bits,
-    )
+    return RegisterMap(tuple(entries))

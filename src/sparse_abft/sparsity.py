@@ -32,6 +32,9 @@ class SparsityViolationError(ValueError):
         more = "" if len(report.violations) <= 4 else f" and {len(report.violations) - 4} more"
         super().__init__(f"structured-sparsity violations: {worst}{more}")
 
+    def __reduce__(self):
+        return type(self), (self.report,)
+
 
 @dataclass(frozen=True)
 class SparsityPattern:

@@ -55,8 +55,11 @@ segments. ``step`` is a one-cycle segment. Within a segment:
 Every adder wraps at its register width. Wrapping is reduction modulo
 ``2^width``, which is compatible with addition, and int64 arithmetic is exact
 modulo ``2^64``, so for widths below 64 wrapping a diagonal sum once gives
-the value that wrapping on every edge would. The corner accumulators take one sum per
-segment, carried as Python ints, which have no width to overflow.
+the value that wrapping on every edge would. A segment's corner adds are
+built once as Python ints, which have no width to overflow: each OC output
+reaching the corner, weighted by ``2^(input_width * d)`` for digit ``d``, with
+a data wave counting as digit 0 of ``actual``. Each corner accumulator takes
+the sum of its adds; a traced one reads their running sums.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -192,8 +195,7 @@ class SimState:
         self._pe_rows = np.arange(cfg.rows)[:, None]
         self._reversed_cols = np.arange(cfg.cols)[::-1]
 
-        self.loaded = False
-        self._loaded_tile = None
+        self._loaded_tile = None         # the resident W tile
         self.round_results: list = []
         self.pending_faults: dict = {}   # cycle -> [FaultSpec]
 
@@ -279,7 +281,6 @@ class SimState:
         self.indexes[:] = 0
         self.weights[:, :, :n] = w_tile.values
         self.indexes[:, :, :n] = w_tile.indexes
-        self.loaded = True
         self._loaded_tile = w_tile
         vars(self).pop("_lane_weights", None)
 
@@ -318,7 +319,7 @@ class SimState:
         if west_inputs is None:
             west = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
         else:
-            if not self.loaded:
+            if self._loaded_tile is None:
                 raise StateError("cannot stream inputs before weights are loaded")
             west = np.asarray(west_inputs, dtype=np.int64)
             if west.shape != (cfg.rows, cfg.pattern.m):
@@ -400,6 +401,12 @@ class SimState:
         chain[C:C + L] = bottoms = wrap(sums[:L], cfg.col_out_width)
         chain_out = wrap(_skewed(chain).sum(axis=1), cfg.oc_width)
         compares = seg.corner_digit[-1] == cfg.digits_per_round - 1
+        # corner adds (module docstring), data waves as digit 0 of actual
+        outs = chain_out[:L].tolist()
+        adds = {kind: [v << cfg.input_width * d if d >= 0 else 0
+                       for v, d in zip(outs, digits.tolist())]
+                for kind, digits in ((RegKind.CKSUM_ACTUAL, seg.corner_data - 1),
+                                     (RegKind.CKSUM_PREDICTED, seg.corner_digit))}
         if traced:
             # each watched register after every edge, in cycle order, before
             # any flip; weights and indexes hold still
@@ -418,17 +425,13 @@ class SimState:
                 elif arr is not None:
                     values = np.full(L, arr[key])
                 else:
-                    # corner: Python-int running sums, data waves as digit 0 of actual
-                    digits = seg.corner_data - 1 if k is RegKind.CKSUM_ACTUAL else seg.corner_digit
-                    adds = [v << cfg.input_width * d if d >= 0 else 0
-                            for v, d in zip(chain_out[:L].tolist(), digits.tolist())]
-                    values = np.array([*itertools.accumulate(adds, initial=getattr(ck, key))][1:],
-                                      dtype=object)
+                    running = itertools.accumulate(adds[k], initial=getattr(ck, key))
+                    values = np.array([*running][1:], dtype=object)
                     values[-1] *= not compares   # cleared on the compare edge
                 columns.append((wrap(values, width) if reg.signed else values).tolist())
             labels = [label] * L if label is not None else [
                 "Stream" if d else f"ChecksumDigit({k})" if k >= 0 else
-                "Drain" if self.loaded else "WeightLoad"
+                "Drain" if self._loaded_tile is not None else "WeightLoad"
                 for d, k in zip(seg.is_data[:, 0].tolist(), seg.row_digit[:, 0].tolist())]
             names = [reg.name for reg in self.watch]
             self.trace_sink.write("".join(
@@ -440,13 +443,8 @@ class SimState:
         self.pipe = stream[:, L:][:, ::-1].copy()
         ck.ic = wrap(ic[L], cfg.ic_width)
         ck.oc = chain_out[L:][::-1].copy()
-        chain_out = chain_out[:L]
-        if seg.corner_data.any():
-            ck.actual_accumulate(sum(chain_out[seg.corner_data].tolist()))
-        for k in range(cfg.digits_per_round):
-            digit_k = seg.corner_digit == k
-            if digit_k.any():
-                ck.predicted_accumulate(sum(chain_out[digit_k].tolist()), k)
+        ck.actual_accumulate(sum(adds[RegKind.CKSUM_ACTUAL]))
+        ck.predicted_accumulate(sum(adds[RegKind.CKSUM_PREDICTED]))
         if compares:
             self.round_results.append(ck.compare_and_reset(len(self.round_results)))
 
@@ -459,7 +457,7 @@ class SimState:
     # ------------------------------------------------------------------
     # orchestrated flow
 
-    def run_tile(self, a_tile: DenseMatrix, w_tile: StructuredSparseMatrix, faults=()) -> TileResult:
+    def run_tile(self, a_tile: DenseMatrix, w_tile: StructuredSparseMatrix) -> TileResult:
         """Stream one tile: weight load, skewed rows, checksum rounds, drain.
 
         Reloads ``w_tile`` unless the very same tile is already resident, so
@@ -474,9 +472,8 @@ class SimState:
         if a_tile.rows < 1:
             raise ShapeError("input tile must have at least one row")
         a_tile.check_width(cfg.input_width)
-        if not (self.loaded and self._loaded_tile == w_tile):
+        if self._loaded_tile != w_tile:
             self.load_weights(w_tile)
-        self.schedule_faults(faults)
 
         inputs, cuts, out_rows = _tile_schedule(cfg, a_tile.rows)
         cycles = cuts[-1]

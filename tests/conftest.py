@@ -1,4 +1,5 @@
-"""Shared fixtures: the worked 2x4 example and random workload helpers."""
+"""Shared fixtures: the worked 2x4 example, random workload helpers and
+targeted fault populations."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from sparse_abft import (
     pack,
     prune_magnitude,
 )
-from sparse_abft.registers import RegKind
+from sparse_abft.registers import RegisterId, RegKind
 
 
 @pytest.fixture
@@ -62,3 +63,35 @@ def random_faults(rng, cfg, window, count, kinds=tuple(RegKind)):
         faults.append(FaultSpec(int(rng.integers(window)), entry.reg,
                                 int(rng.integers(entry.width_bits))))
     return faults
+
+
+# ----------------------------------------------------------------------
+# targeted fault populations for the silent-fault mechanism checks
+
+def silent_pipe_targets(cfg: ArrayConfig, w_tile) -> list:
+    """Input-pipe registers whose lane is never selected at or east of them.
+
+    A flip there rides the bundle east but no multiplexer ever picks the
+    lane, so it cannot reach any partial sum or checksum.
+    """
+    # selected[r, c, lane]: some stored weight of PE (r, c) reads the lane;
+    # stored values are never zero and unused slots always are
+    selected = ((w_tile.indexes[..., None] == np.arange(cfg.pattern.m))
+                & (w_tile.values != 0)[..., None]).any(axis=2)
+    col_index = np.arange(cfg.cols)
+    last_selected = np.where(selected, col_index[:, None], -1).max(axis=1)   # (rows, m)
+    rows, lanes, cols = np.nonzero(col_index > last_selected[:, :, None])
+    return [RegisterId(RegKind.INPUT_PIPE, r, c, lane)
+            for r, lane, c in zip(rows.tolist(), lanes.tolist(), cols.tolist())]
+
+
+def idle_slot_registers(cfg: ArrayConfig) -> list:
+    """Weight/index slots beyond the active pattern (idle in 1:4 mode)."""
+    regs = []
+    for r in range(cfg.rows):
+        for c in range(cfg.cols):
+            for j in range(cfg.pattern.n, cfg.slots):
+                regs.append(RegisterId(RegKind.WEIGHT, r, c, j))
+                if cfg.index_width > 0:
+                    regs.append(RegisterId(RegKind.INDEX, r, c, j))
+    return regs

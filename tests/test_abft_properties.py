@@ -13,11 +13,10 @@ from sparse_abft import (
     run_multiplication,
     unpack,
 )
-from sparse_abft.faults import idle_slot_registers, silent_pipe_targets
 from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4
 
-from conftest import random_inputs, random_weights
+from conftest import idle_slot_registers, random_inputs, random_weights, silent_pipe_targets
 
 
 def run_with_faults(cfg, a, w, faults=()):

@@ -7,6 +7,7 @@ whole module costs one 1,000-tile corpus and four 5,000-campaign batches.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -35,11 +36,10 @@ from sparse_abft import (
     write_packed,
 )
 from sparse_abft.cli import main as cli_main
-from sparse_abft.faults import idle_slot_registers, silent_pipe_targets
 from sparse_abft.registers import Owner
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4
 
-from conftest import random_inputs, random_weights
+from conftest import idle_slot_registers, random_inputs, random_weights, silent_pipe_targets
 
 MASTER_SEED = 20260811
 CAMPAIGNS_PER_BATCH = 5000
@@ -246,6 +246,22 @@ def test_criterion_5_directional_properties(campaign_batches):
         assert p < 0.01, f"detection monotonicity not significant for {mode}"
     for key, rate in false_rates.items():
         assert rate < 10.0, f"FP+FN {rate:.2f}% too high for {key}"
+
+
+# ----------------------------------------------------------------------
+# north star: outcomes unchanged for the fixed seed
+
+OUTCOMES_SHA256 = "e4ae51538f1481e605462ca33ee85d4f531fc13147a57bb86725ee61c469b706"
+
+
+def test_campaign_outcomes_pinned(campaign_batches):
+    """SHA-256 over every outcome's JSON, batches in fixture order
+    (2:4/1, 2:4/1-5, 1:4/1, 1:4/1-5)."""
+    digest = hashlib.sha256()
+    for outcomes in campaign_batches["batches"].values():
+        for o in outcomes:
+            digest.update(json.dumps(o.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == OUTCOMES_SHA256
 
 
 # ----------------------------------------------------------------------

@@ -123,7 +123,7 @@ def multi_tile_files(tmp_path, campaigns, lo=1, hi=3, seed=5):
     write_dense(a_path, random_inputs(rng, 24, 2 * arr.tile_k))
     write_packed(w_path, random_weights(rng, 2 * arr.tile_k, 2 * arr.cols, arr.pattern))
     return CampaignConfig(arr, campaigns, lo, hi, seed,
-                          WorkloadSpec(kind="files", a_path=str(a_path), w_path=str(w_path)))
+                          WorkloadSpec(a_path=str(a_path), w_path=str(w_path)))
 
 
 @pytest.mark.parametrize("kind,workers,campaigns", [
@@ -148,7 +148,7 @@ from sparse_abft import ArrayConfig, CampaignConfig, WorkloadSpec, run_campaigns
 multiprocessing.set_start_method("spawn")
 synthetic = CampaignConfig(ArrayConfig(rows=2, cols=4), 6, 1, 3, 42, WorkloadSpec(a_rows=64))
 files = CampaignConfig(ArrayConfig(rows=2, cols=4), 6, 1, 3, 5,
-                       WorkloadSpec(kind="files", a_path=sys.argv[1], w_path=sys.argv[2]))
+                       WorkloadSpec(a_path=sys.argv[1], w_path=sys.argv[2]))
 for cfg in (synthetic, files):
     serial = [o.to_json_dict() for o in run_campaigns(cfg, workers=1)]
     spawned = [o.to_json_dict() for o in run_campaigns(cfg, workers=2)]
@@ -239,6 +239,20 @@ def test_merged_indexes_must_be_exact(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("workers,campaigns", [(1, 8), (2, 3)])
+def test_serial_merged_indexes_must_be_exact(monkeypatch, workers, campaigns):
+    """A serial call checks its merged indexes as a fanned-out call does."""
+    real = campaign.run_campaign
+
+    def misindexed(cfg, i, workload=None):
+        outcome = real(cfg, i, workload)
+        return dataclasses.replace(outcome, index=0) if i == campaigns - 1 else outcome
+    monkeypatch.setattr(campaign, "run_campaign", misindexed)
+    with pytest.raises(RuntimeError, match=f"indexes 0..{campaigns - 1}"):
+        run_campaigns(small_campaign(campaigns=campaigns), workers=workers)
+    assert multiprocessing.active_children() == []
+
+
 def test_file_workload(tmp_path, worked_example):
     _, a, _, w = worked_example
     a_path, w_path = tmp_path / "a.mat", tmp_path / "w.smat"
@@ -250,7 +264,7 @@ def test_file_workload(tmp_path, worked_example):
         fault_lo=0,
         fault_hi=0,
         master_seed=1,
-        workload=WorkloadSpec(kind="files", a_path=str(a_path), w_path=str(w_path)),
+        workload=WorkloadSpec(a_path=str(a_path), w_path=str(w_path)),
     )
     outcome = run_campaign(cfg, 0)
     assert outcome.category is OutcomeCategory.BENIGN
@@ -263,7 +277,7 @@ def test_file_workload_read_once_per_call(tmp_path, worked_example, monkeypatch,
     write_dense(a_path, a)
     write_packed(w_path, w)
     cfg = CampaignConfig(ArrayConfig(rows=1, cols=2), 5, 1, 2, 1,
-                         WorkloadSpec(kind="files", a_path=str(a_path), w_path=str(w_path)))
+                         WorkloadSpec(a_path=str(a_path), w_path=str(w_path)))
     calls = collections.Counter()
     for name in ("read_dense", "read_packed", "reference_run"):
         def counted(*args, _call=getattr(campaign, name), _name=name):

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_abft import ArrayConfig, DigitRangeError, split_digits
 from sparse_abft.checker import CheckerState
+from sparse_abft.intwrap import wrap
+
+INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
 
 
 # ----------------------------------------------------------------------
@@ -76,6 +79,89 @@ def test_split_digits_array_matches_scalar():
 
 
 # ----------------------------------------------------------------------
+# the bias-and-mask digit rule against the former loop
+
+def loop_split_digits(value, digit_count, digit_width, strict=True):
+    """The former loop form of split_digits, kept as its reference."""
+    digits = []
+    remaining = value if isinstance(value, np.ndarray) else int(value)
+    for _ in range(digit_count - 1):
+        digit = wrap(remaining, digit_width)
+        digits.append(digit)
+        remaining = (remaining - digit) >> digit_width
+    top = wrap(remaining, digit_width)
+    if strict and np.any(top != remaining):
+        raise DigitRangeError(f"value {value} needs top digit {remaining}")
+    digits.append(top)
+    return digits
+
+
+def digits_or_error(split, value, count, width, strict):
+    try:
+        return [np.asarray(d).tolist() for d in split(value, count, width, strict)]
+    except DigitRangeError:
+        return "DigitRangeError"
+
+
+@st.composite
+def digit_cases(draw):
+    """``(count, width, values)``: widths 1..31 and counts 1..7 with
+    count * width <= 63; values inside the strict range, at and just past
+    its ends, or anywhere in int64."""
+    width = draw(st.integers(1, 31))
+    count = draw(st.integers(1, min(7, 63 // width)))
+    # the signed range of count digits of width bits each
+    hi = sum(((1 << width - 1) - 1) << (width * j) for j in range(count))
+    lo = -sum(1 << (width * j + width - 1) for j in range(count))
+    value = st.one_of(st.integers(lo, hi), st.sampled_from([lo - 1, lo, hi, hi + 1]), INT64)
+    return count, width, draw(st.lists(value, min_size=1, max_size=6))
+
+
+@settings(max_examples=400)
+@given(digit_cases(), st.booleans())
+def test_split_digits_matches_loop_on_ints(case, strict):
+    count, width, values = case
+    for value in values:
+        got = digits_or_error(split_digits, value, count, width, strict)
+        assert got == digits_or_error(loop_split_digits, value, count, width, strict)
+        if got != "DigitRangeError":
+            assert all(type(d) is int for d in split_digits(value, count, width, strict))
+
+
+@settings(max_examples=400)
+@given(digit_cases(), st.booleans())
+def test_split_digits_matches_loop_on_int64_arrays(case, strict):
+    count, width, values = case
+    array = np.array(values, dtype=np.int64)
+    got = digits_or_error(split_digits, array, count, width, strict)
+    assert got == digits_or_error(loop_split_digits, array, count, width, strict)
+    # and element by element on exact Python ints
+    per_value = [digits_or_error(loop_split_digits, v, count, width, strict) for v in values]
+    if "DigitRangeError" in per_value:
+        assert got == "DigitRangeError"
+    else:
+        assert got == [list(column) for column in zip(*per_value)]
+        assert all(d.dtype == np.int64 for d in split_digits(array, count, width, strict))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 31), st.data())
+def test_digit_wave_matches_loop_per_row(width, data):
+    count = data.draw(st.integers(1, min(7, 63 // width)))
+    cfg = ArrayConfig(rows=data.draw(st.integers(1, 4)), cols=1, input_width=width,
+                      ic_width=count * width)
+    ck = CheckerState(cfg)
+    ic = np.array(data.draw(st.lists(st.lists(INT64, min_size=4, max_size=4),
+                                     min_size=cfg.rows, max_size=cfg.rows)), dtype=np.int64)
+    digit_k = np.array(data.draw(st.lists(st.integers(0, count - 1),
+                                          min_size=cfg.rows, max_size=cfg.rows)))
+    want = [loop_split_digits(row, count, width, strict=False)[k].tolist()
+            for row, k in zip(ic, digit_k.tolist())]
+    assert ck.digit_wave(ic, digit_k).tolist() == want
+    assert ck.digit_wave(ic[0], int(digit_k[0])).tolist() == want[0]
+
+
+# ----------------------------------------------------------------------
 # corner accumulators
 
 def test_actual_accumulate_running_example():
@@ -87,15 +173,15 @@ def test_actual_accumulate_running_example():
 
 def test_predicted_accumulate_shifts_by_digit():
     ck = CheckerState(ArrayConfig(rows=1, cols=2))
-    ck.predicted_accumulate(5, 0)
-    ck.predicted_accumulate(3, 1)
+    ck.predicted_accumulate(5)
+    ck.predicted_accumulate(3 << 8)
     assert ck.predicted == 5 + 256 * 3
 
 
 def test_accumulate_zero_is_identity():
     ck = CheckerState(ArrayConfig())
     ck.actual_accumulate(0)
-    ck.predicted_accumulate(0, 1)
+    ck.predicted_accumulate(0 << 8)
     assert ck.actual == 0 and ck.predicted == 0
 
 
@@ -110,7 +196,7 @@ def test_accumulators_wrap_at_cksum_width():
 def test_compare_and_reset():
     ck = CheckerState(ArrayConfig())
     ck.actual_accumulate(10)
-    ck.predicted_accumulate(10, 0)
+    ck.predicted_accumulate(10)
     res = ck.compare_and_reset(3)
     assert (res.round_index, res.actual, res.predicted, res.flag) == (3, 10, 10, False)
     assert ck.actual == 0 and ck.predicted == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_multi_round_multi_tile(pattern):
 def test_shape_and_pattern_errors(worked_example):
     cfg, a, _, w = worked_example
     with pytest.raises(ShapeError):
-        run_multiplication(cfg.with_pattern(PATTERN_1_4), a, w)
+        run_multiplication(dataclasses.replace(cfg, pattern=PATTERN_1_4), a, w)
     with pytest.raises(ShapeError):
         run_multiplication(cfg, DenseMatrix.zeros(2, 5), w)
 

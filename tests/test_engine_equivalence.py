@@ -80,7 +80,7 @@ class ReferenceEngine:
         if corner_data:
             ck.actual_accumulate(chain_out)
         elif corner_digit >= 0:
-            ck.predicted_accumulate(chain_out, corner_digit)
+            ck.predicted_accumulate(chain_out << cfg.input_width * corner_digit)
             if corner_digit == cfg.digits_per_round - 1:
                 st.round_results.append(ck.compare_and_reset(len(st.round_results)))
 
@@ -97,7 +97,7 @@ class ReferenceEngine:
         none = np.zeros(cfg.rows, dtype=bool)
         if west is None:
             west = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
-            label = "Drain" if self.state.loaded else "WeightLoad"
+            label = "Drain" if self.state._loaded_tile is not None else "WeightLoad"
         else:
             label = "Stream"
         self.clock(np.asarray(west, dtype=np.int64), none, none, False, -1, label)
@@ -106,7 +106,7 @@ class ReferenceEngine:
         st = self.state
         cfg = st.cfg
         R, C, m, d = cfg.rows, cfg.cols, cfg.pattern.m, cfg.digits_per_round
-        if not (st.loaded and st._loaded_tile == w_tile):
+        if st._loaded_tile != w_tile:
             st.load_weights(w_tile)
         st.schedule_faults(faults)
 

@@ -10,11 +10,11 @@ from sparse_abft import (
     parse_register,
     sample_faults,
 )
-from sparse_abft.faults import derive_seed, silent_pipe_targets
+from sparse_abft.faults import derive_seed
 from sparse_abft.registers import Owner, RegisterId, RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern
 
-from conftest import random_weights
+from conftest import random_weights, silent_pipe_targets
 
 
 def test_sample_count_and_window():

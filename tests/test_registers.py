@@ -48,7 +48,7 @@ def test_every_register_exactly_once():
 
 def test_owner_split():
     rm = enumerate_registers(ArrayConfig(rows=1, cols=1))
-    owners = {e.reg.kind: e.owner for e in rm.entries}
+    owners = {e.reg.kind: e.reg.owner for e in rm.entries}
     assert owners[RegKind.WEIGHT] is Owner.ARRAY
     assert owners[RegKind.PSUM] is Owner.ARRAY
     assert owners[RegKind.IC_ACC] is Owner.CHECKER

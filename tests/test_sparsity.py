@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -151,6 +152,17 @@ def test_pack_rejects_invalid():
     with pytest.raises(SparsityViolationError) as excinfo:
         pack(w, PATTERN_2_4)
     assert excinfo.value.report.violations == [(0, 0, 3)]
+
+
+def test_violation_error_survives_pickling():
+    """A campaign child sends its exception to the caller pickled."""
+    with pytest.raises(SparsityViolationError) as excinfo:
+        pack(DenseMatrix.from_array([[1], [2], [3], [0]]), PATTERN_2_4)
+    error = excinfo.value
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is SparsityViolationError
+    assert str(copy) == str(error)
+    assert copy.report.violations == error.report.violations == [(0, 0, 3)]
 
 
 def test_packed_arrays_derived_and_read_only():

@@ -226,7 +226,8 @@ def test_determinism_same_inputs_same_trajectory(worked_example):
         sink = io.StringIO()
         state.watch = [parse_register("tpe.0.1.psum"), parse_register("cksum.actual")]
         state.trace_sink = sink
-        res = state.run_tile(a, w, faults=faults)
+        state.schedule_faults(faults)
+        res = state.run_tile(a, w)
         return sink.getvalue(), res.outputs.data.tolist(), [r.to_json_dict() for r in res.rounds]
 
     assert signature() == signature()
