@@ -59,8 +59,11 @@ def tile_operands(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -
     if a.cols != w.rows:
         raise ShapeError(f"inner dimensions differ: A has {a.cols}, W has {w.rows}")
     a.check_width(cfg.input_width)
+    tiles = tile_plan(a.rows, a.cols, w.cols, cfg).tiles
+    if (a.cols, w.cols) == (cfg.tile_k, cfg.cols):   # one tile, nothing to pad
+        return [(tiles[0], a, w)]
     operands = []
-    for tile in tile_plan(a.rows, a.cols, w.cols, cfg).tiles:
+    for tile in tiles:
         (k_lo, k_hi), (c_lo, c_hi) = tile.k_range, tile.col_range
         a_data = np.zeros((a.rows, cfg.tile_k), dtype=np.int64)
         a_data[:, : k_hi - k_lo] = a.data[:, k_lo:k_hi]

@@ -1,31 +1,34 @@
 """Ground-truth matrix multiplication and checksum identities.
 
-The oracle computes with 64-bit intermediates and wraps only at the declared
-output width, so it can distinguish the mathematically true product from the
-value the architecture produces; int64 is exact modulo ``2^64``. Checksum
-totals are summed in int64 while ``max|A| max|W| k rows cols < 2^63``, and
-exactly, as Python ints, past that.
+The oracle computes the true product and wraps it only at the declared output
+width. With ``peak = max|A| max|W|`` it runs on float64 BLAS, in one-thread
+calls of at most 2^18 multiply-adds, while ``peak k < 2^53`` keeps every
+partial sum an exact float64, else in int64, exact modulo ``2^64``. Checksum
+totals are summed in int64 while ``peak k rows cols < 2^63``, and exactly, as
+Python ints, past that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intwrap import wrap
+from .intwrap import exact_matmul, wrap
 from .sparsity import DenseMatrix, ShapeError
 
 
 def _product(a: DenseMatrix, w_dense: DenseMatrix):
-    """The unwrapped product A W as an int64 array."""
+    """The unwrapped product A W as an int64 array, and ``max|A| max|W|``."""
     if a.cols != w_dense.rows:
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {w_dense.rows}")
-    return a.data @ w_dense.data
+    peak_a, peak_w = (max(int(x.max(initial=0)), -int(x.min(initial=0)))
+                      for x in (a.data, w_dense.data))
+    peak = peak_a * peak_w
+    return exact_matmul(a.data, w_dense.data, peak), peak
 
 
-def _identity(a: DenseMatrix, w_dense: DenseMatrix, product):
+def _identity(a: DenseMatrix, w_dense: DenseMatrix, product, peak: int):
     a_data, w_data = a.data, w_dense.data
-    peak_a, peak_w = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a_data, w_data))
-    if peak_a * peak_w * a.cols * a.rows * w_dense.cols >= 1 << 63:
+    if peak * a.cols * a.rows * w_dense.cols >= 1 << 63:
         a_data, w_data = a_data.astype(object), w_data.astype(object)
         product = a_data @ w_data
     total = int(product.sum())
@@ -35,7 +38,7 @@ def _identity(a: DenseMatrix, w_dense: DenseMatrix, product):
 
 def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:
     """Exact integer product, each element wrapped to out_width bits."""
-    return DenseMatrix(a.rows, w_dense.cols, wrap(_product(a, w_dense), out_width))
+    return DenseMatrix(a.rows, w_dense.cols, wrap(_product(a, w_dense)[0], out_width))
 
 
 def checksum_identity(a: DenseMatrix, w_dense: DenseMatrix):
@@ -43,7 +46,7 @@ def checksum_identity(a: DenseMatrix, w_dense: DenseMatrix):
 
     Returns (sum of all product elements, dot(colsum(A), rowsum(W)), equal).
     """
-    return _identity(a, w_dense, _product(a, w_dense))
+    return _identity(a, w_dense, *_product(a, w_dense))
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,8 @@ class GoldenResult:
 
 def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> GoldenResult:
     """The wrapped product and its checksum, from one product A W."""
-    product = _product(a, w_dense)
-    total, _, equal = _identity(a, w_dense, product)
+    product, peak = _product(a, w_dense)
+    total, _, equal = _identity(a, w_dense, product, peak)
     assert equal, "checksum identity must hold over unbounded integers"
     return GoldenResult(product=DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width)),
                         total_checksum=total)

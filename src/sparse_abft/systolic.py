@@ -53,13 +53,18 @@ segments. ``step`` is a one-cycle segment. Within a segment:
   the top of that diagonal when the segment began.
 
 Every adder wraps at its register width. Wrapping is reduction modulo
-``2^width``, which is compatible with addition, and int64 arithmetic is exact
-modulo ``2^64``, so for widths below 64 wrapping a diagonal sum once gives
-the value that wrapping on every edge would. A segment's corner adds are
-built once as Python ints, which have no width to overflow: each OC output
-reaching the corner, weighted by ``2^(input_width * d)`` for digit ``d``, with
-a data wave counting as digit 0 of ``actual``. Each corner accumulator takes
-the sum of its adds; a traced one reads their running sums.
+``2^width``, which is compatible with addition, so for widths below 64 wrapping
+a diagonal sum once gives the value that wrapping on every edge would, as int64
+adds are exact modulo ``2^64``. So are a row's products (``exact_matmul``):
+bundle values and weights stand in ``input_width``-bit registers, whose bits a
+fault flips but never widens, and at most ``n`` slots feed a lane, so faulted
+or not each product is at most ``peak = n 2^(2 input_width - 2)``; while ``m
+peak < 2^53`` they run on float64 BLAS, exact, in calls of at most 2^18
+multiply-adds that OpenBLAS keeps on one thread (larger ones leave a second
+thread spinning). The corner adds are Python ints, with no width to overflow:
+each OC output reaching the corner, weighted by ``2^(input_width * d)`` for
+digit ``d``, a data wave being digit 0 of ``actual``. Each corner accumulator
+takes their sum; a traced one reads their running sums.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -82,7 +87,7 @@ import numpy as np
 
 from .checker import CheckerState
 from .config import ArrayConfig
-from .intwrap import check_ndarray_width, wrap
+from .intwrap import check_ndarray_width, exact_matmul, wrap
 from .registers import RegisterId, RegKind, enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 
@@ -192,8 +197,6 @@ class SimState:
         self.pipe = np.zeros((cfg.rows, cfg.cols, m), dtype=np.int64)
         self.psum = np.zeros((cfg.rows, cfg.cols), dtype=np.int64)
         self.checker = CheckerState(cfg)
-        self._pe_rows = np.arange(cfg.rows)[:, None]
-        self._reversed_cols = np.arange(cfg.cols)[::-1]
 
         self._loaded_tile = None         # the resident W tile
         self.round_results: list = []
@@ -276,6 +279,7 @@ class SimState:
                 f"weight tile is {w_tile.rows}x{w_tile.cols}, "
                 f"array expects {cfg.tile_k}x{cfg.cols}"
             )
+        check_ndarray_width(w_tile.values, cfg.input_width, "weight")
         n = cfg.pattern.n
         self.weights[:] = 0
         self.indexes[:] = 0
@@ -338,12 +342,12 @@ class SimState:
         index register is written, so it is rebuilt once per weight load."""
         cfg = self.cfg
         lw = np.zeros((cfg.rows, cfg.pattern.m, cfg.cols), dtype=np.int64)
+        rows, cols = np.arange(cfg.rows)[:, None], np.arange(cfg.cols)[::-1]
         for j in range(cfg.pattern.n):
             # an index register can encode lanes past m-1 when m is not a
             # power of two; those selections wrap around like a mux with
             # tied inputs. Each (row, col) appears once per slot.
-            lw[self._pe_rows, self.indexes[:, :, j] % cfg.pattern.m, self._reversed_cols] += \
-                self.weights[:, :, j]
+            lw[rows, self.indexes[:, :, j] % cfg.pattern.m, cols] += self.weights[:, :, j]
         return lw
 
     def _advance(self, seg: Segment, label: str | None = None) -> np.ndarray:
@@ -386,9 +390,10 @@ class SimState:
         # psums after each edge.
         sums = np.zeros((L + R, C), dtype=np.int64)
         psums = []
+        peak = cfg.pattern.n << 2 * cfg.input_width - 2   # bounds faulted runs too
         for r in range(R):
             # reversed weight columns put product (i, c) at skewed[i, C-1-c]
-            products = _skewed(stream[r] @ self._lane_weights[r])[:L, ::-1]
+            products = _skewed(exact_matmul(stream[r], self._lane_weights[r], peak))[:L, ::-1]
             sums[R - r:R - r + L] += products
             sums[R - 1 - r] += self.psum[r]
             if traced:

@@ -16,7 +16,8 @@ from sparse_abft import (
     total_active_cycles,
     unpack,
 )
-from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
+from sparse_abft.driver import tile_operands
+from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 from sparse_abft.systolic import SimState, tile_active_cycles
 
 from conftest import random_inputs, random_weights
@@ -127,3 +128,36 @@ def test_tracing_keeps_the_segment_schedule(monkeypatch):
     assert traced.total_cycles == untraced.total_cycles == 1196
     assert traced.outputs == untraced.outputs
     assert len(sink.getvalue().splitlines()) == len(watch) * 1196
+
+
+def test_exact_single_tile_operands_are_the_callers_own():
+    rng = np.random.default_rng(3)
+    cfg = ArrayConfig(rows=2, cols=3)
+    a, w = random_inputs(rng, 5, cfg.tile_k), random_weights(rng, cfg.tile_k, cfg.cols, cfg.pattern)
+    ((tile, a_tile, w_tile),) = tile_operands(cfg, a, w)
+    assert a_tile is a and w_tile is w
+    assert (tile.k_range, tile.col_range) == ((0, cfg.tile_k), (0, cfg.cols))
+    with pytest.raises(ShapeError):
+        tile_operands(dataclasses.replace(cfg, pattern=PATTERN_1_4), a, w)
+    with pytest.raises(ValueError, match="outside signed 8-bit"):
+        tile_operands(cfg, DenseMatrix.from_array(np.full((5, cfg.tile_k), 128)), w)
+
+
+@pytest.mark.parametrize("a_rows, k, cols", [(5, 8, 2), (5, 16, 3), (5, 8, 7), (4, 20, 8), (1, 3, 1)])
+def test_tile_operands_pad_edge_chunks(a_rows, k, cols):
+    """Multi-tile and edge-padded workloads: each tile's A columns and W block,
+    zero-padded to the array's tile."""
+    rng = np.random.default_rng(k * cols)
+    cfg = ArrayConfig(rows=2, cols=3)   # tile_k = 8
+    a, w = random_inputs(rng, a_rows, k), random_weights(rng, k, cols, cfg.pattern)
+    a_pad = np.zeros((a_rows, -(-k // 8) * 8), dtype=np.int64)
+    a_pad[:, :k] = a.data
+    w_pad = np.zeros((a_pad.shape[1], -(-cols // 3) * 3), dtype=np.int64)
+    w_pad[:k, :cols] = w.dense.data
+    operands = tile_operands(cfg, a, w)
+    assert [t for t, _, _ in operands] == list(tile_plan(a_rows, k, cols, cfg).tiles)
+    for tile, a_tile, w_tile in operands:
+        (k_lo, _), (c_lo, _) = tile.k_range, tile.col_range
+        assert a_tile == DenseMatrix.from_array(a_pad[:, k_lo:k_lo + 8])
+        assert w_tile == StructuredSparseMatrix(
+            cfg.pattern, DenseMatrix.from_array(w_pad[k_lo:k_lo + 8, c_lo:c_lo + 3]))

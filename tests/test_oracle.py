@@ -66,6 +66,15 @@ def test_totals_past_int64_are_exact():
     assert golden.product == matmul_ref(a, w, 24)
 
 
+def test_product_past_the_float64_bound_is_exact():
+    """3 (2^26 + 1)^2 is odd and above 2^53, where float64 rounds; one below it is not."""
+    for value, k in ((2**26 + 1, 3), (2**26 - 1, 2)):
+        a = DenseMatrix.from_array([[value] * k])
+        w = DenseMatrix.from_array([[-value]] * k)
+        assert matmul_ref(a, w, 63).data[0, 0] == -k * value**2
+        assert golden_result(a, w, 63).total_checksum == -k * value**2
+
+
 def test_golden_result_fields(worked_example):
     _, a, w_dense, _ = worked_example
     g = golden_result(a, w_dense, 24)

@@ -75,6 +75,15 @@ def test_load_weights_shape_and_pattern_errors(tiny_cfg):
         state.load_weights(pack(DenseMatrix.zeros(4, 2), PATTERN_1_4))  # wrong pattern
 
 
+def test_load_weights_rejects_values_outside_input_width(tiny_cfg):
+    """A weight register holds input_width bits; the engine's exact products rely on it."""
+    state = SimState(tiny_cfg)
+    state.load_weights(pack(DenseMatrix.from_array([[-128, 127]] + [[0, 0]] * 3), PATTERN_2_4))
+    for bad in (128, -129):
+        with pytest.raises(ValueError, match="weight"):
+            state.load_weights(pack(DenseMatrix.from_array([[bad, 0]] + [[0, 0]] * 3), PATTERN_2_4))
+
+
 # ----------------------------------------------------------------------
 # raw stepping
 
