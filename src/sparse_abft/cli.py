@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import collections
 import dataclasses
+import functools
 import json
 import sys
 
@@ -152,6 +153,7 @@ def cmd_campaign(args) -> int:
     return EXIT_OK
 
 
+@functools.cache     # parse_args leaves the parser as it found it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparse-abft",
@@ -191,8 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ShapeError as exc:

@@ -9,10 +9,11 @@ next tile exactly as it would in hardware.
 
 Faulty runs of one workload can share a ``Reference``: its tile operands and
 one fault-free run. The engine is deterministic, so from an equal state, on
-equal inputs and with no fault, a run repeats the reference exactly. While
+equal inputs and with no fault, a run repeats the reference exactly. One rule,
+``SimState.take_or_restart``, holds for tiles here and for rounds in ``run_tile``: while
 the run's state equals the reference's (at the start, and after a simulated
-tile that ends in the reference's state), each tile that ends before the next
-fault is taken from the reference, and the next one starts from its state.
+round or tile that ends in it), each that ends before the next fault is taken
+from the reference, and the one holding it restarts from the reference's state.
 """
 
 from __future__ import annotations
@@ -39,11 +40,11 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Reference:
-    """A workload's tile operands and its fault-free run on them."""
+    """A workload's tile operands and its fault-free run on them: per tile,
+    outputs, rounds, bottom-row sums and the state after each round."""
 
     operands: list      # (Tile, A slice, packed W tile) of each tile, in run order
-    starts: list        # a SimState copy before each tile and after the last
-    results: list       # TileResult of each tile
+    results: list       # TileResult of each tile, with its states kept
 
 
 def total_active_cycles(cfg: ArrayConfig, a_rows: int, k: int, cols: int) -> int:
@@ -75,13 +76,11 @@ def tile_operands(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -
 
 
 def reference_run(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -> Reference:
-    """The fault-free run that faulty runs of ``A W`` reuse (module docstring)."""
+    """The fault-free run, its states kept round by round, that faulty runs of
+    ``A W`` reuse (module docstring)."""
     operands, state = tile_operands(cfg, a, w), SimState(cfg)
-    starts, results = [], []
-    for _, a_tile, w_tile in operands:
-        starts.append(state.copy())
-        results.append(state.run_tile(a_tile, w_tile))
-    return Reference(operands, starts + [state.copy()], results)
+    results = [state.run_tile(a_tile, w_tile, keep=True) for _, a_tile, w_tile in operands]
+    return Reference(operands, results)
 
 
 def run_multiplication(
@@ -100,8 +99,9 @@ def run_multiplication(
     is congruent to the single-pass architectural result. A fault past the
     last active cycle would never fire and a watched register the array
     lacks could never be read, so both raise ValueError before any cycle.
-    A traced run clocks every cycle; others take the tiles no fault reaches
-    from ``reference``, the ``reference_run`` (which checks them) of cfg, A, W.
+    A traced run clocks every cycle; others take the tiles and rounds no fault
+    reaches from ``reference``, the ``reference_run`` (which checks them) of
+    cfg, A, W.
     """
     reuse = reference is not None and not watch
     operands = reference.operands if reuse else tile_operands(cfg, a, w)
@@ -120,28 +120,26 @@ def run_multiplication(
     state.schedule_faults(faults)
 
     result = np.zeros((a.rows, w.cols), dtype=np.int64)
-    rounds = []
-    # synced: the run stands where the reference does, though ``state`` lags
+    # synced: the run stands where the reference does, though ``state`` may lag
     synced = reuse
     cycles = tile_active_cycles(cfg, a.rows)
     for i, (tile, a_tile, w_tile) in enumerate(operands):
-        if synced and min(state.pending_faults, default=window) >= (i + 1) * cycles:
-            tile_res = reference.results[i]
+        ref = reference.results[i] if reuse else None
+        if state.take_or_restart(ref.states[0] if synced else None, (i + 1) * cycles):
+            state.round_results += ref.rounds
+            tile_res = ref
         else:
-            if synced:
-                state = reference.starts[i].copy(state.pending_faults)
-            tile_res = state.run_tile(a_tile, w_tile)
-            synced = reuse and state.matches(reference.starts[i + 1])
+            tile_res = state.run_tile(a_tile, w_tile, ref)
+            synced = reuse and state.matches(ref.states[-1])
         c_lo, c_hi = tile.col_range
         result[:, c_lo:c_hi] = wrap(
             result[:, c_lo:c_hi] + tile_res.outputs.data[:, : c_hi - c_lo],
             cfg.col_out_width,
         )
-        rounds.extend(tile_res.rounds)
 
     return RunResult(
         outputs=DenseMatrix(a.rows, w.cols, result),
-        rounds=rounds,
-        flagged=any(r.flag for r in rounds),
-        total_cycles=reference.starts[-1].cycle if synced else state.cycle,
+        rounds=state.round_results,
+        flagged=any(r.flag for r in state.round_results),
+        total_cycles=reference.results[-1].states[-1].cycle if synced else state.cycle,
     )

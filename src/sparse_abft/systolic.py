@@ -37,11 +37,11 @@ Between two fault events the datapath is a fixed shift-and-add network, so
 ``run_tile`` clocks a tile as a few segments of consecutive cycles, each in
 whole-array operations by ``SimState._advance``, the one clock path. A
 segment ends after every cycle that has scheduled faults (their flips follow
-that cycle's edge), after every cycle on which the corner compares a round
-(which bounds the temporaries to about one round), and at the end of the
-tile. Tracing reads watched registers after every edge from the segment's
-intermediates, in cycle order before its flips, so it does not cut
-segments. ``step`` is a one-cycle segment. Within a segment:
+that cycle's edge) and after every cycle on which the corner compares a round
+(which bounds the temporaries to about one round; the last round compares on
+the tile's last cycle). Tracing reads watched registers after every edge
+from the segment's intermediates, in cycle order before its flips, so it
+does not cut segments. ``step`` is a one-cycle segment. Within a segment:
 
 * the IC accumulators are running sums of data bundles that restart after
   each round's last digit wave, and digit bundles are split from those sums;
@@ -100,6 +100,8 @@ class StateError(RuntimeError):
 class TileResult:
     outputs: DenseMatrix
     rounds: list
+    bottoms: np.ndarray | None = None   # (cycles, C) bottom-row sums before each edge
+    states: list | None = None          # keep: SimState after the weight load and each round
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,9 @@ def _lagged(waves: np.ndarray, lags) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _tile_schedule(cfg: ArrayConfig, a_rows: int):
     """``(inputs, cuts, out_rows)`` of a tile: its ``Segment``, holding for
-    ``west`` the input row each PE row receives (-1 none), the segment ends
-    after each round's compare and at its end, and each output row's first
-    bottom-row cycle."""
+    ``west`` the input row each PE row receives (-1 none), the cycle after
+    each round's compare (the last round's is the tile's last cycle), and
+    each output row's first bottom-row cycle."""
     R, C = cfg.rows, cfg.cols
     data, digit = wave_schedule(cfg, a_rows)
     # PE row r receives on cycle t the wave presented on cycle t - r; the
@@ -181,7 +183,7 @@ def _tile_schedule(cfg: ArrayConfig, a_rows: int):
     for arr in (*(getattr(inputs, f.name) for f in fields(inputs)), out_rows):
         arr.flags.writeable = False
     cuts = np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1
-    return inputs, (*cuts.tolist(), len(data)), out_rows
+    return inputs, tuple(cuts.tolist()), out_rows
 
 
 class SimState:
@@ -306,10 +308,27 @@ class SimState:
 
     def matches(self, other: "SimState") -> bool:
         """Whether all that steers later cycles is equal in ``other``."""
-        def scalars(s):
-            return s.cycle, len(s.round_results), s._loaded_tile, s.checker.actual, s.checker.predicted
-        return (scalars(self) == scalars(other)
-                and all(map(np.array_equal, self._arrays(), other._arrays())))
+        def key(s):
+            return (s.cycle, len(s.round_results), s._loaded_tile, s.checker.actual,
+                    s.checker.predicted, *(x.tobytes() for x in s._arrays()))
+        return key(self) == key(other)
+
+    def take_or_restart(self, at: "SimState | None", end: int) -> bool:
+        """The reuse rule, for a run standing at the reference's state ``at``
+        (None: it does not): True if it takes the cycles before ``end`` from
+        the reference, no fault being pending before ``end``; else it restarts
+        from ``at``, keeping its own round results (``matches`` counts them)."""
+        if at is not None and min(self.pending_faults, default=end) >= end:
+            return True
+        if at is not None:
+            self._stand_at(at)
+        return False
+
+    def _stand_at(self, at: "SimState") -> None:
+        """Catch up to ``at`` if lagging it; keep own rounds, faults, watch and sink."""
+        if self.cycle != at.cycle:      # it lags behind the cycles it took
+            own = {k: vars(self)[k] for k in ("round_results", "watch", "trace_sink")}
+            self.__dict__ = vars(at.copy(self.pending_faults)) | own
 
     def step(self, west_inputs=None) -> None:
         """Raw clock edge with explicit per-row west bundles (or bubbles).
@@ -462,12 +481,18 @@ class SimState:
     # ------------------------------------------------------------------
     # orchestrated flow
 
-    def run_tile(self, a_tile: DenseMatrix, w_tile: StructuredSparseMatrix) -> TileResult:
+    def run_tile(self, a_tile: DenseMatrix, w_tile: StructuredSparseMatrix,
+                 reference: TileResult | None = None, keep: bool = False) -> TileResult:
         """Stream one tile: weight load, skewed rows, checksum rounds, drain.
 
         Reloads ``w_tile`` unless the very same tile is already resident, so
         back-to-back calls with shared weights keep the loaded registers
-        (including any injected corruption, as real hardware would).
+        (including any injected corruption, as real hardware would). ``keep``
+        also returns the state after the weight load and after each round,
+        making the result a ``reference`` for faulty runs of the same tile:
+        while such a run ``matches`` it (from the start, or again after a
+        simulated round) it takes each round that ``take_or_restart`` allows, and it
+        ends in the tile's last state either way.
         """
         cfg = self.cfg
         R, C, m = cfg.rows, cfg.cols, cfg.pattern.m
@@ -486,17 +511,28 @@ class SimState:
         rows = np.concatenate([a_tile.data, np.zeros((1, cfg.tile_k), dtype=np.int64)])
         tile = replace(inputs, west=rows.reshape(-1, R, m)[inputs.west, np.arange(R)])
 
-        start = self.cycle
-        ends = {*cuts, *(t - start + 1 for t in self.pending_faults if t < start + cycles)}
-        first_round = len(self.round_results)
+        start, first_round, lo = self.cycle, len(self.round_results), 0
+        synced = reference is not None and self.matches(reference.states[0])
+        states = [self.copy()] if keep else None
         bottoms = np.empty((cycles, C), dtype=np.int64)
-        lo = 0
-        for hi in sorted(ends):
-            bottoms[lo:hi] = self._advance(tile.part(lo, hi))
+        for k, hi in enumerate(cuts):
+            if self.take_or_restart(reference.states[k] if synced else None, start + hi):
+                bottoms[lo:hi] = reference.bottoms[lo:hi]
+                self.round_results.append(reference.rounds[k])
+            else:
+                faults = (t - start + 1 for t in self.pending_faults if t < start + hi)
+                for end in sorted({hi, *faults}):
+                    bottoms[lo:end] = self._advance(tile.part(lo, end))
+                    lo = end
+                synced = reference is not None and self.matches(reference.states[k + 1])
+                if keep:
+                    states.append(self.copy())
             lo = hi
+        if synced:
+            self._stand_at(reference.states[-1])
 
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
         outputs = _skewed(bottoms)[out_rows]
-        return TileResult(outputs=DenseMatrix(a_tile.rows, C, outputs),
-                          rounds=self.round_results[first_round:])
+        return TileResult(DenseMatrix(a_tile.rows, C, outputs), self.round_results[first_round:],
+                          bottoms, states)

@@ -122,6 +122,17 @@ def test_run_injection_flags_and_exits_1(tiny_files):
     assert report["injected"] == [{"cycle": 1, "register": "tpe.0.0.psum", "bit": 4}]
 
 
+def test_parser_built_once_carries_nothing_between_calls(tiny_files):
+    """The parser is shared by every call: an injection of one run must not
+    reach the next one's --inject default."""
+    p = tiny_files
+    argv = ["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+            "--out", str(p["out"]), "--report", str(p["report"])]
+    assert main(argv + ["--inject", "1:tpe.0.0.psum:4"]) == 1
+    assert main(argv) == 0
+    assert json.loads(p["report"].read_text())["injected"] == []
+
+
 def test_run_never_builds_a_reference(tiny_files, monkeypatch):
     """A user's run simulates every tile: no reference run, no state copy."""
     def refuse(*args):

@@ -1,6 +1,7 @@
-"""Faulty runs that take tiles from a fault-free reference run.
+"""Faulty runs that take tiles and checksum rounds from a fault-free
+reference run.
 
-Every faulty run here is made twice, once simulating every tile and once
+Every faulty run here is made twice, once simulating every cycle and once
 with the ``reference_run`` of its workload, and the two must agree on
 outputs, rounds and cycle count.
 """
@@ -10,11 +11,12 @@ import io
 import numpy as np
 import pytest
 
-from sparse_abft import ArrayConfig, DenseMatrix, FaultSpec, SimState, enumerate_registers
+from sparse_abft import (ArrayConfig, DenseMatrix, FaultSpec, SimState, enumerate_registers,
+                         parse_register)
 from sparse_abft.driver import reference_run, run_multiplication
 from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern, prune_magnitude
-from sparse_abft.systolic import tile_active_cycles
+from sparse_abft.systolic import _tile_schedule, tile_active_cycles
 
 from conftest import random_faults, random_inputs, random_weights
 
@@ -27,6 +29,32 @@ def assert_reuse_exact(cfg, a, w, faults, reference):
     assert reused.outputs == full.outputs
     assert [r.to_json_dict() for r in reused.rounds] == [r.to_json_dict() for r in full.rounds]
     assert (reused.flagged, reused.total_cycles) == (full.flagged, full.total_cycles)
+
+
+def reference_snapshot(reference):
+    """Every kept state's registers, scalars and round count, and every
+    tile's bottom-row sums."""
+    states = [s for r in reference.results for s in r.states]
+    return ([([x.tolist() for x in s._arrays()], s.cycle, len(s.round_results),
+              s.checker.actual, s.checker.predicted) for s in states],
+            [r.bottoms.tolist() for r in reference.results])
+
+
+def round_workload(seed):
+    """Four tiles of three checksum rounds (16, 16 and 8 rows) on a 2x3 array."""
+    rng = np.random.default_rng(seed)
+    cfg = ArrayConfig(rows=2, cols=3, input_width=4, ic_width=8)
+    a = random_inputs(rng, 40, 2 * cfg.tile_k, cfg.input_width)
+    w = random_weights(rng, 2 * cfg.tile_k, 2 * cfg.cols, cfg.pattern, cfg.input_width)
+    reference = reference_run(cfg, a, w)
+    assert [len(r.rounds) for r in reference.results] == [3] * 4
+    return cfg, a, w, reference, rng
+
+
+def compare_cycles(cfg, a_rows, tile):
+    """The cycle on which each round of ``tile`` compares."""
+    start = tile * tile_active_cycles(cfg, a_rows)
+    return [start + cut - 1 for cut in _tile_schedule(cfg, a_rows)[1]]
 
 
 def random_workload(rng, pattern):
@@ -75,9 +103,9 @@ def test_weight_fault_carried_into_equal_next_w_tile():
         for cycle in (per_tile - 1, int(rng.integers(per_tile)), int(rng.integers(per_tile, 2 * per_tile))):
             faults = [FaultSpec(cycle, entry.reg, int(rng.integers(entry.width_bits)))]
             assert_reuse_exact(cfg, a, w, faults, reference)
-    # faulty runs leave the reference as they found it
-    assert [[x.tolist() for x in start._arrays()] for start in reference.starts] == [
-        [x.tolist() for x in start._arrays()] for start in reference_run(cfg, a, w).starts]
+    # faulty runs leave the reference as they found it: every state it keeps
+    # (at each tile's start and after each round) and the bottoms
+    assert reference_snapshot(reference) == reference_snapshot(reference_run(cfg, a, w))
     # a flip on the first tile's last cycle changes only the second tile's columns
     late = run_multiplication(cfg, a, w, faults=[FaultSpec(per_tile - 1, weights[0].reg, 2)],
                               reference=reference).outputs.data
@@ -93,7 +121,8 @@ def test_fault_free_tile_boundaries_hold_no_dynamic_state():
     for pattern in PATTERNS:
         for _ in range(4):
             cfg, a, w = random_workload(rng, pattern)
-            for start in reference_run(cfg, a, w).starts:
+            results = reference_run(cfg, a, w).results
+            for start in [r.states[0] for r in results] + [results[-1].states[-1]]:
                 ck = start.checker
                 assert (ck.actual, ck.predicted) == (0, 0)
                 assert not any(x.any() for x in (start.pipe, start.psum, ck.ic, ck.oc))
@@ -124,3 +153,96 @@ def test_only_tiles_a_fault_reaches_are_simulated(monkeypatch):
     sink = io.StringIO()
     assert len(simulated_starts([], watch=[pipe], trace_sink=sink)) == tiles
     assert len(sink.getvalue().splitlines()) == per_tile * tiles
+
+
+def test_faults_on_and_after_a_compare_cycle():
+    """A flip on a round's compare cycle lands after that round's last edge:
+    it cannot change the round's bottoms or result, but the round ends out
+    of step with the reference. A flip on the next cycle lands in the next
+    round."""
+    cfg, a, w, reference, rng = round_workload(12)
+    window = 4 * tile_active_cycles(cfg, a.rows)
+    for tile in range(4):
+        for compare in compare_cycles(cfg, a.rows, tile):
+            for cycle in (c for c in (compare, compare + 1) if c < window):
+                for kind in RegKind:
+                    faults = [FaultSpec(cycle, f.register, f.bit)
+                              for f in random_faults(rng, cfg, 1, 2, kinds=(kind,))]
+                    assert_reuse_exact(cfg, a, w, faults, reference)
+    assert reference_snapshot(reference) == reference_snapshot(round_workload(12)[3])
+
+
+def test_restart_keeps_the_runs_own_round_results(monkeypatch):
+    """Flips of the actual checksum in rounds 0 and 2 of tile 1: round 0
+    flags and ends in the reference's state, round 1 is taken from it, and
+    the restart for round 2 keeps the run's flagged round 0, not the clean
+    one of the reference state it restarts from."""
+    cfg, a, w, reference, _ = round_workload(13)
+    compares = compare_cycles(cfg, a.rows, 1)
+    actual = parse_register("cksum.actual")
+    faults = [FaultSpec(compares[0] - 4, actual, 0), FaultSpec(compares[2] - 4, actual, 1)]
+    assert_reuse_exact(cfg, a, w, faults, reference)
+    clocked = []
+    advance = SimState._advance
+    monkeypatch.setattr(SimState, "_advance",
+                        lambda self, seg, *args: clocked.append(len(seg.west)) or advance(self, seg, *args))
+    run = run_multiplication(cfg, a, w, faults=faults, reference=reference)
+    assert [r.flag for r in run.rounds] == [False] * 3 + [True, False, True] + [False] * 6
+    cuts = _tile_schedule(cfg, a.rows)[1]
+    assert sum(clocked) == cuts[0] + cuts[2] - cuts[1]
+
+
+@pytest.mark.parametrize("kind", [RegKind.WEIGHT, RegKind.IC_ACC], ids=lambda k: k.value)
+def test_fault_effect_outlives_its_round(kind):
+    """A weight flip holds until the next weight load, and an IC flip after
+    a PE row's last digit wave of a round is summed into the next round's
+    checksum: the run must not re-sync at the cut between them."""
+    cfg, a, w, reference, rng = round_workload(14)
+    entries = [e for e in enumerate_registers(cfg).entries if e.reg.kind is kind]
+    later_flags = 0
+    for tile in range(4):
+        compares = compare_cycles(cfg, a.rows, tile)
+        for compare in compares[:-1]:
+            # from the round's last digit waves, through its compare, into the next round
+            for cycle in range(compare - cfg.rows - cfg.cols - 3, compare + 3):
+                entry = entries[rng.integers(len(entries))]
+                faults = [FaultSpec(cycle, entry.reg, int(rng.integers(entry.width_bits)))]
+                assert_reuse_exact(cfg, a, w, faults, reference)
+                run = run_multiplication(cfg, a, w, faults=faults)
+                after = next(q for q, c in enumerate(compares) if c >= cycle) + 1
+                later_flags += any(r.flag for r in run.rounds[3 * tile + after:3 * tile + 3])
+    assert later_flags > 0
+
+
+def test_pipe_flip_in_a_last_round_clocks_only_that_round(monkeypatch):
+    cfg, a, w, reference, _ = round_workload(15)
+    per_tile = tile_active_cycles(cfg, a.rows)
+    cuts = _tile_schedule(cfg, a.rows)[1]
+    pipe = next(e.reg for e in enumerate_registers(cfg).entries if e.reg.kind is RegKind.INPUT_PIPE)
+    faults = [FaultSpec(per_tile + cuts[-2] + 1, pipe, 0)]
+    assert_reuse_exact(cfg, a, w, faults, reference)
+    clocked, simulated = [], []
+    advance, run_tile = SimState._advance, SimState.run_tile
+    monkeypatch.setattr(SimState, "_advance",
+                        lambda self, seg, *args: clocked.append(len(seg.west)) or advance(self, seg, *args))
+    monkeypatch.setattr(SimState, "run_tile",
+                        lambda self, *args: simulated.append(self.cycle) or run_tile(self, *args))
+    run_multiplication(cfg, a, w, faults=faults, reference=reference)
+    assert simulated == [per_tile]
+    assert sum(clocked) == cuts[-1] - cuts[-2]
+
+
+def test_restart_keeps_the_runs_watch_list_and_trace_sink():
+    """A restart from a kept reference state keeps the run's own watch list
+    and trace sink: the cycles it clocks after the restart are traced."""
+    cfg, a, w, reference, _ = round_workload(16)
+    (_, a_tile, w_tile), cuts = reference.operands[0], _tile_schedule(cfg, a.rows)[1]
+    actual, sink = parse_register("cksum.actual"), io.StringIO()
+    state = SimState(cfg)
+    state.watch, state.trace_sink = [actual], sink
+    state.schedule_faults([FaultSpec(cuts[1] - 2, actual, 0)])
+    state.run_tile(a_tile, w_tile, reference.results[0])
+    assert (state.watch, state.trace_sink) == ([actual], sink)
+    # round 0 is taken, round 1 clocked, and round 2 taken again
+    traced = [int(line.split(",")[0]) for line in sink.getvalue().splitlines()]
+    assert traced == list(range(cuts[0], cuts[1]))

@@ -15,7 +15,7 @@ from sparse_abft import (
     unpack,
 )
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
-from sparse_abft.systolic import tile_active_cycles, wave_schedule
+from sparse_abft.systolic import _tile_schedule, tile_active_cycles, wave_schedule
 
 from conftest import random_inputs, random_weights
 
@@ -259,6 +259,11 @@ def test_wave_schedule_enforces_round_cap():
     tail = slice(t + 2 * d + 1, None)
     assert (data[tail] == -1).all() and (digit[tail] == -1).all()
     assert len(data) == t + 1 + 2 * d + cfg.rows + cfg.cols + 1 == tile_active_cycles(cfg, t + 1)
+
+
+def test_tile_schedule_lists_each_round_end_once():
+    # the last round's compare falls on the tile's last cycle
+    assert _tile_schedule(ArrayConfig(), 512)[1] == (299, 557)
 
 
 def test_ic_accumulates_column_sums(worked_example):
