@@ -214,7 +214,8 @@ def run_campaign(cfg: CampaignConfig, index: int, workload=None) -> CampaignOutc
 
 def worker_count() -> int:
     """Cap on the processes that compute a ``run_campaigns`` call, the caller
-    included, from SPARSE_ABFT_THREADS (0 or unset = one per CPU)."""
+    included, from SPARSE_ABFT_THREADS (0 or unset = one per CPU this
+    process may run on)."""
     raw = os.environ.get("SPARSE_ABFT_THREADS", "0")
     try:
         n = int(raw)
@@ -222,7 +223,9 @@ def worker_count() -> int:
         raise ValueError(f"SPARSE_ABFT_THREADS must be an integer, got {raw!r}") from None
     if n < 0:
         raise ValueError("SPARSE_ABFT_THREADS must be >= 0")
-    return n or (os.cpu_count() or 1)
+    if n:
+        return n
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _run_share(conn, cfg: CampaignConfig, share: range, workload) -> None:

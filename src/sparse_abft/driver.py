@@ -9,11 +9,9 @@ next tile exactly as it would in hardware.
 
 Faulty runs of one workload can share a ``Reference``: its tile operands and
 one fault-free run. The engine is deterministic, so from an equal state, on
-equal inputs and with no fault, a run repeats the reference exactly. One rule,
-``SimState.take_or_restart``, holds for tiles here and for rounds in ``run_tile``: while
-the run's state equals the reference's (at the start, and after a simulated
-round or tile that ends in it), each that ends before the next fault is taken
-from the reference, and the one holding it restarts from the reference's state.
+equal inputs and with no fault, a run repeats the reference exactly: where
+it is ``SimState.in_step`` with the reference, ``run_tile`` has it ``take``
+the reference's state at the end of the whole tile, or else of each round.
 """
 
 from __future__ import annotations
@@ -34,8 +32,11 @@ from .tiling import tile_plan
 class RunResult:
     outputs: DenseMatrix
     rounds: list
-    flagged: bool
     total_cycles: int
+
+    @property
+    def flagged(self) -> bool:
+        return any(r.flag for r in self.rounds)
 
 
 @dataclass(frozen=True)
@@ -120,26 +121,12 @@ def run_multiplication(
     state.schedule_faults(faults)
 
     result = np.zeros((a.rows, w.cols), dtype=np.int64)
-    # synced: the run stands where the reference does, though ``state`` may lag
-    synced = reuse
-    cycles = tile_active_cycles(cfg, a.rows)
     for i, (tile, a_tile, w_tile) in enumerate(operands):
-        ref = reference.results[i] if reuse else None
-        if state.take_or_restart(ref.states[0] if synced else None, (i + 1) * cycles):
-            state.round_results += ref.rounds
-            tile_res = ref
-        else:
-            tile_res = state.run_tile(a_tile, w_tile, ref)
-            synced = reuse and state.matches(ref.states[-1])
+        tile_res = state.run_tile(a_tile, w_tile, reference.results[i] if reuse else None)
         c_lo, c_hi = tile.col_range
         result[:, c_lo:c_hi] = wrap(
             result[:, c_lo:c_hi] + tile_res.outputs.data[:, : c_hi - c_lo],
             cfg.col_out_width,
         )
 
-    return RunResult(
-        outputs=DenseMatrix(a.rows, w.cols, result),
-        rounds=state.round_results,
-        flagged=any(r.flag for r in state.round_results),
-        total_cycles=reference.results[-1].states[-1].cycle if synced else state.cycle,
-    )
+    return RunResult(DenseMatrix(a.rows, w.cols, result), state.round_results, state.cycle)

@@ -298,12 +298,12 @@ class SimState:
     def _arrays(self) -> tuple:
         return self.weights, self.indexes, self.pipe, self.psum, self.checker.ic, self.checker.oc
 
-    def copy(self, pending_faults=None) -> "SimState":
-        """An independent copy with ``pending_faults`` (default none) scheduled."""
+    def copy(self) -> "SimState":
+        """An independent copy with no faults scheduled."""
         other, arrays = copy.copy(self), self._arrays()
         ck = other.checker = copy.copy(self.checker)
         other.weights, other.indexes, other.pipe, other.psum, ck.ic, ck.oc = (x.copy() for x in arrays)
-        other.round_results, other.pending_faults = list(self.round_results), pending_faults or {}
+        other.round_results, other.pending_faults = list(self.round_results), {}
         return other
 
     def matches(self, other: "SimState") -> bool:
@@ -313,22 +313,17 @@ class SimState:
                     s.checker.predicted, *(x.tobytes() for x in s._arrays()))
         return key(self) == key(other)
 
-    def take_or_restart(self, at: "SimState | None", end: int) -> bool:
-        """The reuse rule, for a run standing at the reference's state ``at``
-        (None: it does not): True if it takes the cycles before ``end`` from
-        the reference, no fault being pending before ``end``; else it restarts
-        from ``at``, keeping its own round results (``matches`` counts them)."""
-        if at is not None and min(self.pending_faults, default=end) >= end:
-            return True
-        if at is not None:
-            self._stand_at(at)
-        return False
+    def in_step(self, at: "SimState", end: int) -> bool:
+        """Whether the cycles before ``end`` repeat a fault-free run standing
+        at ``at``: no fault is pending before ``end`` and the state ``matches``."""
+        return min(self.pending_faults, default=end) >= end and self.matches(at)
 
-    def _stand_at(self, at: "SimState") -> None:
-        """Catch up to ``at`` if lagging it; keep own rounds, faults, watch and sink."""
-        if self.cycle != at.cycle:      # it lags behind the cycles it took
-            own = {k: vars(self)[k] for k in ("round_results", "watch", "trace_sink")}
-            self.__dict__ = vars(at.copy(self.pending_faults)) | own
+    def take(self, at: "SimState") -> None:
+        """Become a copy of the fault-free state ``at``, adding the rounds it
+        holds past this run's own; keep own faults, watch list and trace sink."""
+        own = {k: vars(self)[k] for k in ("round_results", "pending_faults", "watch", "trace_sink")}
+        self.__dict__ = vars(at.copy()) | own
+        self.round_results += at.round_results[len(self.round_results):]
 
     def step(self, west_inputs=None) -> None:
         """Raw clock edge with explicit per-row west bundles (or bubbles).
@@ -489,10 +484,10 @@ class SimState:
         back-to-back calls with shared weights keep the loaded registers
         (including any injected corruption, as real hardware would). ``keep``
         also returns the state after the weight load and after each round,
-        making the result a ``reference`` for faulty runs of the same tile:
-        while such a run ``matches`` it (from the start, or again after a
-        simulated round) it takes each round that ``take_or_restart`` allows, and it
-        ends in the tile's last state either way.
+        making the result a ``reference`` for faulty runs of the same tile.
+        Such a run takes the whole tile, returning ``reference`` itself, or
+        else each round, from the reference while it is ``in_step`` with the
+        state at their start, and clocks the rest.
         """
         cfg = self.cfg
         R, C, m = cfg.rows, cfg.cols, cfg.pattern.m
@@ -506,30 +501,28 @@ class SimState:
             self.load_weights(w_tile)
 
         inputs, cuts, out_rows = _tile_schedule(cfg, a_tile.rows)
-        cycles = cuts[-1]
+        start, first_round, lo = self.cycle, len(self.round_results), 0
+        if reference is not None and self.in_step(reference.states[0], start + cuts[-1]):
+            self.take(reference.states[-1])
+            return reference
         # row index -1 picks the appended zero row: no data wave there
         rows = np.concatenate([a_tile.data, np.zeros((1, cfg.tile_k), dtype=np.int64)])
         tile = replace(inputs, west=rows.reshape(-1, R, m)[inputs.west, np.arange(R)])
 
-        start, first_round, lo = self.cycle, len(self.round_results), 0
-        synced = reference is not None and self.matches(reference.states[0])
         states = [self.copy()] if keep else None
-        bottoms = np.empty((cycles, C), dtype=np.int64)
+        bottoms = np.empty((cuts[-1], C), dtype=np.int64)
         for k, hi in enumerate(cuts):
-            if self.take_or_restart(reference.states[k] if synced else None, start + hi):
+            if reference is not None and self.in_step(reference.states[k], start + hi):
+                self.take(reference.states[k + 1])
                 bottoms[lo:hi] = reference.bottoms[lo:hi]
-                self.round_results.append(reference.rounds[k])
             else:
                 faults = (t - start + 1 for t in self.pending_faults if t < start + hi)
                 for end in sorted({hi, *faults}):
                     bottoms[lo:end] = self._advance(tile.part(lo, end))
                     lo = end
-                synced = reference is not None and self.matches(reference.states[k + 1])
-                if keep:
-                    states.append(self.copy())
+            if keep:
+                states.append(self.copy())
             lo = hi
-        if synced:
-            self._stand_at(reference.states[-1])
 
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up

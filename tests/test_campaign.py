@@ -381,3 +381,11 @@ def test_worker_count_env(monkeypatch):
     monkeypatch.setenv("SPARSE_ABFT_THREADS", "zebra")
     with pytest.raises(ValueError):
         worker_count()
+
+
+def test_worker_count_follows_cpu_affinity(monkeypatch):
+    """Pinned to one CPU of a 64-CPU machine, the default is one process."""
+    monkeypatch.delenv("SPARSE_ABFT_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert worker_count() == 1

@@ -134,24 +134,30 @@ def test_only_tiles_a_fault_reaches_are_simulated(monkeypatch):
     reference = reference_run(cfg, a, w)
     tiles = len(reference.results)
     per_tile = tile_active_cycles(cfg, a.rows)
-    simulated = []
-    run_tile = SimState.run_tile
-    monkeypatch.setattr(SimState, "run_tile",
-                        lambda self, *args: simulated.append(self.cycle) or run_tile(self, *args))
-    pipe = next(e.reg for e in enumerate_registers(cfg).entries if e.reg.kind is RegKind.INPUT_PIPE)
+    clocked = set()     # the tiles in which some cycle is clocked
+    advance = SimState._advance
+    monkeypatch.setattr(SimState, "_advance", lambda self, *args: clocked.add(self.cycle // per_tile)
+                        or advance(self, *args))
+    entries = enumerate_registers(cfg).entries
+    pipe = next(e.reg for e in entries if e.reg.kind is RegKind.INPUT_PIPE)
+    weight = next(e.reg for e in entries if e.reg.kind is RegKind.WEIGHT)
 
-    def simulated_starts(faults, **kwargs):
-        simulated.clear()
+    def simulated_tiles(faults, **kwargs):
+        clocked.clear()
         run_multiplication(cfg, a, w, faults=faults, reference=reference, **kwargs)
-        return simulated
+        return sorted(clocked)
 
-    assert simulated_starts([]) == []
-    assert simulated_starts([FaultSpec(per_tile * tiles - 1, pipe, 0)]) == [per_tile * (tiles - 1)]
+    assert simulated_tiles([]) == []
+    assert simulated_tiles([FaultSpec(per_tile * tiles - 1, pipe, 0)]) == [tiles - 1]
     # a pipe flip early in tile 1 has drained by its end: the rest is copied
-    assert simulated_starts([FaultSpec(per_tile, pipe, 0)]) == [per_tile]
+    assert simulated_tiles([FaultSpec(per_tile, pipe, 0)]) == [1]
+    # a weight flip on tile 0's last cycle: loading the next, different W
+    # tile overwrites it, so the run is back in step from tile 1 on
+    assert reference.operands[0][2] != reference.operands[1][2]
+    assert simulated_tiles([FaultSpec(per_tile - 1, weight, 0)]) == [0]
     # a traced run clocks every cycle
     sink = io.StringIO()
-    assert len(simulated_starts([], watch=[pipe], trace_sink=sink)) == tiles
+    assert len(simulated_tiles([], watch=[pipe], trace_sink=sink)) == tiles
     assert len(sink.getvalue().splitlines()) == per_tile * tiles
 
 
@@ -174,9 +180,9 @@ def test_faults_on_and_after_a_compare_cycle():
 
 def test_restart_keeps_the_runs_own_round_results(monkeypatch):
     """Flips of the actual checksum in rounds 0 and 2 of tile 1: round 0
-    flags and ends in the reference's state, round 1 is taken from it, and
-    the restart for round 2 keeps the run's flagged round 0, not the clean
-    one of the reference state it restarts from."""
+    flags and ends in the reference's state, and taking round 1 from it
+    keeps the run's flagged round 0, not the clean one of the reference
+    state it takes; round 2 is clocked from there."""
     cfg, a, w, reference, _ = round_workload(13)
     compares = compare_cycles(cfg, a.rows, 1)
     actual = parse_register("cksum.actual")
@@ -221,20 +227,18 @@ def test_pipe_flip_in_a_last_round_clocks_only_that_round(monkeypatch):
     pipe = next(e.reg for e in enumerate_registers(cfg).entries if e.reg.kind is RegKind.INPUT_PIPE)
     faults = [FaultSpec(per_tile + cuts[-2] + 1, pipe, 0)]
     assert_reuse_exact(cfg, a, w, faults, reference)
-    clocked, simulated = [], []
-    advance, run_tile = SimState._advance, SimState.run_tile
-    monkeypatch.setattr(SimState, "_advance",
-                        lambda self, seg, *args: clocked.append(len(seg.west)) or advance(self, seg, *args))
-    monkeypatch.setattr(SimState, "run_tile",
-                        lambda self, *args: simulated.append(self.cycle) or run_tile(self, *args))
+    clocked, simulated = [], set()
+    advance = SimState._advance
+    monkeypatch.setattr(SimState, "_advance", lambda self, seg, *args: clocked.append(len(seg.west))
+                        or simulated.add(self.cycle // per_tile) or advance(self, seg, *args))
     run_multiplication(cfg, a, w, faults=faults, reference=reference)
-    assert simulated == [per_tile]
+    assert simulated == {1}
     assert sum(clocked) == cuts[-1] - cuts[-2]
 
 
 def test_restart_keeps_the_runs_watch_list_and_trace_sink():
-    """A restart from a kept reference state keeps the run's own watch list
-    and trace sink: the cycles it clocks after the restart are traced."""
+    """Taking a kept reference state keeps the run's own watch list and
+    trace sink: the cycles it clocks after a taken round are traced."""
     cfg, a, w, reference, _ = round_workload(16)
     (_, a_tile, w_tile), cuts = reference.operands[0], _tile_schedule(cfg, a.rows)[1]
     actual, sink = parse_register("cksum.actual"), io.StringIO()
