@@ -120,13 +120,12 @@ def run_multiplication(
         state.trace_sink = trace_sink
     state.schedule_faults(faults)
 
-    result = np.zeros((a.rows, w.cols), dtype=np.int64)
+    result = np.empty((a.rows, w.cols), dtype=np.int64)
     for i, (tile, a_tile, w_tile) in enumerate(operands):
-        tile_res = state.run_tile(a_tile, w_tile, reference.results[i] if reuse else None)
         c_lo, c_hi = tile.col_range
-        result[:, c_lo:c_hi] = wrap(
-            result[:, c_lo:c_hi] + tile_res.outputs.data[:, : c_hi - c_lo],
-            cfg.col_out_width,
-        )
+        part = state.run_tile(a_tile, w_tile, reference.results[i] if reuse else None).outputs.data
+        if tile.k_range[0]:   # chunk 0, first in the plan, is copied: wrapped already
+            part = wrap(result[:, c_lo:c_hi] + part[:, : c_hi - c_lo], cfg.col_out_width)
+        result[:, c_lo:c_hi] = part[:, : c_hi - c_lo]
 
     return RunResult(DenseMatrix(a.rows, w.cols, result), state.round_results, state.cycle)

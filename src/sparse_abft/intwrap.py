@@ -24,9 +24,10 @@ def wrap(value, width: int):
     Works on Python ints and int64 ndarrays alike; the bias-and-mask form
     keeps numpy from tripping over negative operands of ``&``.
     """
-    bias = 1 << (width - 1)
-    mask = (1 << width) - 1
-    return ((value + bias) & mask) - bias
+    out = value + (1 << width - 1)   # of an ndarray, the one temporary: the rest is in place
+    out &= (1 << width) - 1
+    out -= 1 << width - 1
+    return out
 
 
 def check_ndarray_width(data: np.ndarray, width: int, what: str = "element") -> None:
@@ -37,15 +38,23 @@ def check_ndarray_width(data: np.ndarray, width: int, what: str = "element") -> 
         raise ValueError(f"{what} {bad} outside signed {width}-bit range [{lo}, {hi}]")
 
 
-def exact_matmul(a: np.ndarray, b: np.ndarray, peak: int) -> np.ndarray:
-    """``a @ b`` of 2-D int64 arrays, given ``peak >= max |a_ik * b_kj|``: in
-    float64 BLAS while ``peak * k < 2^53`` keeps it exact, in calls of at most
-    2^18 multiply-adds (one OpenBLAS thread), else in int64, exact mod 2^64."""
-    k, n = b.shape
-    if peak * k >= 1 << 53 or k * n > 1 << 18 or (n == 1 and k > 10_000):
-        return a @ b
-    step, b = (1 << 18) // max(k * n, 1), b.astype(np.float64)
-    out = np.empty((len(a), n), dtype=np.int64)
+def float64_exact(peak: int, terms: int, seed: int = 0) -> bool:
+    """Whether float64 sums a value up to ``seed`` and ``terms`` products up to ``peak`` exactly."""
+    return seed + terms * peak < 1 << 53
+
+
+def blas_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = a @ b`` in float64, in row blocks of at most 2^18 multiply-adds (one thread)."""
+    step = max((1 << 18) // max(b.size, 1), 1)
     for lo in range(0, len(a), step):
-        out[lo:lo + step] = a[lo:lo + step].astype(np.float64) @ b
+        np.dot(a[lo:lo + step], b, out=out[lo:lo + step])
     return out
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray, peak: int) -> np.ndarray:
+    """``a @ b`` of 2-D int64 arrays, given ``peak >= max |a_ik * b_kj|``: by
+    ``blas_matmul`` while ``float64_exact(peak, k)``, else in int64, exact mod 2^64."""
+    k, n = b.shape
+    if not float64_exact(peak, k) or k * n > 1 << 18 or (n == 1 and k > 10_000):
+        return a @ b
+    return blas_matmul(a.astype(float), b.astype(float), np.empty((len(a), n))).astype(np.int64)

@@ -142,10 +142,10 @@ class StructuredSparseMatrix:
         offsets = (ranks[:, :, None, :] <= np.arange(n)[:, None]).sum(axis=1)
         stored = np.arange(n)[:, None] < counts[:, None, :]
         offsets = np.where(stored, offsets, 0)
+        picked = blocks[np.arange(len(blocks))[:, None, None], offsets, np.arange(self.cols)]
         packed = {
-            "masks": np.einsum("bmc,m->bc", nonzero, 1 << np.arange(m)),
-            "values": np.where(stored, np.take_along_axis(blocks, offsets, axis=1), 0)
-                        .transpose(0, 2, 1),
+            "masks": (1 << np.arange(m)) @ nonzero,
+            "values": np.where(stored, picked, 0).transpose(0, 2, 1),
             "indexes": offsets.transpose(0, 2, 1),
             "counts": counts,
         }
@@ -212,7 +212,7 @@ def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSpars
     # Stable argsort on -|v| implements the lowest-index tie-break.
     order = np.argsort(-np.abs(blocks), axis=1, kind="stable")
     keep = np.zeros(blocks.shape, dtype=bool)
-    np.put_along_axis(keep, order[:, :pattern.n], True, axis=1)
+    keep[np.arange(len(blocks))[:, None, None], order[:, :pattern.n], np.arange(w.cols)] = True
     pruned = np.where(keep, blocks, 0).reshape(len(blocks) * pattern.m, w.cols)[: w.rows]
     return StructuredSparseMatrix(pattern, DenseMatrix(w.rows, w.cols, pruned))
 

@@ -54,17 +54,20 @@ does not cut segments. ``step`` is a one-cycle segment. Within a segment:
 
 Every adder wraps at its register width. Wrapping is reduction modulo
 ``2^width``, which is compatible with addition, so for widths below 64 wrapping
-a diagonal sum once gives the value that wrapping on every edge would, as int64
-adds are exact modulo ``2^64``. So are a row's products (``exact_matmul``):
-bundle values and weights stand in ``input_width``-bit registers, whose bits a
-fault flips but never widens, and at most ``n`` slots feed a lane, so faulted
-or not each product is at most ``peak = n 2^(2 input_width - 2)``; while ``m
-peak < 2^53`` they run on float64 BLAS, exact, in calls of at most 2^18
-multiply-adds that OpenBLAS keeps on one thread (larger ones leave a second
-thread spinning). The corner adds are Python ints, with no width to overflow:
-each OC output reaching the corner, weighted by ``2^(input_width * d)`` for
-digit ``d``, a data wave being digit 0 of ``actual``. Each corner accumulator
-takes their sum; a traced one reads their running sums.
+a diagonal sum once gives the value that wrapping on every edge would, if the
+sum is exact modulo ``2^64``. Bundle values and weights stand in
+``input_width``-bit registers, whose bits a fault flips but never widens, and
+at most ``n`` slots feed a lane: faulted or not, a product is at most ``peak =
+n 2^(2 input_width - 2)`` and a psum at most ``2^(col_out_width - 1)``. While
+``R m peak + 2^(col_out_width - 1) < 2^53`` (2^23.2 on 8x32 at the default
+widths) float64 holds every partial sum of a diagonal, so the sums run in
+float64, each row's products by ``blas_matmul`` on one OpenBLAS thread, and
+become int64 once. Past it (``col_out_width`` above 53, or wide operands) they
+are int64 sums, exact modulo ``2^64``, of each row's ``exact_matmul``. The
+corner adds are Python ints, with no width to overflow: each OC output reaching
+the corner, weighted by ``2^(input_width * d)`` for digit ``d`` (a data wave is
+digit 0 of ``actual``), summed digit by digit; a traced corner accumulator
+reads their running sums.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -87,7 +90,7 @@ import numpy as np
 
 from .checker import CheckerState
 from .config import ArrayConfig
-from .intwrap import check_ndarray_width, exact_matmul, wrap
+from .intwrap import blas_matmul, check_ndarray_width, exact_matmul, float64_exact, wrap
 from .registers import RegisterId, RegKind, enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 
@@ -111,8 +114,9 @@ class Segment:
     ``west`` holds the bundle entering each PE row (zero for bubbles; digit
     bundles are split from the IC accumulators while clocking), ``is_data``
     marks the rows whose bundle is a data wave, ``row_digit`` the checksum
-    digit entering each row (-1 none), and ``corner_data`` and
-    ``corner_digit`` tag the wave whose OC chain output reaches the corner.
+    digit entering each row (-1 none; ``cells`` lists where, ``(cycles,
+    rows)`` in cycle order), and ``corner_data`` and ``corner_digit`` tag the
+    wave whose OC chain output reaches the corner.
     """
 
     west: np.ndarray            # (L, R, m)
@@ -120,10 +124,12 @@ class Segment:
     row_digit: np.ndarray       # (L, R)
     corner_data: np.ndarray     # (L,) bool
     corner_digit: np.ndarray    # (L,)
+    cells: tuple = (np.empty(0, dtype=np.int64),) * 2
 
     def part(self, lo: int, hi: int) -> "Segment":
         """Cycles ``[lo, hi)`` of this segment."""
-        return Segment(*(getattr(self, f.name)[lo:hi] for f in fields(self)))
+        (t, r), (i, j) = self.cells, self.cells[0].searchsorted((lo, hi)).tolist()
+        return Segment(*(x[lo:hi] for x in [*vars(self).values()][:5]), (t[i:j] - lo, r[i:j]))
 
 
 def _skewed(x: np.ndarray) -> np.ndarray:
@@ -167,20 +173,21 @@ def _lagged(waves: np.ndarray, lags) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _tile_schedule(cfg: ArrayConfig, a_rows: int):
-    """``(inputs, cuts, out_rows)`` of a tile: its ``Segment``, holding for
-    ``west`` the input row each PE row receives (-1 none), the cycle after
+    """``(inputs, cuts, out_rows)`` of a tile: its ``Segment``, with ``west``
+    indexing the bundles of its rows and an appended zero row, the cycle after
     each round's compare (the last round's is the tile's last cycle), and
     each output row's first bottom-row cycle."""
     R, C = cfg.rows, cfg.cols
     data, digit = wave_schedule(cfg, a_rows)
     # PE row r receives on cycle t the wave presented on cycle t - r; the
     # corner accumulates, on cycle t, the wave presented at t - (R+C+1)
-    row_data = _lagged(data, np.arange(R))
+    row_data, row_digit = _lagged(data, np.arange(R)), _lagged(digit, np.arange(R))
     corner_digit = _lagged(digit, R + C + 1).ravel()
-    inputs = Segment(row_data, row_data >= 0, _lagged(digit, np.arange(R)),
-                     _lagged(data, R + C + 1).ravel() >= 0, corner_digit)
+    inputs = Segment(np.where(row_data >= 0, row_data, a_rows) * R + np.arange(R), row_data >= 0,
+                     row_digit, _lagged(data, R + C + 1).ravel() >= 0, corner_digit,
+                     np.nonzero(row_digit >= 0))
     out_rows = np.flatnonzero(data >= 0) + R + 1
-    for arr in (*(getattr(inputs, f.name) for f in fields(inputs)), out_rows):
+    for arr in (*(getattr(inputs, f.name) for f in fields(inputs)[:5]), *inputs.cells, out_rows):
         arr.flags.writeable = False
     cuts = np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1
     return inputs, tuple(cuts.tolist()), out_rows
@@ -350,9 +357,9 @@ class SimState:
                               np.full(1, -1)), None if west_inputs is None else "Stream")
 
     @functools.cached_property
-    def _lane_weights(self) -> np.ndarray:
-        """``(R, m, C)``: the weight each PE applies to each input lane, the
-        columns in reverse order (see ``_advance``). Dropped when a weight or
+    def _lane_weights(self) -> tuple:
+        """``(R, m, C)`` in int64 and float64: the weight each PE applies to each
+        input lane, columns reversed (see ``_advance``). Dropped when a weight or
         index register is written, so it is rebuilt once per weight load."""
         cfg = self.cfg
         lw = np.zeros((cfg.rows, cfg.pattern.m, cfg.cols), dtype=np.int64)
@@ -362,7 +369,7 @@ class SimState:
             # power of two; those selections wrap around like a mux with
             # tied inputs. Each (row, col) appears once per slot.
             lw[rows, self.indexes[:, :, j] % cfg.pattern.m, cols] += self.weights[:, :, j]
-        return lw
+        return lw, lw.astype(np.float64)
 
     def _advance(self, seg: Segment, label: str | None = None) -> np.ndarray:
         """Clock the ``L`` cycles of ``seg`` from the current state.
@@ -373,8 +380,7 @@ class SimState:
         the wave entering PE row 0, unless ``label`` names them all.
         """
         cfg, ck = self.cfg, self.checker
-        R, C = cfg.rows, cfg.cols
-        L = len(seg.west)
+        R, C, L = cfg.rows, cfg.cols, len(seg.west)
         traced = self.trace_sink is not None and bool(self.watch)
 
         # IC accumulators before each edge and after the last, wrapped where
@@ -384,34 +390,41 @@ class SimState:
         ic[0] = ck.ic
         np.multiply(seg.west, seg.is_data[:, :, None], out=ic[1:])
         np.cumsum(ic, axis=0, out=ic)
-        # in time order, so a later restart also removes the earlier ones
-        for t, r in zip(*np.nonzero(seg.row_digit == cfg.digits_per_round - 1)):
-            ic[t + 1:, r] -= ic[t + 1, r]
-        cyc, row = np.nonzero(seg.row_digit >= 0)
 
+        # in float64 where the sums below are exact (module docstring)
+        peak = cfg.pattern.n << 2 * cfg.input_width - 2   # bounds faulted runs too
+        on_float = float64_exact(peak, R * cfg.pattern.m, 1 << cfg.col_out_width - 1)
+        lw, psums = self._lane_weights[on_float], []
         # the bundle at PE (r, c) before edge t0 + i is stream[r, C + i - 1 - c]:
-        # the pipe as it stands (east end first), then the segment's bundles
-        stream = np.empty((R, C + L, cfg.pattern.m), dtype=np.int64)
-        stream[:, :C] = self.pipe[:, ::-1]
-        stream[:, C:] = seg.west.transpose(1, 0, 2)
-        stream[row, C + cyc] = ck.digit_wave(wrap(ic[cyc, row], cfg.ic_width),
-                                             seg.row_digit[cyc, row])
+        # the pipe as it stands (east end first), then the segment's bundles,
+        # with the digit bundles split from the IC accumulators
+        stream = np.concatenate([self.pipe[:, ::-1], seg.west.swapaxes(0, 1)], 1, dtype=lw.dtype)
+        cyc, row = seg.cells
+        if len(cyc):
+            digits = seg.row_digit[cyc, row]
+            # in time order, so a later restart also removes the earlier ones
+            for t, r in zip(*(x[digits == cfg.digits_per_round - 1].tolist() for x in (cyc, row))):
+                ic[t + 1:, r] -= ic[t + 1, r]
+            stream[row, C + cyc] = ck.digit_wave(wrap(ic[cyc, row], cfg.ic_width), digits)
         # sums[s] adds up one diagonal of the PE columns: the psum standing
         # at its top when the segment starts plus the products added on its
         # way south. sums[:L] are the bottom-row psums before each edge and
         # sums[L + R - 1 - r] is PE row r's psum after the last edge; while
         # rows below r are still missing, sums[R - r:R - r + L] are row r's
         # psums after each edge.
-        sums = np.zeros((L + R, C), dtype=np.int64)
-        psums = []
-        peak = cfg.pattern.n << 2 * cfg.input_width - 2   # bounds faulted runs too
+        buffer, sums = np.empty((C + L, C), dtype=lw.dtype), np.zeros((L + R, C), dtype=lw.dtype)
+        sums[:R] = self.psum[::-1]
+        # reversed weight columns put a row's product (i, c) at skewed[i, C-1-c]
+        skewed = _skewed(buffer)[:L, ::-1]
         for r in range(R):
-            # reversed weight columns put product (i, c) at skewed[i, C-1-c]
-            products = _skewed(exact_matmul(stream[r], self._lane_weights[r], peak))[:L, ::-1]
-            sums[R - r:R - r + L] += products
-            sums[R - 1 - r] += self.psum[r]
+            if on_float:
+                blas_matmul(stream[r], lw[r], buffer)
+            else:
+                buffer[:] = exact_matmul(stream[r], lw[r], peak)
+            sums[R - r:R - r + L] += skewed
             if traced:
-                psums.append(sums[R - r:R - r + L].copy())
+                psums.append(sums[R - r:R - r + L].astype(np.int64))
+        sums = sums.astype(np.int64, copy=False)
 
         # OC chain, the same diagonal sums over columns: one row of chain
         # holds the OC value standing on top, then the bottom-row results
@@ -420,12 +433,7 @@ class SimState:
         chain[C:C + L] = bottoms = wrap(sums[:L], cfg.col_out_width)
         chain_out = wrap(_skewed(chain).sum(axis=1), cfg.oc_width)
         compares = seg.corner_digit[-1] == cfg.digits_per_round - 1
-        # corner adds (module docstring), data waves as digit 0 of actual
-        outs = chain_out[:L].tolist()
-        adds = {kind: [v << cfg.input_width * d if d >= 0 else 0
-                       for v, d in zip(outs, digits.tolist())]
-                for kind, digits in ((RegKind.CKSUM_ACTUAL, seg.corner_data - 1),
-                                     (RegKind.CKSUM_PREDICTED, seg.corner_digit))}
+        outs, w = chain_out[:L], cfg.input_width
         if traced:
             # each watched register after every edge, in cycle order, before
             # any flip; weights and indexes hold still
@@ -434,7 +442,7 @@ class SimState:
                 arr, key, width = self._storage(reg)   # raises for registers this array lacks
                 r, c, k = reg.row, reg.col, reg.kind
                 if k is RegKind.INPUT_PIPE:
-                    values = stream[r, C - c:C - c + L, reg.lane]
+                    values = stream[r, C - c:C - c + L, reg.lane].astype(np.int64)
                 elif k is RegKind.IC_ACC:
                     values = ic[1:, r, reg.lane]
                 elif k is RegKind.PSUM:
@@ -444,7 +452,10 @@ class SimState:
                 elif arr is not None:
                     values = np.full(L, arr[key])
                 else:
-                    running = itertools.accumulate(adds[k], initial=getattr(ck, key))
+                    digits = seg.corner_data - 1 if k is RegKind.CKSUM_ACTUAL else seg.corner_digit
+                    adds = [v << w * d if d >= 0 else 0
+                            for v, d in zip(outs.tolist(), digits.tolist())]
+                    running = itertools.accumulate(adds, initial=getattr(ck, key))
                     values = np.array([*running][1:], dtype=object)
                     values[-1] *= not compares   # cleared on the compare edge
                 columns.append((wrap(values, width) if reg.signed else values).tolist())
@@ -459,11 +470,13 @@ class SimState:
 
         # commit
         self.psum = wrap(sums[L:][::-1], cfg.col_out_width)
-        self.pipe = stream[:, L:][:, ::-1].copy()
+        self.pipe = stream[:, L:][:, ::-1].astype(np.int64)
         ck.ic = wrap(ic[L], cfg.ic_width)
         ck.oc = chain_out[L:][::-1].copy()
-        ck.actual_accumulate(sum(adds[RegKind.CKSUM_ACTUAL]))
-        ck.predicted_accumulate(sum(adds[RegKind.CKSUM_PREDICTED]))
+        # corner adds (module docstring), summed digit by digit
+        ck.actual_accumulate(sum(outs[seg.corner_data].tolist()))
+        ck.predicted_accumulate(sum(sum(outs[seg.corner_digit == d].tolist()) << w * d
+                                    for d in range(cfg.digits_per_round)))
         if compares:
             self.round_results.append(ck.compare_and_reset(len(self.round_results)))
 
@@ -490,7 +503,6 @@ class SimState:
         state at their start, and clocks the rest.
         """
         cfg = self.cfg
-        R, C, m = cfg.rows, cfg.cols, cfg.pattern.m
         if a_tile.cols != cfg.tile_k:
             raise ShapeError(f"input tile is {a_tile.rows}x{a_tile.cols}, "
                              f"array expects width {cfg.tile_k}")
@@ -505,12 +517,12 @@ class SimState:
         if reference is not None and self.in_step(reference.states[0], start + cuts[-1]):
             self.take(reference.states[-1])
             return reference
-        # row index -1 picks the appended zero row: no data wave there
+        # the appended zero row is the bundle of every cycle without a data wave
         rows = np.concatenate([a_tile.data, np.zeros((1, cfg.tile_k), dtype=np.int64)])
-        tile = replace(inputs, west=rows.reshape(-1, R, m)[inputs.west, np.arange(R)])
+        tile = replace(inputs, west=np.take(rows.reshape(-1, cfg.pattern.m), inputs.west, axis=0))
 
         states = [self.copy()] if keep else None
-        bottoms = np.empty((cuts[-1], C), dtype=np.int64)
+        bottoms = np.empty((cuts[-1], cfg.cols), dtype=np.int64)
         for k, hi in enumerate(cuts):
             if reference is not None and self.in_step(reference.states[k], start + hi):
                 self.take(reference.states[k + 1])
@@ -527,5 +539,5 @@ class SimState:
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
         outputs = _skewed(bottoms)[out_rows]
-        return TileResult(DenseMatrix(a_tile.rows, C, outputs), self.round_results[first_round:],
+        return TileResult(DenseMatrix.from_array(outputs), self.round_results[first_round:],
                           bottoms, states)

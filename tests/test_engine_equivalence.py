@@ -24,7 +24,8 @@ from sparse_abft.checker import split_digits
 from sparse_abft.intwrap import wrap
 from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern
-from sparse_abft.systolic import TileResult, _lagged, tile_active_cycles, wave_schedule
+from sparse_abft.systolic import (TileResult, _lagged, _tile_schedule, tile_active_cycles,
+                                  wave_schedule)
 
 from conftest import random_faults, random_inputs, random_weights
 
@@ -315,3 +316,41 @@ def test_corner_sums_past_int64_are_exact():
     window = tile_active_cycles(cfg, a.rows)
     for _ in range(10):
         run_both(cfg, [(a, w)], random_faults(rng, cfg, window, 3))
+
+
+@pytest.mark.parametrize("widths", [CONFIGS[3], CONFIGS[5]],
+                         ids=lambda w: ",".join(f"{k}={v}" for k, v in w.items()))
+def test_one_cycle_segments_around_last_digits_and_compares(widths):
+    """A fault on every cycle from two before each round's last digit wave
+    enters row 0 to two after it enters the last row, and from two before to
+    two after each compare: one-cycle segments that slice the cached digit
+    cells (and the restarts after last digits) one by one."""
+    rng = np.random.default_rng(13)
+    for rows, cols in ((3, 4), (1, 2)):
+        cfg = ArrayConfig(rows=rows, cols=cols, **widths)
+        tiles = random_tiles(rng, cfg, 2, 40)
+        per_tile = tile_active_cycles(cfg, tiles[0][0].rows)
+        _, digit = wave_schedule(cfg, tiles[0][0].rows)
+        last = np.flatnonzero(digit == cfg.digits_per_round - 1)
+        compares = last + rows + cols + 1
+        cycles = {t + tile * per_tile for p, q in zip(last.tolist(), compares.tolist())
+                  for tile in range(2) for t in [*range(p - 2, p + rows + 2), *range(q - 2, q + 3)]}
+        cycles = sorted(t for t in cycles if 0 <= t < 2 * per_tile)
+        for trial in range(3):
+            faults = [FaultSpec(t, f.register, f.bit) for t in cycles
+                      for f in random_faults(rng, cfg, 1, 1)]
+            watch = [e.reg.name for e in enumerate_registers(cfg).entries] if trial == 0 else ()
+            run_both(cfg, tiles, faults, watch=watch)
+
+
+def test_cached_schedule_is_read_only():
+    """Every array ``_tile_schedule`` shares among the tiles of one shape,
+    the digit cells included, refuses writes."""
+    inputs, _, out_rows = _tile_schedule(ArrayConfig(rows=3, cols=4, input_width=4, ic_width=8), 40)
+    arrays = [getattr(inputs, name) for name in
+              ("west", "is_data", "row_digit", "corner_data", "corner_digit")]
+    for arr in (*arrays, *inputs.cells, out_rows):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0
+    assert len(inputs.cells[0]) and (inputs.row_digit[inputs.cells] >= 0).all()
