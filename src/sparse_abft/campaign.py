@@ -171,7 +171,7 @@ def _synthetic_workload(cfg: CampaignConfig, index: int):
     a_rows, k, cols = cfg.workload.synthetic_shape(arr)
     rng = np.random.default_rng(derive_seed(cfg.master_seed, index, "workload"))
     lo, hi = -(1 << arr.input_width - 1), (1 << arr.input_width - 1) - 1
-    a = DenseMatrix(a_rows, k, rng.integers(lo, hi + 1, size=(a_rows, k)))
+    a = DenseMatrix(a_rows, k, rng.integers(lo, hi + 1, size=(a_rows, k)), owned=True)
     # weight magnitudes capped one below the input minimum: keeps every
     # cross-column wave sum inside the OC width even in the worst case
     w_dense = DenseMatrix(k, cols, rng.integers(lo + 1, hi + 1, size=(k, cols)))
@@ -260,19 +260,19 @@ def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
     matrices and simulates only the tiles its faults reach, with the outcome
     of simulating every tile.
 
-    The indexes are split into ``p`` strided shares ``range(k, campaigns, p)``,
-    ``p = min(workers, campaigns)`` with ``workers`` > 1 (0 = ``worker_count()``)
-    and at least 4 campaigns, else 1. Share 0 runs in the calling process, each
-    other share in a child process started once everything the campaigns share
-    (file workload, register map) is built, so a forked child inherits it. Every
-    child is joined before the call returns or raises: its exception is
-    re-raised here, and its exit without a reply raises ``RuntimeError``, as
-    do merged indexes other than exactly ``0..campaigns-1``.
+    The indexes are split into ``p = max(1, min(workers, campaigns // 4))``
+    strided shares ``range(k, campaigns, p)`` (``workers`` 0 = ``worker_count()``):
+    a child costs 15–22 ms CPU on a 2-vCPU host, which a share of 2–3 campaigns
+    cannot repay, so 4–7 campaigns run serially even on many cores. Share 0 runs
+    in this process, each other share in a child started once everything the
+    campaigns share (file workload, register map) is built, so a forked child
+    inherits it. Every child is joined before the call returns or raises: its
+    exception is re-raised here, and its exit without a reply raises
+    ``RuntimeError``, as do merged indexes other than exactly ``0..campaigns-1``.
     """
-    workers = workers or worker_count()
+    processes = max(1, min(workers or worker_count(), cfg.campaigns // 4))
     workload = _file_workload(cfg, with_reference=cfg.campaigns > 1)
     enumerate_registers(cfg.array)      # cached, so forked children inherit the map
-    processes = min(workers, cfg.campaigns) if workers > 1 and cfg.campaigns >= 4 else 1
     shares = [range(k, cfg.campaigns, processes) for k in range(processes)]
     children = []
     try:

@@ -127,5 +127,5 @@ def run_multiplication(
         if tile.k_range[0]:   # chunk 0, first in the plan, is copied: wrapped already
             part = wrap(result[:, c_lo:c_hi] + part[:, : c_hi - c_lo], cfg.col_out_width)
         result[:, c_lo:c_hi] = part[:, : c_hi - c_lo]
-
-    return RunResult(DenseMatrix(a.rows, w.cols, result), state.round_results, state.cycle)
+    return RunResult(DenseMatrix(a.rows, w.cols, result, owned=True), state.round_results,
+                     state.cycle)

@@ -62,5 +62,5 @@ def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> Golde
     product, peak = _product(a, w_dense)
     total, _, equal = _identity(a, w_dense, product, peak)
     assert equal, "checksum identity must hold over unbounded integers"
-    return GoldenResult(product=DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width)),
-                        total_checksum=total)
+    wrapped = DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width), owned=True)
+    return GoldenResult(product=wrapped, total_checksum=total)

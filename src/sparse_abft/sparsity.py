@@ -10,7 +10,7 @@ dense values, and the packed arrays are derived from them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -73,14 +73,15 @@ class DenseMatrix:
     rows: int
     cols: int
     data: np.ndarray
+    owned: InitVar[bool] = False    # data was built for this matrix alone: kept, not copied
 
-    def __post_init__(self):
+    def __post_init__(self, owned):
         arr = np.asarray(self.data, dtype=np.int64)
         if arr.size != self.rows * self.cols:
             raise ShapeError(f"data length {arr.size} != {self.rows}x{self.cols}")
-        arr = arr.reshape(self.rows, self.cols).copy()
+        arr = arr if owned else arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", arr.reshape(self.rows, self.cols))
 
     @classmethod
     def from_array(cls, arr) -> "DenseMatrix":

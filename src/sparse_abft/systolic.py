@@ -243,7 +243,9 @@ class SimState:
         return getattr(self.checker, key) if arr is None else int(arr[key])
 
     def write_register(self, reg: RegisterId, value: int) -> None:
-        arr, key, width = self._storage(reg)
+        self._write(reg, value, *self._storage(reg))
+
+    def _write(self, reg: RegisterId, value: int, arr, key, width: int) -> None:
         value = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
         if arr is None:
             setattr(self.checker, key, value)
@@ -252,14 +254,16 @@ class SimState:
         if arr is self.weights or arr is self.indexes:
             vars(self).pop("_lane_weights", None)
 
-    def _check_bit(self, reg: RegisterId, bit: int) -> None:
-        width = enumerate_registers(self.cfg).width_of(reg)
+    def _check_bit(self, reg: RegisterId, bit: int, width: int = 0) -> None:
+        width = width or enumerate_registers(self.cfg).width_of(reg)
         if not 0 <= bit < width:
             raise ValueError(f"bit {bit} out of range for {width}-bit register {reg.name}")
 
     def flip_register_bit(self, reg: RegisterId, bit: int) -> None:
-        self._check_bit(reg, bit)
-        self.write_register(reg, self.read_register(reg) ^ (1 << bit))
+        arr, key, width = self._storage(reg)
+        self._check_bit(reg, bit, width)
+        value = getattr(self.checker, key) if arr is None else int(arr[key])
+        self._write(reg, value ^ (1 << bit), arr, key, width)
 
     # ------------------------------------------------------------------
     # fault scheduling
@@ -539,5 +543,5 @@ class SimState:
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
         outputs = _skewed(bottoms)[out_rows]
-        return TileResult(DenseMatrix.from_array(outputs), self.round_results[first_round:],
-                          bottoms, states)
+        return TileResult(DenseMatrix(*outputs.shape, outputs, owned=True),
+                          self.round_results[first_round:], bottoms, states)

@@ -126,35 +126,79 @@ def multi_tile_files(tmp_path, campaigns, lo=1, hi=3, seed=5):
                           WorkloadSpec(a_path=str(a_path), w_path=str(w_path)))
 
 
-@pytest.mark.parametrize("kind,workers,campaigns", [
-    *(("synthetic", workers, campaigns) for workers in (2, 3) for campaigns in (4, 5, 12)),
-    ("files", 3, 5),
+def count_children(monkeypatch) -> list:
+    """Make ``run_campaigns`` record each child process it starts."""
+    started = []
+
+    class Counted(multiprocessing.Process):
+        def start(self):
+            started.append(self.name)
+            super().start()
+    monkeypatch.setattr(campaign.multiprocessing, "Process", Counted)
+    return started
+
+
+@pytest.mark.parametrize("workers,campaigns,children", [
+    *((workers, campaigns, 0) for workers in (2, 3) for campaigns in range(4, 8)),
+    (2, 8, 1),
+    (3, 11, 1),
+    (3, 12, 2),
 ])
-def test_run_campaigns_parallel_matches_serial(tmp_path, kind, workers, campaigns):
+def test_every_share_holds_at_least_four_campaigns(monkeypatch, workers, campaigns, children):
+    """A child costs more than a share of 2-3 campaigns saves, so none is
+    started for one."""
+    started = count_children(monkeypatch)
+    outcomes = run_campaigns(small_campaign(campaigns=campaigns, a_rows=8), workers=workers)
+    assert len(started) == children
+    assert [o.index for o in outcomes] == list(range(campaigns))
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("kind,workers,campaigns", [
+    *(("synthetic", workers, campaigns) for workers in (2, 3) for campaigns in (4, 5, 8, 9, 12)),
+    ("files", 3, 5),
+    ("files", 3, 8),
+])
+def test_run_campaigns_parallel_matches_serial(tmp_path, monkeypatch, kind, workers, campaigns):
     if kind == "files":
         cfg = multi_tile_files(tmp_path, campaigns)
     else:
         cfg = small_campaign(lo=1, hi=3, campaigns=campaigns)
     serial = run_campaigns(cfg, workers=1)
+    started = count_children(monkeypatch)
     parallel = run_campaigns(cfg, workers=workers)
     assert [o.to_json_dict() for o in parallel] == [o.to_json_dict() for o in serial]
+    assert bool(started) == (campaigns >= 8)    # at 2-3 workers, a child from 8 campaigns on
     assert multiprocessing.active_children() == []
 
 
 SPAWN_CHECK = """
 import multiprocessing, sys
-from sparse_abft import ArrayConfig, CampaignConfig, WorkloadSpec, run_campaigns
+from sparse_abft import ArrayConfig, CampaignConfig, WorkloadSpec, campaign, run_campaigns
 
-multiprocessing.set_start_method("spawn")
-synthetic = CampaignConfig(ArrayConfig(rows=2, cols=4), 6, 1, 3, 42, WorkloadSpec(a_rows=64))
-files = CampaignConfig(ArrayConfig(rows=2, cols=4), 6, 1, 3, 5,
-                       WorkloadSpec(a_path=sys.argv[1], w_path=sys.argv[2]))
-for cfg in (synthetic, files):
-    serial = [o.to_json_dict() for o in run_campaigns(cfg, workers=1)]
-    spawned = [o.to_json_dict() for o in run_campaigns(cfg, workers=2)]
-    assert spawned == serial, cfg.workload.kind
-    assert multiprocessing.active_children() == []
-print(multiprocessing.get_start_method(), "ok")
+
+class Counted(multiprocessing.Process):
+    started = 0
+
+    def start(self):
+        Counted.started += 1
+        super().start()
+
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    campaign.multiprocessing.Process = Counted
+    synthetic = CampaignConfig(ArrayConfig(rows=2, cols=4), 8, 1, 3, 42, WorkloadSpec(a_rows=64))
+    files = CampaignConfig(ArrayConfig(rows=2, cols=4), 8, 1, 3, 5,
+                           WorkloadSpec(a_path=sys.argv[1], w_path=sys.argv[2]))
+    for cfg in (synthetic, files):
+        serial = [o.to_json_dict() for o in run_campaigns(cfg, workers=1)]
+        before = Counted.started
+        spawned = [o.to_json_dict() for o in run_campaigns(cfg, workers=2)]
+        assert Counted.started == before + 1, cfg.workload.kind
+        assert spawned == serial, cfg.workload.kind
+        assert multiprocessing.active_children() == []
+    print(multiprocessing.get_start_method(), "ok")
 """
 
 
@@ -162,10 +206,12 @@ def test_run_campaigns_under_spawn_matches_serial(tmp_path):
     """Children started with spawn unpickle the config, their share and the
     file workload's shared data (with its ``Reference``) instead of
     inheriting them."""
-    workload = multi_tile_files(tmp_path, 6).workload
+    workload = multi_tile_files(tmp_path, 8).workload
+    script = tmp_path / "spawn_check.py"    # a file, so spawned children can import ``Counted``
+    script.write_text(SPAWN_CHECK)
     src = str(pathlib.Path(campaign.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", SPAWN_CHECK, workload.a_path, workload.w_path],
+    done = subprocess.run([sys.executable, str(script), workload.a_path, workload.w_path],
                           capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["spawn", "ok"]

@@ -6,8 +6,10 @@ import pytest
 
 from sparse_abft import (
     ArrayConfig,
+    CampaignConfig,
     DenseMatrix,
     FaultSpec,
+    WorkloadSpec,
     matmul_ref,
     parse_register,
     prune_magnitude,
@@ -16,6 +18,7 @@ from sparse_abft import (
     total_active_cycles,
     unpack,
 )
+from sparse_abft import campaign
 from sparse_abft.driver import tile_operands
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 from sparse_abft.systolic import SimState, tile_active_cycles
@@ -141,6 +144,31 @@ def test_exact_single_tile_operands_are_the_callers_own():
         tile_operands(dataclasses.replace(cfg, pattern=PATTERN_1_4), a, w)
     with pytest.raises(ValueError, match="outside signed 8-bit"):
         tile_operands(cfg, DenseMatrix.from_array(np.full((5, cfg.tile_k), 128)), w)
+
+
+def sealed(matrix: DenseMatrix) -> bool:
+    """Whether ``matrix.data`` is read-only and views no writable array."""
+    data = matrix.data
+    while isinstance(data, np.ndarray):
+        if data.flags.writeable:
+            return False
+        data = data.base
+    return True
+
+
+def test_matrices_kept_without_a_copy_are_sealed():
+    """The synthetic A, the golden product and the tile and run outputs keep
+    the arrays built for them, read-only; a caller's array is still copied."""
+    cfg = CampaignConfig(ArrayConfig(rows=2, cols=4), 1, 1, 1, 3, WorkloadSpec(a_rows=6))
+    a, w, golden, _ = campaign._synthetic_workload(cfg, 0)
+    tile = SimState(cfg.array).run_tile(a, w)
+    run = run_multiplication(cfg.array, a, w)
+    assert all(sealed(m) for m in (a, golden.product, tile.outputs, run.outputs))
+    assert tile.outputs == run.outputs == golden.product
+    mine = np.arange(6).reshape(2, 3)
+    matrix = DenseMatrix(2, 3, mine)
+    mine[0, 0] = 9
+    assert sealed(matrix) and matrix.data[0, 0] == 0
 
 
 @pytest.mark.parametrize("a_rows, k, cols", [(5, 8, 2), (5, 16, 3), (5, 8, 7), (4, 20, 8), (1, 3, 1)])

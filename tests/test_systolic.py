@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sparse_abft import (
     FaultSpec,
     SimState,
     StateError,
+    enumerate_registers,
     matmul_ref,
     pack,
     parse_register,
@@ -293,6 +295,25 @@ def test_register_read_write_flip(worked_example):
     assert state.read_register(idx) == 2
     state.flip_register_bit(idx, 0)
     assert state.read_register(idx) == 3
+
+
+def test_flip_of_every_register_kind_and_its_bit_range(worked_example):
+    """A flip changes one bit of one register, array or checker, and a bit
+    past the register's width raises before anything is written."""
+    cfg, _, _, w = worked_example
+    state = SimState(cfg)
+    state.load_weights(w)
+    table = enumerate_registers(cfg)
+    for reg in {e.reg.kind: e.reg for e in table.entries}.values():
+        width = table.width_of(reg)
+        before = state.read_register(reg)
+        state.flip_register_bit(reg, width - 1)
+        assert state.read_register(reg) != before
+        with pytest.raises(ValueError, match=f"^bit {width} out of range for {width}-bit "
+                                             f"register {re.escape(reg.name)}$"):
+            state.flip_register_bit(reg, width)
+        state.flip_register_bit(reg, width - 1)
+        assert state.read_register(reg) == before
 
 
 def test_register_bounds_checked(tiny_cfg):
