@@ -70,12 +70,8 @@ class ChecksumRoundResult:
     flag: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "round": self.round_index,
-            "actual": self.actual,
-            "predicted": self.predicted,
-            "flag": self.flag,
-        }
+        return {"round": self.round_index, "actual": self.actual,
+                "predicted": self.predicted, "flag": self.flag}
 
 
 class CheckerState:
@@ -85,8 +81,7 @@ class CheckerState:
         self.cfg = cfg
         self.ic = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
         self.oc = np.zeros(cfg.cols, dtype=np.int64)
-        self.actual = 0
-        self.predicted = 0
+        self.actual = self.predicted = 0
 
     def actual_accumulate(self, wave_sum: int) -> None:
         """Add data waves' OC-chain outputs to the actual checksum."""
@@ -98,14 +93,9 @@ class CheckerState:
 
     def compare_and_reset(self, round_index: int) -> ChecksumRoundResult:
         """Latch the round result and clear the corner accumulators."""
-        result = ChecksumRoundResult(
-            round_index=round_index,
-            actual=self.actual,
-            predicted=self.predicted,
-            flag=self.actual != self.predicted,
-        )
-        self.actual = 0
-        self.predicted = 0
+        result = ChecksumRoundResult(round_index, self.actual, self.predicted,
+                                     self.actual != self.predicted)
+        self.actual = self.predicted = 0
         return result
 
     def digit_wave(self, ic, digit_k) -> np.ndarray:

@@ -54,8 +54,14 @@ def total_active_cycles(cfg: ArrayConfig, a_rows: int, k: int, cols: int) -> int
     return len(plan.tiles) * tile_active_cycles(cfg, a_rows)
 
 
+def _padded(data: np.ndarray, rows: int, cols: int) -> DenseMatrix:
+    out = np.zeros((rows, cols), dtype=np.int64)
+    out[: data.shape[0], : data.shape[1]] = data
+    return DenseMatrix(rows, cols, out, owned=True)
+
+
 def tile_operands(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -> list:
-    """``(tile, A slice, packed W tile)`` of each tile, edge chunks zero-padded."""
+    """``(tile, A slice, packed W tile)`` of each tile, zero-padded; one A slice per inner chunk."""
     if w.pattern != cfg.pattern:
         raise ShapeError(f"weight pattern {w.pattern} != array pattern {cfg.pattern}")
     if a.cols != w.rows:
@@ -64,16 +70,10 @@ def tile_operands(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -
     tiles = tile_plan(a.rows, a.cols, w.cols, cfg).tiles
     if (a.cols, w.cols) == (cfg.tile_k, cfg.cols):   # one tile, nothing to pad
         return [(tiles[0], a, w)]
-    operands = []
-    for tile in tiles:
-        (k_lo, k_hi), (c_lo, c_hi) = tile.k_range, tile.col_range
-        a_data = np.zeros((a.rows, cfg.tile_k), dtype=np.int64)
-        a_data[:, : k_hi - k_lo] = a.data[:, k_lo:k_hi]
-        w_data = np.zeros((cfg.tile_k, cfg.cols), dtype=np.int64)
-        w_data[: k_hi - k_lo, : c_hi - c_lo] = w.dense.data[k_lo:k_hi, c_lo:c_hi]
-        operands.append((tile, DenseMatrix(a.rows, cfg.tile_k, a_data), StructuredSparseMatrix(
-            cfg.pattern, DenseMatrix(cfg.tile_k, cfg.cols, w_data))))
-    return operands
+    chunks = {t.k_range: _padded(a.data[:, slice(*t.k_range)], a.rows, cfg.tile_k) for t in tiles}
+    return [(t, chunks[t.k_range], StructuredSparseMatrix(cfg.pattern, _padded(
+        w.dense.data[slice(*t.k_range), slice(*t.col_range)], cfg.tile_k, cfg.cols)))
+        for t in tiles]
 
 
 def reference_run(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -> Reference:

@@ -18,13 +18,11 @@ def int_max(width: int) -> int:
     return (1 << (width - 1)) - 1
 
 
-def wrap(value, width: int):
-    """Wrap an integer (or ndarray) into signed two's-complement range.
-
-    Works on Python ints and int64 ndarrays alike; the bias-and-mask form
-    keeps numpy from tripping over negative operands of ``&``.
-    """
-    out = value + (1 << width - 1)   # of an ndarray, the one temporary: the rest is in place
+def wrap(value, width: int, out=None):
+    """Wrap an integer (or ndarray, into ``out`` or its one temporary) into
+    signed two's-complement range; the bias-and-mask form keeps numpy from
+    tripping over negative operands of ``&``."""
+    out = value + (1 << width - 1) if out is None else np.add(value, 1 << width - 1, out=out)
     out &= (1 << width) - 1
     out -= 1 << width - 1
     return out

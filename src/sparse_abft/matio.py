@@ -94,19 +94,17 @@ def _classes(text: bytes) -> np.ndarray:
     return np.frombuffer(text.translate(_CLASSES), dtype=np.uint8)
 
 
-def _tokens(text: bytes):
+def _tokens(classes: np.ndarray):
     """First-byte positions of the tokens, and the token count of each
-    non-blank line, of a text that begins and ends with a newline."""
-    classes = _classes(text)
+    non-blank line, from the ``_classes`` of a text that begins and ends with a newline."""
     sep = classes <= _SPACE
     starts = np.flatnonzero(sep[:-1] > sep[1:]) + 1
     counts = np.diff(np.searchsorted(starts, np.flatnonzero(classes == _NEWLINE)))
     return starts, counts[counts > 0]
 
 
-def _values_ok(text: bytes) -> bool:
+def _values_ok(text: bytes, classes: np.ndarray) -> bool:
     """Whether every token of a text that begins and ends with a newline is a value."""
-    classes = _classes(text)
     signs = np.flatnonzero(classes == _SIGN)
     # a sign only opens a token and is followed by a digit
     if (classes.max() == _OTHER or (classes[signs - 1] > _SPACE).any()
@@ -173,13 +171,14 @@ def read_dense(path) -> DenseMatrix:
     rows, cols = map(int, header)
     if rows < 0 or cols < 0:
         raise MatrixFormatError(f"{path}: negative dimensions")
-    _, counts = _tokens(text)
+    classes = _classes(text)
+    _, counts = _tokens(classes)
     expected = rows if cols else 0  # a row with no columns is a blank line
     if len(counts) != expected:
         raise MatrixFormatError(f"{path}: expected {expected} data lines, found {len(counts)}")
-    if not ((counts == cols).all() and _values_ok(text)):
+    if not ((counts == cols).all() and _values_ok(text, classes)):
         _name_fault(path, text, _row_fault, cols)
-    return DenseMatrix(rows, cols, _parse(text, rows * cols))
+    return DenseMatrix(rows, cols, _parse(text, rows * cols), owned=True)
 
 
 def write_dense(path, matrix: DenseMatrix) -> None:
@@ -206,7 +205,7 @@ def read_packed(path) -> StructuredSparseMatrix:
         raise MatrixFormatError(f"{path}: negative dimensions")
 
     expected = block_rows(rows, m) * cols
-    starts, counts = _tokens(text)
+    starts, counts = _tokens(_classes(text))
     if len(counts) != expected:
         raise MatrixFormatError(f"{path}: expected {expected} block lines, found {len(counts)}")
 
@@ -223,7 +222,7 @@ def read_packed(path) -> StructuredSparseMatrix:
             and (_classes(buf[mask_at[:, -1] + 1].tobytes()) <= _SPACE).all()
             and (held == counts - 1).all() and (held <= n).all()
             and not (bits & (block_row[:, None] * m + np.arange(m) >= rows)).any()
-            and _values_ok(blanked)):
+            and _values_ok(blanked, _classes(blanked))):
         _name_fault(path, text, _block_fault, rows, cols, pattern)
     values = _parse(blanked, int(held.sum()))
     if not values.all():

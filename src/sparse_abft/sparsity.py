@@ -97,6 +97,9 @@ class DenseMatrix:
     def check_width(self, width: int) -> None:
         check_ndarray_width(self.data, width, what="matrix element")
 
+    def __reduce__(self):   # unpickled data stays read-only
+        return type(self), (self.rows, self.cols, self.data, True)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
@@ -153,6 +156,9 @@ class StructuredSparseMatrix:
         for name, arr in packed.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def __reduce__(self):   # unpickled packed arrays stay read-only
+        return type(self), (self.pattern, self.dense)
 
     @property
     def rows(self) -> int:

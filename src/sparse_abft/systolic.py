@@ -84,6 +84,8 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
+import math
+import threading
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -103,7 +105,7 @@ class StateError(RuntimeError):
 class TileResult:
     outputs: DenseMatrix
     rounds: list
-    bottoms: np.ndarray | None = None   # (cycles, C) bottom-row sums before each edge
+    bottoms: np.ndarray | None = None   # keep: (cycles, C) bottom-row sums before each edge
     states: list | None = None          # keep: SimState after the weight load and each round
 
 
@@ -130,6 +132,25 @@ class Segment:
         """Cycles ``[lo, hi)`` of this segment."""
         (t, r), (i, j) = self.cells, self.cells[0].searchsorted((lo, hi)).tolist()
         return Segment(*(x[lo:hi] for x in [*vars(self).values()][:5]), (t[i:j] - lo, r[i:j]))
+
+
+class _Arena(threading.local):
+    """This thread's flat buffers, grown on demand, as views for a tile's padded rows, west
+    bundles, unkept bottoms and segment temporaries; never for registers, results or kept
+    states. ``_ARENA`` serves untraced tiles (a trace sink may run another simulation)."""
+
+    def __call__(self, name: str, shape, dtype=np.int64, fill=None) -> np.ndarray:
+        """Buffer ``name`` as a ``shape`` array, set to ``fill`` if given, until its next use."""
+        size, buffers = np.dtype(dtype).itemsize * math.prod(shape), vars(self)
+        if len(buffers.get(name, ())) < size:
+            buffers[name] = np.empty(size, np.uint8)
+        view = buffers[name][:size].view(dtype).reshape(shape)
+        if fill is not None:
+            view[...] = fill
+        return view
+
+
+_ARENA = _Arena()
 
 
 def _skewed(x: np.ndarray) -> np.ndarray:
@@ -356,9 +377,9 @@ class SimState:
                     f"west inputs shape {west.shape} != ({cfg.rows}, {cfg.pattern.m})"
                 )
             check_ndarray_width(west, cfg.input_width, "west input")
-        idle = np.zeros((1, cfg.rows), dtype=bool)
-        self._advance(Segment(west[None], idle, np.full((1, cfg.rows), -1), np.zeros(1, dtype=bool),
-                              np.full(1, -1)), None if west_inputs is None else "Stream")
+        seg = Segment(west[None], np.zeros((1, cfg.rows), bool), np.full((1, cfg.rows), -1),
+                      np.zeros(1, bool), np.full(1, -1))
+        self._advance(seg, _Arena(), None if west_inputs is None else "Stream")
 
     @functools.cached_property
     def _lane_weights(self) -> tuple:
@@ -375,13 +396,13 @@ class SimState:
             lw[rows, self.indexes[:, :, j] % cfg.pattern.m, cols] += self.weights[:, :, j]
         return lw, lw.astype(np.float64)
 
-    def _advance(self, seg: Segment, label: str | None = None) -> np.ndarray:
-        """Clock the ``L`` cycles of ``seg`` from the current state.
+    def _advance(self, seg: Segment, arena: _Arena, label: str | None = None) -> np.ndarray:
+        """Clock the ``L`` cycles of ``seg`` from the current state, on ``arena``.
 
         Writes the segment's trace lines, applies the faults scheduled for
         the last cycle and returns the ``(L, C)`` bottom-row partial sums
-        standing before each cycle's edge. Trace lines name each cycle after
-        the wave entering PE row 0, unless ``label`` names them all.
+        (on ``arena``) before each cycle's edge. Trace lines name each cycle
+        after the wave entering PE row 0, unless ``label`` names them all.
         """
         cfg, ck = self.cfg, self.checker
         R, C, L = cfg.rows, cfg.cols, len(seg.west)
@@ -390,7 +411,7 @@ class SimState:
         # IC accumulators before each edge and after the last, wrapped where
         # read: running sums of data bundles, restarting after each
         # last-digit wave
-        ic = np.empty((L + 1,) + ck.ic.shape, dtype=np.int64)
+        ic = arena("ic", (L + 1,) + ck.ic.shape)
         ic[0] = ck.ic
         np.multiply(seg.west, seg.is_data[:, :, None], out=ic[1:])
         np.cumsum(ic, axis=0, out=ic)
@@ -402,7 +423,8 @@ class SimState:
         # the bundle at PE (r, c) before edge t0 + i is stream[r, C + i - 1 - c]:
         # the pipe as it stands (east end first), then the segment's bundles,
         # with the digit bundles split from the IC accumulators
-        stream = np.concatenate([self.pipe[:, ::-1], seg.west.swapaxes(0, 1)], 1, dtype=lw.dtype)
+        stream = np.concatenate([self.pipe[:, ::-1], seg.west.swapaxes(0, 1)], 1,
+                                out=arena("stream", (R, C + L, cfg.pattern.m), lw.dtype))
         cyc, row = seg.cells
         if len(cyc):
             digits = seg.row_digit[cyc, row]
@@ -416,7 +438,7 @@ class SimState:
         # sums[L + R - 1 - r] is PE row r's psum after the last edge; while
         # rows below r are still missing, sums[R - r:R - r + L] are row r's
         # psums after each edge.
-        buffer, sums = np.empty((C + L, C), dtype=lw.dtype), np.zeros((L + R, C), dtype=lw.dtype)
+        buffer, sums = arena("buffer", (C + L, C), lw.dtype), arena("sums", (L + R, C), lw.dtype, 0)
         sums[:R] = self.psum[::-1]
         # reversed weight columns put a row's product (i, c) at skewed[i, C-1-c]
         skewed = _skewed(buffer)[:L, ::-1]
@@ -428,13 +450,13 @@ class SimState:
             sums[R - r:R - r + L] += skewed
             if traced:
                 psums.append(sums[R - r:R - r + L].astype(np.int64))
-        sums = sums.astype(np.int64, copy=False)
+        sums = arena("int_sums", sums.shape, fill=sums) if on_float else sums
 
-        # OC chain, the same diagonal sums over columns: one row of chain
-        # holds the OC value standing on top, then the bottom-row results
-        chain = np.zeros((2 * C - 1 + L, C), dtype=np.int64)
+        # OC chain, the same diagonal sums over columns, on the spent products
+        # buffer: one row holds the OC value standing on top, then the bottom-row results
+        chain = arena("buffer", (2 * C - 1 + L, C), fill=0)
         chain[C - 1] = ck.oc
-        chain[C:C + L] = bottoms = wrap(sums[:L], cfg.col_out_width)
+        bottoms = wrap(sums[:L], cfg.col_out_width, out=chain[C:C + L])
         chain_out = wrap(_skewed(chain).sum(axis=1), cfg.oc_width)
         compares = seg.corner_digit[-1] == cfg.digits_per_round - 1
         outs, w = chain_out[:L], cfg.input_width
@@ -468,11 +490,10 @@ class SimState:
                 "Drain" if self._loaded_tile is not None else "WeightLoad"
                 for d, k in zip(seg.is_data[:, 0].tolist(), seg.row_digit[:, 0].tolist())]
             names = [reg.name for reg in self.watch]
-            self.trace_sink.write("".join(
-                f"{self.cycle + i},{labels[i]},{name},{value}\n"
-                for i, values in enumerate(zip(*columns)) for name, value in zip(names, values)))
+            lines = "".join(f"{self.cycle + i},{labels[i]},{name},{value}\n" for i, values in
+                            enumerate(zip(*columns)) for name, value in zip(names, values))
 
-        # commit
+        # commit: the last reads of arena
         self.psum = wrap(sums[L:][::-1], cfg.col_out_width)
         self.pipe = stream[:, L:][:, ::-1].astype(np.int64)
         ck.ic = wrap(ic[L], cfg.ic_width)
@@ -484,6 +505,8 @@ class SimState:
         if compares:
             self.round_results.append(ck.compare_and_reset(len(self.round_results)))
 
+        if traced:   # after them: a sink may run another simulation
+            self.trace_sink.write(lines)
         T = self.cycle + L - 1
         self.cycle = T + 1
         for spec in self.pending_faults.pop(T, ()):
@@ -521,12 +544,16 @@ class SimState:
         if reference is not None and self.in_step(reference.states[0], start + cuts[-1]):
             self.take(reference.states[-1])
             return reference
+        arena, shape = _ARENA if self.trace_sink is None else _Arena(), (cuts[-1], cfg.cols)
         # the appended zero row is the bundle of every cycle without a data wave
-        rows = np.concatenate([a_tile.data, np.zeros((1, cfg.tile_k), dtype=np.int64)])
-        tile = replace(inputs, west=np.take(rows.reshape(-1, cfg.pattern.m), inputs.west, axis=0))
+        rows = arena("rows", (a_tile.rows + 1, cfg.tile_k))
+        rows[:-1], rows[-1] = a_tile.data, 0
+        west = arena("west", (*inputs.west.shape, cfg.pattern.m))
+        np.take(rows.reshape(-1, cfg.pattern.m), inputs.west, 0, west, "clip")   # in range; unbuffered
+        tile = replace(inputs, west=west)
 
         states = [self.copy()] if keep else None
-        bottoms = np.empty((cuts[-1], cfg.cols), dtype=np.int64)
+        bottoms = np.empty(shape, dtype=np.int64) if keep else arena("bottoms", shape)
         for k, hi in enumerate(cuts):
             if reference is not None and self.in_step(reference.states[k], start + hi):
                 self.take(reference.states[k + 1])
@@ -534,7 +561,7 @@ class SimState:
             else:
                 faults = (t - start + 1 for t in self.pending_faults if t < start + hi)
                 for end in sorted({hi, *faults}):
-                    bottoms[lo:end] = self._advance(tile.part(lo, end))
+                    bottoms[lo:end] = self._advance(tile.part(lo, end), arena)
                     lo = end
             if keep:
                 states.append(self.copy())
@@ -544,4 +571,4 @@ class SimState:
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
         outputs = _skewed(bottoms)[out_rows]
         return TileResult(DenseMatrix(*outputs.shape, outputs, owned=True),
-                          self.round_results[first_round:], bottoms, states)
+                          self.round_results[first_round:], bottoms if keep else None, states)

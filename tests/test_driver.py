@@ -146,6 +146,24 @@ def test_exact_single_tile_operands_are_the_callers_own():
         tile_operands(cfg, DenseMatrix.from_array(np.full((5, cfg.tile_k), 128)), w)
 
 
+def test_tiles_of_one_inner_chunk_share_their_a_slice():
+    """``tile_operands`` pads each inner chunk of A once; every column range
+    of that chunk runs on the same read-only matrix, and the run's outputs
+    are the oracle's."""
+    rng = np.random.default_rng(12)
+    cfg = ArrayConfig(rows=2, cols=3)
+    a, w = random_inputs(rng, 7, 2 * cfg.tile_k + 3), random_weights(rng, 2 * cfg.tile_k + 3, 8,
+                                                                      cfg.pattern)
+    operands = tile_operands(cfg, a, w)
+    chunks = {}
+    for tile, a_tile, _ in operands:
+        assert chunks.setdefault(tile.k_range, a_tile) is a_tile and sealed(a_tile)
+        k_lo, k_hi = tile.k_range
+        assert (a_tile.data[:, : k_hi - k_lo] == a.data[:, k_lo:k_hi]).all()
+    assert (len(operands), len(chunks)) == (9, 3)
+    assert run_multiplication(cfg, a, w).outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+
+
 def sealed(matrix: DenseMatrix) -> bool:
     """Whether ``matrix.data`` is read-only and views no writable array."""
     data = matrix.data

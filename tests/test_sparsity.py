@@ -19,6 +19,7 @@ from sparse_abft import (
     validate_structured,
     write_packed,
 )
+from sparse_abft.driver import reference_run
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 
 
@@ -163,6 +164,31 @@ def test_violation_error_survives_pickling():
     assert type(copy) is SparsityViolationError
     assert str(copy) == str(error)
     assert copy.report.violations == error.report.violations == [(0, 0, 3)]
+
+
+def test_pickled_matrices_stay_read_only():
+    """Unpickled matrices, as a spawned campaign child gets its A, W, golden
+    product and ``Reference``, keep their data read-only and equal."""
+    dense = DenseMatrix(2, 2, np.arange(4))
+    sw = pack(DenseMatrix.from_array([[0, 1], [2, 0], [0, 0], [-3, 4]]), PATTERN_2_4)
+    cfg = ArrayConfig(rows=1, cols=2)
+    a = DenseMatrix.from_array(np.arange(-12, 12).reshape(3, 8))
+    reference = reference_run(cfg, a, prune_magnitude(DenseMatrix.from_array(
+        np.arange(-10, 14).reshape(8, 3)), cfg.pattern))
+    dense2, sw2, reference2 = pickle.loads(pickle.dumps((dense, sw, reference)))
+    assert dense2 == dense and sw2 == sw
+    packed = ("values", "indexes", "masks", "counts")
+    assert all((getattr(sw2, n) == getattr(sw, n)).all() for n in packed)
+    matrices = [m for _, a_tile, w_tile in reference2.operands for m in (a_tile, w_tile)]
+    matrices += [r.outputs for r in reference2.results]
+    assert len(matrices) == 3 * 4
+    arrays = [dense2.data, *(getattr(sw2, n) for n in packed), sw2.dense.data]
+    for m in matrices:
+        if isinstance(m, DenseMatrix):
+            arrays.append(m.data)
+        else:
+            arrays += [m.dense.data, *(getattr(m, n) for n in packed)]
+    assert not any(x.flags.writeable for x in arrays)
 
 
 def test_packed_arrays_derived_and_read_only():
