@@ -1,6 +1,6 @@
 """Cycle-accurate N:M sparse systolic tensor array with ABFT checking."""
 
-from .checker import ChecksumRoundResult, DigitRangeError, split_digits
+from .checker import ChecksumRoundResult
 from .campaign import (
     CampaignConfig,
     CampaignOutcome,
@@ -23,7 +23,6 @@ from .sparsity import (
     SparsityPattern,
     SparsityViolationError,
     StructuredSparseMatrix,
-    pack,
     prune_magnitude,
     unpack,
     validate_structured,
@@ -39,7 +38,6 @@ __all__ = [
     "CampaignOutcome",
     "ChecksumRoundResult",
     "DenseMatrix",
-    "DigitRangeError",
     "FaultSpec",
     "GoldenResult",
     "MatrixFormatError",
@@ -65,7 +63,6 @@ __all__ = [
     "golden_result",
     "load_config",
     "matmul_ref",
-    "pack",
     "parse_register",
     "prune_magnitude",
     "read_dense",
@@ -74,7 +71,6 @@ __all__ = [
     "run_campaigns",
     "run_multiplication",
     "sample_faults",
-    "split_digits",
     "tile_active_cycles",
     "tile_plan",
     "total_active_cycles",

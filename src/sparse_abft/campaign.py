@@ -41,14 +41,6 @@ class OutcomeCategory(enum.Enum):
     BENIGN = "benign"
 
 
-# the classical four-way taxonomy; the paper-compat view folds Benign into Silent
-PAPER_CATEGORIES = (
-    OutcomeCategory.DETECTED,
-    OutcomeCategory.SILENT,
-    OutcomeCategory.FALSE_POSITIVE,
-    OutcomeCategory.FALSE_NEGATIVE,
-)
-
 CATEGORY_LABELS = {
     OutcomeCategory.DETECTED: "Detected",
     OutcomeCategory.SILENT: "Silent",
@@ -58,14 +50,13 @@ CATEGORY_LABELS = {
 }
 
 
-def classify(faults, flag_history, output_corrupted) -> OutcomeCategory:
+def classify(faults, flag_history) -> OutcomeCategory:
     """Map fault placement and flag history to an outcome bucket.
 
-    ``output_corrupted`` is recorded as evidence but does not drive the
-    category: the taxonomy is about where faults landed and whether the
-    checker reacted.
+    Whether the output was corrupted is recorded beside the category, not in
+    it: the taxonomy is about where faults landed and whether the checker
+    reacted.
     """
-    del output_corrupted
     flagged = any(flag_history)
     hit_array = any(f.register.owner is Owner.ARRAY for f in faults)
     hit_checker = any(f.register.owner is Owner.CHECKER for f in faults)
@@ -205,7 +196,7 @@ def run_campaign(cfg: CampaignConfig, index: int, workload=None) -> CampaignOutc
     corrupted = run.outputs != golden.product
     return CampaignOutcome(
         index=index,
-        category=classify(faults, flags, corrupted),
+        category=classify(faults, flags),
         faults=faults,
         flags=flags,
         output_corrupted=corrupted,
@@ -313,23 +304,13 @@ class CategoryStats:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def percentage(self, category: OutcomeCategory) -> float:
-        return 100.0 * self.counts[category.value] / self.total
-
-    def paper_compat_percentage(self, category: OutcomeCategory) -> float:
-        """Four-way view: Benign folds into Silent."""
-        if category not in PAPER_CATEGORIES:
-            raise ValueError(f"{category.value} is not a paper-compat category")
-        count = self.counts[category.value]
-        if category is OutcomeCategory.SILENT:
-            count += self.counts[OutcomeCategory.BENIGN.value]
-        return 100.0 * count / self.total
-
     def percentages(self, paper_compat: bool = False) -> dict:
-        """Category value -> percentage, in table row order."""
+        """Category value -> percentage, in table row order; the paper-compat
+        view is the classical four-way taxonomy, with Benign folded into Silent."""
+        counts = dict(self.counts)
         if paper_compat:
-            return {c.value: self.paper_compat_percentage(c) for c in PAPER_CATEGORIES}
-        return {c.value: self.percentage(c) for c in OutcomeCategory}
+            counts[OutcomeCategory.SILENT.value] += counts.pop(OutcomeCategory.BENIGN.value)
+        return {value: 100.0 * count / self.total for value, count in counts.items()}
 
 
 def aggregate(outcomes) -> CategoryStats:

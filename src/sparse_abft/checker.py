@@ -1,6 +1,6 @@
 """ABFT checker periphery: digit splitting and checksum accumulators.
 
-The checker owns three groups of state, all embedded in the simulator:
+The checker owns three groups of state, which ``SimState`` inherits:
 
 * IC accumulators (west edge): one per input lane per PE row, summing every
   incoming activation of the current checksum round.
@@ -28,38 +28,6 @@ from .config import ArrayConfig
 from .intwrap import wrap
 
 
-class DigitRangeError(ValueError):
-    """Accumulator value not representable in the configured digits."""
-
-
-def _digit_bias(digit_count: int, digit_width: int) -> int:
-    """``B``: added to a value, it makes every signed digit an unsigned field."""
-    return sum(1 << (j * digit_width + digit_width - 1) for j in range(digit_count))
-
-
-def _digit(biased, k, digit_width: int):
-    """Signed digit ``k`` (an int or an array of them) of ``biased = v + B``."""
-    return (biased >> (k * digit_width) & ((1 << digit_width) - 1)) - (1 << (digit_width - 1))
-
-
-def split_digits(value, digit_count: int, digit_width: int, strict: bool = True) -> list:
-    """Decompose a value into signed digits, least-significant first.
-
-    ``value`` is an int, giving ints, or an int64 array (``digit_count *
-    digit_width`` <= 63), giving arrays of its shape. With ``strict=True`` a
-    value that does not fit raises DigitRangeError, which sums of at most
-    ``2^(digit_width * (digit_count - 1))`` digit_width-wide values never do.
-    With ``strict=False`` the top digit wraps, as the register-width hardware
-    does when a fault pushes an accumulator out of range.
-    """
-    value = value if isinstance(value, np.ndarray) else int(value)
-    biased = value + _digit_bias(digit_count, digit_width)
-    if strict and np.any(biased >> (digit_count * digit_width)):
-        raise DigitRangeError(
-            f"value {value} does not fit {digit_count} signed {digit_width}-bit digits")
-    return [_digit(biased, k, digit_width) for k in range(digit_count)]
-
-
 @dataclass
 class ChecksumRoundResult:
     """Comparison outcome of one checksum round."""
@@ -75,7 +43,7 @@ class ChecksumRoundResult:
 
 
 class CheckerState:
-    """Mutable checker registers; one instance lives inside each SimState."""
+    """Checker registers and their operations; ``SimState`` inherits them."""
 
     def __init__(self, cfg: ArrayConfig):
         self.cfg = cfg
@@ -104,6 +72,7 @@ class CheckerState:
         ``ic`` holds one row of lane values, or a stack of them with one
         digit index per row in ``digit_k``; only that digit is computed.
         """
-        cfg = self.cfg
-        biased = np.asarray(ic) + _digit_bias(cfg.digits_per_round, cfg.input_width)
-        return _digit(biased, np.asarray(digit_k)[..., None], cfg.input_width)
+        w, count = self.cfg.input_width, self.cfg.digits_per_round
+        # the bias B (module docstring) makes every signed digit an unsigned field
+        biased = np.asarray(ic) + sum(1 << (j * w + w - 1) for j in range(count))
+        return (biased >> (np.asarray(digit_k)[..., None] * w) & ((1 << w) - 1)) - (1 << (w - 1))

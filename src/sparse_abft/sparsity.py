@@ -172,15 +172,6 @@ class StructuredSparseMatrix:
     def block_rows(self) -> int:
         return self.masks.shape[0]
 
-    def block(self, block_row: int, col: int):
-        """(mask, values, indexes) of one block, trimmed to stored entries."""
-        k = int(self.counts[block_row, col])
-        return (
-            int(self.masks[block_row, col]),
-            [int(v) for v in self.values[block_row, col, :k]],
-            [int(i) for i in self.indexes[block_row, col, :k]],
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructuredSparseMatrix):
             return NotImplemented
@@ -224,14 +215,6 @@ def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSpars
     return StructuredSparseMatrix(pattern, DenseMatrix(w.rows, w.cols, pruned))
 
 
-def pack(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:
-    """Pack a dense matrix that already satisfies the N:M constraint.
-
-    Raises SparsityViolationError (carrying the full report) otherwise.
-    """
-    return StructuredSparseMatrix(pattern, w)
-
-
 def unpack(sw: StructuredSparseMatrix) -> DenseMatrix:
-    """The dense values of a packed matrix (inverse of pack)."""
+    """The dense values of a packed matrix."""
     return sw.dense

@@ -214,11 +214,12 @@ def _tile_schedule(cfg: ArrayConfig, a_rows: int):
     return inputs, tuple(cuts.tolist()), out_rows
 
 
-class SimState:
-    """Every register of the array and checker, plus scheduler bookkeeping."""
+class SimState(CheckerState):
+    """Every register of the array and, inherited, of the checker, plus
+    scheduler bookkeeping."""
 
     def __init__(self, cfg: ArrayConfig):
-        self.cfg = cfg
+        super().__init__(cfg)
         self.cycle = 0
 
         m, slots = cfg.pattern.m, cfg.slots
@@ -226,7 +227,6 @@ class SimState:
         self.indexes = np.zeros((cfg.rows, cfg.cols, slots), dtype=np.int64)
         self.pipe = np.zeros((cfg.rows, cfg.cols, m), dtype=np.int64)
         self.psum = np.zeros((cfg.rows, cfg.cols), dtype=np.int64)
-        self.checker = CheckerState(cfg)
 
         self._loaded_tile = None         # the resident W tile
         self.round_results: list = []
@@ -241,18 +241,18 @@ class SimState:
     def _storage(self, reg: RegisterId):
         """(array, index, width) of one register.
 
-        The corner accumulators are checker attributes and come back as
+        The corner accumulators are int attributes and come back as
         ``(None, attribute name, width)``. The width comes from the register
         table, which raises ValueError for registers this array lacks.
         """
         width = enumerate_registers(self.cfg).width_of(reg)
-        k, ck = reg.kind, self.checker
+        k = reg.kind
         if k is RegKind.PSUM:
             return self.psum, (reg.row, reg.col), width
         if k is RegKind.IC_ACC:
-            return ck.ic, (reg.row, reg.lane), width
+            return self.ic, (reg.row, reg.lane), width
         if k is RegKind.OC_PIPE:
-            return ck.oc, reg.col, width
+            return self.oc, reg.col, width
         if k in (RegKind.CKSUM_ACTUAL, RegKind.CKSUM_PREDICTED):
             return None, k.value, width
         arr = {RegKind.WEIGHT: self.weights, RegKind.INDEX: self.indexes,
@@ -261,7 +261,7 @@ class SimState:
 
     def read_register(self, reg: RegisterId) -> int:
         arr, key, _ = self._storage(reg)
-        return getattr(self.checker, key) if arr is None else int(arr[key])
+        return getattr(self, key) if arr is None else int(arr[key])
 
     def write_register(self, reg: RegisterId, value: int) -> None:
         self._write(reg, value, *self._storage(reg))
@@ -269,7 +269,7 @@ class SimState:
     def _write(self, reg: RegisterId, value: int, arr, key, width: int) -> None:
         value = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
         if arr is None:
-            setattr(self.checker, key, value)
+            setattr(self, key, value)
         else:
             arr[key] = value
         if arr is self.weights or arr is self.indexes:
@@ -283,7 +283,7 @@ class SimState:
     def flip_register_bit(self, reg: RegisterId, bit: int) -> None:
         arr, key, width = self._storage(reg)
         self._check_bit(reg, bit, width)
-        value = getattr(self.checker, key) if arr is None else int(arr[key])
+        value = getattr(self, key) if arr is None else int(arr[key])
         self._write(reg, value ^ (1 << bit), arr, key, width)
 
     # ------------------------------------------------------------------
@@ -328,21 +328,21 @@ class SimState:
     # (run_tile keeps it when it recurs)
 
     def _arrays(self) -> tuple:
-        return self.weights, self.indexes, self.pipe, self.psum, self.checker.ic, self.checker.oc
+        return self.weights, self.indexes, self.pipe, self.psum, self.ic, self.oc
 
     def copy(self) -> "SimState":
         """An independent copy with no faults scheduled."""
-        other, arrays = copy.copy(self), self._arrays()
-        ck = other.checker = copy.copy(self.checker)
-        other.weights, other.indexes, other.pipe, other.psum, ck.ic, ck.oc = (x.copy() for x in arrays)
+        other = copy.copy(self)
+        other.weights, other.indexes, other.pipe, other.psum, other.ic, other.oc = (
+            x.copy() for x in self._arrays())
         other.round_results, other.pending_faults = list(self.round_results), {}
         return other
 
     def matches(self, other: "SimState") -> bool:
         """Whether all that steers later cycles is equal in ``other``."""
         def key(s):
-            return (s.cycle, len(s.round_results), s._loaded_tile, s.checker.actual,
-                    s.checker.predicted, *(x.tobytes() for x in s._arrays()))
+            return (s.cycle, len(s.round_results), s._loaded_tile, s.actual, s.predicted,
+                    *(x.tobytes() for x in s._arrays()))
         return key(self) == key(other)
 
     def in_step(self, at: "SimState", end: int) -> bool:
@@ -404,15 +404,15 @@ class SimState:
         (on ``arena``) before each cycle's edge. Trace lines name each cycle
         after the wave entering PE row 0, unless ``label`` names them all.
         """
-        cfg, ck = self.cfg, self.checker
+        cfg = self.cfg
         R, C, L = cfg.rows, cfg.cols, len(seg.west)
         traced = self.trace_sink is not None and bool(self.watch)
 
         # IC accumulators before each edge and after the last, wrapped where
         # read: running sums of data bundles, restarting after each
         # last-digit wave
-        ic = arena("ic", (L + 1,) + ck.ic.shape)
-        ic[0] = ck.ic
+        ic = arena("ic", (L + 1,) + self.ic.shape)
+        ic[0] = self.ic
         np.multiply(seg.west, seg.is_data[:, :, None], out=ic[1:])
         np.cumsum(ic, axis=0, out=ic)
 
@@ -431,7 +431,7 @@ class SimState:
             # in time order, so a later restart also removes the earlier ones
             for t, r in zip(*(x[digits == cfg.digits_per_round - 1].tolist() for x in (cyc, row))):
                 ic[t + 1:, r] -= ic[t + 1, r]
-            stream[row, C + cyc] = ck.digit_wave(wrap(ic[cyc, row], cfg.ic_width), digits)
+            stream[row, C + cyc] = self.digit_wave(wrap(ic[cyc, row], cfg.ic_width), digits)
         # sums[s] adds up one diagonal of the PE columns: the psum standing
         # at its top when the segment starts plus the products added on its
         # way south. sums[:L] are the bottom-row psums before each edge and
@@ -455,7 +455,7 @@ class SimState:
         # OC chain, the same diagonal sums over columns, on the spent products
         # buffer: one row holds the OC value standing on top, then the bottom-row results
         chain = arena("buffer", (2 * C - 1 + L, C), fill=0)
-        chain[C - 1] = ck.oc
+        chain[C - 1] = self.oc
         bottoms = wrap(sums[:L], cfg.col_out_width, out=chain[C:C + L])
         chain_out = wrap(_skewed(chain).sum(axis=1), cfg.oc_width)
         compares = seg.corner_digit[-1] == cfg.digits_per_round - 1
@@ -481,7 +481,7 @@ class SimState:
                     digits = seg.corner_data - 1 if k is RegKind.CKSUM_ACTUAL else seg.corner_digit
                     adds = [v << w * d if d >= 0 else 0
                             for v, d in zip(outs.tolist(), digits.tolist())]
-                    running = itertools.accumulate(adds, initial=getattr(ck, key))
+                    running = itertools.accumulate(adds, initial=getattr(self, key))
                     values = np.array([*running][1:], dtype=object)
                     values[-1] *= not compares   # cleared on the compare edge
                 columns.append((wrap(values, width) if reg.signed else values).tolist())
@@ -496,14 +496,14 @@ class SimState:
         # commit: the last reads of arena
         self.psum = wrap(sums[L:][::-1], cfg.col_out_width)
         self.pipe = stream[:, L:][:, ::-1].astype(np.int64)
-        ck.ic = wrap(ic[L], cfg.ic_width)
-        ck.oc = chain_out[L:][::-1].copy()
+        self.ic = wrap(ic[L], cfg.ic_width)
+        self.oc = chain_out[L:][::-1].copy()
         # corner adds (module docstring), summed digit by digit
-        ck.actual_accumulate(sum(outs[seg.corner_data].tolist()))
-        ck.predicted_accumulate(sum(sum(outs[seg.corner_digit == d].tolist()) << w * d
-                                    for d in range(cfg.digits_per_round)))
+        self.actual_accumulate(sum(outs[seg.corner_data].tolist()))
+        self.predicted_accumulate(sum(sum(outs[seg.corner_digit == d].tolist()) << w * d
+                                      for d in range(cfg.digits_per_round)))
         if compares:
-            self.round_results.append(ck.compare_and_reset(len(self.round_results)))
+            self.round_results.append(self.compare_and_reset(len(self.round_results)))
 
         if traced:   # after them: a sink may run another simulation
             self.trace_sink.write(lines)
@@ -524,7 +524,8 @@ class SimState:
         back-to-back calls with shared weights keep the loaded registers
         (including any injected corruption, as real hardware would). ``keep``
         also returns the state after the weight load and after each round,
-        making the result a ``reference`` for faulty runs of the same tile.
+        making the result, with its bottoms and kept registers read-only, a
+        ``reference`` for faulty runs of the same tile.
         Such a run takes the whole tile, returning ``reference`` itself, or
         else each round, from the reference while it is ``in_step`` with the
         state at their start, and clocks the rest.
@@ -566,6 +567,9 @@ class SimState:
             if keep:
                 states.append(self.copy())
             lo = hi
+        if keep:   # what faulty runs read (take copies it) stays as it is
+            for x in (bottoms, *(x for state in states for x in state._arrays())):
+                x.flags.writeable = False
 
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up

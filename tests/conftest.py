@@ -11,10 +11,11 @@ from sparse_abft import (
     DenseMatrix,
     FaultSpec,
     SparsityPattern,
+    StructuredSparseMatrix,
     enumerate_registers,
-    pack,
     prune_magnitude,
 )
+from sparse_abft.intwrap import wrap
 from sparse_abft.registers import RegisterId, RegKind
 
 
@@ -32,8 +33,16 @@ def worked_example(tiny_cfg):
     """
     a = DenseMatrix.from_array([[1, 2, 3, 4], [5, 6, 7, 8]])
     w_dense = DenseMatrix.from_array([[1, 0], [0, 2], [-1, 0], [0, 3]])
-    w = pack(w_dense, tiny_cfg.pattern)
+    w = StructuredSparseMatrix(tiny_cfg.pattern, w_dense)
     return tiny_cfg, a, w_dense, w
+
+
+def packed_block(sw, block_row: int, col: int):
+    """(mask, values, indexes) of one block of a packed matrix, trimmed to
+    its stored entries."""
+    k = int(sw.counts[block_row, col])
+    return (int(sw.masks[block_row, col]), sw.values[block_row, col, :k].tolist(),
+            sw.indexes[block_row, col, :k].tolist())
 
 
 def random_inputs(rng: np.random.Generator, rows: int, k: int, width: int = 8) -> DenseMatrix:
@@ -48,6 +57,20 @@ def random_weights(rng: np.random.Generator, k: int, cols: int, pattern: Sparsit
     hi = (1 << width - 1) - 1
     dense = DenseMatrix(k, cols, rng.integers(-hi, hi + 1, size=(k, cols)))
     return prune_magnitude(dense, pattern)
+
+
+def loop_digits(value, digit_count, digit_width):
+    """Signed digits of an int or an int64 array, least-significant first,
+    the top digit wrapping: the former loop form of the digit rule, kept as
+    the reference of ``CheckerState.digit_wave``."""
+    digits = []
+    remaining = value if isinstance(value, np.ndarray) else int(value)
+    for _ in range(digit_count - 1):
+        digit = wrap(remaining, digit_width)
+        digits.append(digit)
+        remaining = (remaining - digit) >> digit_width
+    digits.append(wrap(remaining, digit_width))
+    return digits
 
 
 def random_faults(rng, cfg, window, count, kinds=tuple(RegKind)):

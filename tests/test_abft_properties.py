@@ -7,8 +7,8 @@ from sparse_abft import (
     ArrayConfig,
     DenseMatrix,
     FaultSpec,
+    StructuredSparseMatrix,
     golden_result,
-    pack,
     parse_register,
     run_multiplication,
     unpack,
@@ -28,7 +28,8 @@ def run_with_faults(cfg, a, w, faults=()):
 def lane_gapped():
     """1x2 array whose weights never select lanes 1 and 3."""
     cfg = ArrayConfig(rows=1, cols=2)
-    w = pack(DenseMatrix.from_array([[1, 4], [0, 0], [-1, 3], [0, 0]]), PATTERN_2_4)
+    w = StructuredSparseMatrix(PATTERN_2_4,
+                               DenseMatrix.from_array([[1, 4], [0, 0], [-1, 3], [0, 0]]))
     a = DenseMatrix.from_array([[1, 2, 3, 4], [5, 6, 7, 8], [-9, 10, -11, 12]])
     return cfg, a, w
 

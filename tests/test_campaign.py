@@ -26,7 +26,7 @@ from sparse_abft import (
     write_packed,
 )
 from sparse_abft import campaign
-from sparse_abft.campaign import PAPER_CATEGORIES, render_stats_table, worker_count
+from sparse_abft.campaign import CategoryStats, render_stats_table, worker_count
 from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import ShapeError
 
@@ -57,8 +57,7 @@ def spec_at(reg):
 )
 def test_classify_table(faults, flagged, expected):
     flags = [flagged] if faults or flagged else []
-    assert classify(faults, flags, output_corrupted=False) is expected
-    assert classify(faults, flags, output_corrupted=True) is expected
+    assert classify(faults, flags) is expected
 
 
 # ----------------------------------------------------------------------
@@ -345,21 +344,28 @@ def test_aggregate_percentages_sum_to_100():
     stats = aggregate(run_campaigns(cfg, workers=1))
     assert list(stats.counts) == [c.value for c in OutcomeCategory]
     assert stats.total == 40
-    total = sum(stats.percentage(c) for c in OutcomeCategory)
-    assert total == pytest.approx(100.0)
-    compat = sum(stats.paper_compat_percentage(c) for c in PAPER_CATEGORIES)
-    assert compat == pytest.approx(100.0)
-    assert list(stats.percentages(paper_compat=True)) == [c.value for c in PAPER_CATEGORIES]
+    assert sum(stats.percentages().values()) == pytest.approx(100.0)
+    compat = stats.percentages(paper_compat=True)
+    assert sum(compat.values()) == pytest.approx(100.0)
+    assert list(compat) == [c.value for c in OutcomeCategory if c is not OutcomeCategory.BENIGN]
 
 
 def test_aggregate_compat_folds_benign_into_silent():
     cfg = small_campaign(campaigns=10, lo=0, hi=0)
     stats = aggregate(run_campaigns(cfg, workers=1))
-    assert stats.percentage(OutcomeCategory.BENIGN) == 100.0
-    assert stats.percentage(OutcomeCategory.SILENT) == 0.0
-    assert stats.paper_compat_percentage(OutcomeCategory.SILENT) == 100.0
-    with pytest.raises(ValueError):
-        stats.paper_compat_percentage(OutcomeCategory.BENIGN)
+    assert stats.percentages()["benign"] == 100.0
+    assert stats.percentages()["silent"] == 0.0
+    assert stats.percentages(paper_compat=True)["silent"] == 100.0
+    assert "benign" not in stats.percentages(paper_compat=True)
+    # the same floats as 100 * count / total, in table row order
+    mixed = CategoryStats({"detected": 3, "silent": 2, "false_positive": 1,
+                           "false_negative": 1, "benign": 4})
+    assert list(mixed.percentages().items()) == [
+        ("detected", 100.0 * 3 / 11), ("silent", 100.0 * 2 / 11), ("false_positive", 100.0 / 11),
+        ("false_negative", 100.0 / 11), ("benign", 100.0 * 4 / 11)]
+    assert list(mixed.percentages(paper_compat=True).items()) == [
+        ("detected", 100.0 * 3 / 11), ("silent", 100.0 * 6 / 11), ("false_positive", 100.0 / 11),
+        ("false_negative", 100.0 / 11)]
 
 
 def test_aggregate_empty_errors():

@@ -2,18 +2,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_abft import ArrayConfig, DigitRangeError, split_digits
+from sparse_abft import ArrayConfig
 from sparse_abft.checker import CheckerState
-from sparse_abft.intwrap import wrap
+
+from conftest import loop_digits
 
 INT64 = st.integers(-(1 << 63), (1 << 63) - 1)
 
 
 # ----------------------------------------------------------------------
-# split_digits: worked values, reconstruction oracle, boundaries
+# digit_wave, the engine's digit rule: worked values, reconstruction
+# oracle, boundaries
 
 def reconstruct(digits, width):
     return sum(d << (width * k) for k, d in enumerate(digits))
+
+
+def wave_digits(values, digit_count, digit_width) -> list:
+    """Every digit of each of ``values`` by ``digit_wave``, one list per digit."""
+    ck = CheckerState(ArrayConfig(rows=1, cols=1, input_width=digit_width,
+                                  ic_width=digit_count * digit_width))
+    row = np.array(values, dtype=np.int64)
+    return [ck.digit_wave(row, k).tolist() for k in range(digit_count)]
+
+
+def value_digits(value, digit_count, digit_width) -> list:
+    return [column[0] for column in wave_digits([value], digit_count, digit_width)]
 
 
 @pytest.mark.parametrize(
@@ -25,33 +39,25 @@ def reconstruct(digits, width):
         (-32768, [0, -128]),
         (0, [0, 0]),
         (32512, [0, 127]),
+        (32639, [127, 127]),   # the largest value whose top digit fits
     ],
 )
-def test_split_digits_examples(value, expected):
-    digits = split_digits(value, 2, 8)
+def test_digit_wave_examples(value, expected):
+    digits = value_digits(value, 2, 8)
     assert digits == expected
     assert reconstruct(digits, 8) == value
 
 
-def test_split_digits_range_error():
-    # 32640 is the smallest value whose top digit would need +128
-    assert split_digits(32639, 2, 8) == [127, 127]
-    with pytest.raises(DigitRangeError):
-        split_digits(32640, 2, 8)
-    with pytest.raises(DigitRangeError):
-        split_digits(-32897, 2, 8)
-
-
-def test_split_digits_wrapping_mode_matches_mod_2_16():
+def test_digit_wave_wraps_mod_2_16():
     for value in (32640, 32767, -32896, 40000):
-        digits = split_digits(value, 2, 8, strict=False)
+        digits = value_digits(value, 2, 8)
         assert all(-128 <= d <= 127 for d in digits)
         assert (reconstruct(digits, 8) - value) % (1 << 16) == 0
 
 
 @given(st.integers(-32768, 32512))
-def test_split_digits_roundtrip_reachable_range(value):
-    digits = split_digits(value, 2, 8)
+def test_digit_wave_roundtrip_reachable_range(value):
+    digits = value_digits(value, 2, 8)
     assert len(digits) == 2
     assert all(-128 <= d <= 127 for d in digits)
     assert reconstruct(digits, 8) == value
@@ -59,55 +65,32 @@ def test_split_digits_roundtrip_reachable_range(value):
 
 @settings(max_examples=300)
 @given(st.integers(2, 4), st.data())
-def test_split_digits_general_digit_counts(digit_count, data):
+def test_digit_wave_general_digit_counts(digit_count, data):
     # sums of <= 2^(8*(d-1)) signed bytes land in [lo, hi]; every such value
     # must decompose with all digits in signed byte range
     lo = -(1 << (8 * digit_count - 1))
     hi = 127 << (8 * (digit_count - 1))
     value = data.draw(st.integers(lo, hi))
-    digits = split_digits(value, digit_count, 8)
+    digits = value_digits(value, digit_count, 8)
     assert all(-128 <= d <= 127 for d in digits)
     assert reconstruct(digits, 8) == value
 
 
-def test_split_digits_array_matches_scalar():
-    values = np.array([300, -1, 130, -32768, 0, 32512, 32767])
-    for k in range(2):
-        column = split_digits(values, 2, 8, strict=False)[k]
-        for i, v in enumerate(values):
-            assert column[i] == split_digits(int(v), 2, 8, strict=False)[k]
+def test_digit_wave_array_matches_scalar():
+    values = [300, -1, 130, -32768, 0, 32512, 32767]
+    columns = wave_digits(values, 2, 8)
+    for i, v in enumerate(values):
+        assert [column[i] for column in columns] == value_digits(v, 2, 8)
 
 
 # ----------------------------------------------------------------------
-# the bias-and-mask digit rule against the former loop
-
-def loop_split_digits(value, digit_count, digit_width, strict=True):
-    """The former loop form of split_digits, kept as its reference."""
-    digits = []
-    remaining = value if isinstance(value, np.ndarray) else int(value)
-    for _ in range(digit_count - 1):
-        digit = wrap(remaining, digit_width)
-        digits.append(digit)
-        remaining = (remaining - digit) >> digit_width
-    top = wrap(remaining, digit_width)
-    if strict and np.any(top != remaining):
-        raise DigitRangeError(f"value {value} needs top digit {remaining}")
-    digits.append(top)
-    return digits
-
-
-def digits_or_error(split, value, count, width, strict):
-    try:
-        return [np.asarray(d).tolist() for d in split(value, count, width, strict)]
-    except DigitRangeError:
-        return "DigitRangeError"
-
+# the bias-and-mask digit rule against the former loop (conftest)
 
 @st.composite
 def digit_cases(draw):
     """``(count, width, values)``: widths 1..31 and counts 1..7 with
-    count * width <= 63; values inside the strict range, at and just past
-    its ends, or anywhere in int64."""
+    count * width <= 63; values inside the signed range of the digits, at
+    and just past its ends, or anywhere in int64."""
     width = draw(st.integers(1, 31))
     count = draw(st.integers(1, min(7, 63 // width)))
     # the signed range of count digits of width bits each
@@ -118,30 +101,25 @@ def digit_cases(draw):
 
 
 @settings(max_examples=400)
-@given(digit_cases(), st.booleans())
-def test_split_digits_matches_loop_on_ints(case, strict):
+@given(digit_cases())
+def test_digit_wave_matches_loop_on_ints(case):
     count, width, values = case
     for value in values:
-        got = digits_or_error(split_digits, value, count, width, strict)
-        assert got == digits_or_error(loop_split_digits, value, count, width, strict)
-        if got != "DigitRangeError":
-            assert all(type(d) is int for d in split_digits(value, count, width, strict))
+        assert value_digits(value, count, width) == loop_digits(value, count, width)
 
 
 @settings(max_examples=400)
-@given(digit_cases(), st.booleans())
-def test_split_digits_matches_loop_on_int64_arrays(case, strict):
+@given(digit_cases())
+def test_digit_wave_matches_loop_on_int64_arrays(case):
     count, width, values = case
     array = np.array(values, dtype=np.int64)
-    got = digits_or_error(split_digits, array, count, width, strict)
-    assert got == digits_or_error(loop_split_digits, array, count, width, strict)
+    got = wave_digits(array, count, width)
+    assert got == [d.tolist() for d in loop_digits(array, count, width)]
     # and element by element on exact Python ints
-    per_value = [digits_or_error(loop_split_digits, v, count, width, strict) for v in values]
-    if "DigitRangeError" in per_value:
-        assert got == "DigitRangeError"
-    else:
-        assert got == [list(column) for column in zip(*per_value)]
-        assert all(d.dtype == np.int64 for d in split_digits(array, count, width, strict))
+    per_value = [loop_digits(v, count, width) for v in values]
+    assert got == [list(column) for column in zip(*per_value)]
+    ck = CheckerState(ArrayConfig(rows=1, cols=1, input_width=width, ic_width=count * width))
+    assert all(ck.digit_wave(array, k).dtype == np.int64 for k in range(count))
 
 
 @settings(max_examples=300)
@@ -155,7 +133,7 @@ def test_digit_wave_matches_loop_per_row(width, data):
                                      min_size=cfg.rows, max_size=cfg.rows)), dtype=np.int64)
     digit_k = np.array(data.draw(st.lists(st.integers(0, count - 1),
                                           min_size=cfg.rows, max_size=cfg.rows)))
-    want = [loop_split_digits(row, count, width, strict=False)[k].tolist()
+    want = [loop_digits(row, count, width)[k].tolist()
             for row, k in zip(ic, digit_k.tolist())]
     assert ck.digit_wave(ic, digit_k).tolist() == want
     assert ck.digit_wave(ic[0], int(digit_k[0])).tolist() == want[0]

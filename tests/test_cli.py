@@ -10,6 +10,7 @@ from sparse_abft import (
     DenseMatrix,
     OutcomeCategory,
     SimState,
+    StructuredSparseMatrix,
     parse_register,
     read_dense,
     read_packed,
@@ -18,7 +19,7 @@ from sparse_abft import (
 )
 from sparse_abft import driver
 from sparse_abft.cli import main
-from sparse_abft.sparsity import PATTERN_2_4, pack, unpack
+from sparse_abft.sparsity import PATTERN_2_4, unpack
 
 
 @pytest.fixture
@@ -168,7 +169,7 @@ def test_run_zero_matrices(tiny_files, tmp_path):
     p = tiny_files
     a0, w0 = tmp_path / "a0.mat", tmp_path / "w0.smat"
     write_dense(a0, DenseMatrix.zeros(2, 4))
-    write_packed(w0, pack(DenseMatrix.zeros(4, 2), PATTERN_2_4))
+    write_packed(w0, StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.zeros(4, 2)))
     rc = main(["run", "--config", str(p["cfg"]), "--a", str(a0), "--w", str(w0),
                "--out", str(p["out"]), "--report", str(p["report"])])
     assert rc == 0

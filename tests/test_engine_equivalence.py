@@ -3,7 +3,9 @@
 ``ReferenceEngine`` clocks one edge per Python call, exactly as the
 simulator did before tiles were clocked in segments: it is kept here as the
 reference the segment engine must match register for register. Both run on
-``SimState`` objects; the reference only reads and writes their registers.
+``SimState`` objects; the reference only reads and writes their registers,
+and takes its digit waves from the loop reference in ``conftest``, not from
+the engine's ``digit_wave``.
 """
 
 import io
@@ -20,14 +22,13 @@ from sparse_abft import (
     parse_register,
     prune_magnitude,
 )
-from sparse_abft.checker import split_digits
 from sparse_abft.intwrap import wrap
 from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern
 from sparse_abft.systolic import (TileResult, _lagged, _tile_schedule, tile_active_cycles,
                                   wave_schedule)
 
-from conftest import random_faults, random_inputs, random_weights
+from conftest import loop_digits, random_faults, random_inputs, random_weights
 
 PATTERN_1_3 = SparsityPattern(1, 3)
 
@@ -40,12 +41,12 @@ class ReferenceEngine:
 
     def clock(self, west, is_data, is_last_digit, corner_data, corner_digit, label) -> None:
         st = self.state
-        cfg, ck = st.cfg, st.checker
+        cfg = st.cfg
         T = st.cycle
         n_act, m = cfg.pattern.n, cfg.pattern.m
 
         bottom = st.psum[cfg.rows - 1]
-        chain_out = int(ck.oc[cfg.cols - 1])
+        chain_out = int(st.oc[cfg.cols - 1])
 
         # tensor PE grid
         idx = st.indexes[:, :, :n_act]
@@ -62,28 +63,28 @@ class ReferenceEngine:
         pipe_next[:, 1:, :] = st.pipe[:, :-1, :]
 
         # IC accumulators: add data bundles, clear after the last digit wave
-        ic_next = ck.ic.copy()
+        ic_next = st.ic.copy()
         if is_data.any():
-            ic_next[is_data] = wrap(ck.ic[is_data] + west[is_data], cfg.ic_width)
+            ic_next[is_data] = wrap(st.ic[is_data] + west[is_data], cfg.ic_width)
         if is_last_digit.any():
             ic_next[is_last_digit] = 0
 
         # OC chain: running west-to-east sum of bottom-of-column results
-        oc_next = np.empty_like(ck.oc)
+        oc_next = np.empty_like(st.oc)
         oc_next[0] = bottom[0]
-        oc_next[1:] = ck.oc[:-1] + bottom[1:]
+        oc_next[1:] = st.oc[:-1] + bottom[1:]
         oc_next = wrap(oc_next, cfg.oc_width)
 
         st.psum = psum_next
         st.pipe = pipe_next
-        ck.ic = ic_next
-        ck.oc = oc_next
+        st.ic = ic_next
+        st.oc = oc_next
         if corner_data:
-            ck.actual_accumulate(chain_out)
+            st.actual_accumulate(chain_out)
         elif corner_digit >= 0:
-            ck.predicted_accumulate(chain_out << cfg.input_width * corner_digit)
+            st.predicted_accumulate(chain_out << cfg.input_width * corner_digit)
             if corner_digit == cfg.digits_per_round - 1:
-                st.round_results.append(ck.compare_and_reset(len(st.round_results)))
+                st.round_results.append(st.compare_and_reset(len(st.round_results)))
 
         if st.trace_sink is not None and st.watch:
             for reg in st.watch:
@@ -132,7 +133,7 @@ class ReferenceEngine:
             bundle = west[t]
             if is_digit[t].any():
                 rows = is_digit[t]
-                digits = np.stack(split_digits(st.checker.ic, d, cfg.input_width, strict=False))
+                digits = np.stack(loop_digits(st.ic, d, cfg.input_width))
                 bundle[rows] = digits[row_digit[t, rows], pe_rows[rows]]
             bottoms[t] = st.psum[R - 1]
             self.clock(bundle, is_data[t], is_last_digit[t], corner_data[t], corner_digit[t],
@@ -145,17 +146,16 @@ class ReferenceEngine:
 
 
 def registers(state: SimState) -> dict:
-    ck = state.checker
     return {
         "cycle": state.cycle,
         "weights": state.weights.tolist(),
         "indexes": state.indexes.tolist(),
         "pipe": state.pipe.tolist(),
         "psum": state.psum.tolist(),
-        "ic": ck.ic.tolist(),
-        "oc": ck.oc.tolist(),
-        "actual": ck.actual,
-        "predicted": ck.predicted,
+        "ic": state.ic.tolist(),
+        "oc": state.oc.tolist(),
+        "actual": state.actual,
+        "predicted": state.predicted,
         "rounds": [r.to_json_dict() for r in state.round_results],
         "pending": sorted(state.pending_faults),
     }

@@ -11,10 +11,10 @@ from sparse_abft.sparsity import (
     SparsityPattern,
     StructuredSparseMatrix,
     block_rows,
-    pack,
     prune_magnitude,
 )
 
+from conftest import packed_block
 from test_sparsity import valid_structured_matrices
 
 PATTERNS = ["2:4", "1:4", "1:3", "3:4"]
@@ -30,7 +30,7 @@ def test_dense_roundtrip(tmp_path):
 
 def test_packed_roundtrip(tmp_path):
     w = DenseMatrix.from_array([[1, 0], [0, 2], [-1, 0], [0, 3]])
-    sw = pack(w, PATTERN_2_4)
+    sw = StructuredSparseMatrix(PATTERN_2_4, w)
     path = tmp_path / "w.smat"
     write_packed(path, sw)
     assert read_packed(path) == sw
@@ -115,7 +115,7 @@ def test_packed_parse_errors(tmp_path, content):
 @given(valid_structured_matrices())
 def test_packed_roundtrip_property(tmp_path_factory, w):
     path = tmp_path_factory.mktemp("io") / "w.smat"
-    sw = pack(w, PATTERN_2_4)
+    sw = StructuredSparseMatrix(PATTERN_2_4, w)
     write_packed(path, sw)
     assert read_packed(path) == sw
 
@@ -298,7 +298,7 @@ def loop_write_packed(path, sw):
         fh.write(f"{sw.rows} {sw.cols} {sw.pattern.n} {sw.pattern.m}\n")
         for br in range(sw.block_rows):
             for c in range(sw.cols):
-                mask, vals, _ = sw.block(br, c)
+                mask, vals, _ = packed_block(sw, br, c)
                 line = format(mask, f"0{m}b")
                 if vals:
                     line += " " + " ".join(str(v) for v in vals)
@@ -366,7 +366,7 @@ def test_packed_io_matches_loop_reference(tmp_path_factory, seed, pattern_text):
 
 def test_packed_io_with_63_row_blocks(tmp_path):
     w = DenseMatrix.from_array(np.eye(63, 2, k=-61, dtype=np.int64) * 7)  # rows 61 and 62
-    sw = pack(w, SparsityPattern(2, 63))
+    sw = StructuredSparseMatrix(SparsityPattern(2, 63), w)
     write_packed(tmp_path / "new.smat", sw)
     loop_write_packed(tmp_path / "loop.smat", sw)
     text = (tmp_path / "new.smat").read_text()

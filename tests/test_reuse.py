@@ -36,7 +36,7 @@ def reference_snapshot(reference):
     tile's bottom-row sums."""
     states = [s for r in reference.results for s in r.states]
     return ([([x.tolist() for x in s._arrays()], s.cycle, len(s.round_results),
-              s.checker.actual, s.checker.predicted) for s in states],
+              s.actual, s.predicted) for s in states],
             [r.bottoms.tolist() for r in reference.results])
 
 
@@ -123,9 +123,8 @@ def test_fault_free_tile_boundaries_hold_no_dynamic_state():
             cfg, a, w = random_workload(rng, pattern)
             results = reference_run(cfg, a, w).results
             for start in [r.states[0] for r in results] + [results[-1].states[-1]]:
-                ck = start.checker
-                assert (ck.actual, ck.predicted) == (0, 0)
-                assert not any(x.any() for x in (start.pipe, start.psum, ck.ic, ck.oc))
+                assert (start.actual, start.predicted) == (0, 0)
+                assert not any(x.any() for x in (start.pipe, start.psum, start.ic, start.oc))
 
 
 def test_only_tiles_a_fault_reaches_are_simulated(monkeypatch):
@@ -250,3 +249,18 @@ def test_restart_keeps_the_runs_watch_list_and_trace_sink():
     # round 0 is taken, round 1 clocked, and round 2 taken again
     traced = [int(line.split(",")[0]) for line in sink.getvalue().splitlines()]
     assert traced == list(range(cuts[0], cuts[1]))
+
+
+def test_the_reference_is_read_only():
+    """A kept run's bottom-row sums and its kept states' register arrays are
+    read-only, so no reusing run can change the reference in place; a state
+    that takes one gets writable copies."""
+    cfg, a, w, reference, _ = round_workload(17)
+    for result in reference.results:
+        for x in (result.bottoms, *(x for s in result.states for x in s._arrays())):
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[(0,) * x.ndim] = 1
+    state = SimState(cfg)
+    state.take(reference.results[0].states[-1])
+    assert all(x.flags.writeable for x in state._arrays())

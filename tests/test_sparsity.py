@@ -11,7 +11,6 @@ from sparse_abft import (
     SparsityPattern,
     SparsityViolationError,
     matmul_ref,
-    pack,
     prune_magnitude,
     read_packed,
     run_multiplication,
@@ -21,6 +20,8 @@ from sparse_abft import (
 )
 from sparse_abft.driver import reference_run
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
+
+from conftest import packed_block
 
 
 def col_matrix(*values):
@@ -101,26 +102,26 @@ def brute_force_best_subset(block, n):
 
 def test_prune_keeps_largest_magnitudes():
     sw = prune_magnitude(col_matrix([5, -2, 0, 3]), PATTERN_2_4)
-    mask, values, indexes = sw.block(0, 0)
+    mask, values, indexes = packed_block(sw, 0, 0)
     assert (mask, values, indexes) == (0b1001, [5, 3], [0, 3])
     assert brute_force_best_subset([5, -2, 0, 3], 2) == abs(5) + abs(3)
 
 
 def test_prune_tie_breaks_to_lower_index():
     sw = prune_magnitude(col_matrix([3, -3, 3, 0]), PATTERN_2_4)
-    mask, values, indexes = sw.block(0, 0)
+    mask, values, indexes = packed_block(sw, 0, 0)
     assert (mask, values, indexes) == (0b0011, [3, -3], [0, 1])
 
 
 def test_prune_all_zero_block():
     sw = prune_magnitude(DenseMatrix.zeros(4, 2), PATTERN_2_4)
-    assert sw.block(0, 0) == (0, [], [])
-    assert sw.block(0, 1) == (0, [], [])
+    assert packed_block(sw, 0, 0) == (0, [], [])
+    assert packed_block(sw, 0, 1) == (0, [], [])
 
 
 def test_prune_drops_zeros_from_kept_set():
     sw = prune_magnitude(col_matrix([5, 0, 0, 0]), PATTERN_2_4)
-    assert sw.block(0, 0) == (0b0001, [5], [0])
+    assert packed_block(sw, 0, 0) == (0b0001, [5], [0])
 
 
 @settings(max_examples=200)
@@ -128,7 +129,7 @@ def test_prune_drops_zeros_from_kept_set():
 def test_prune_is_magnitude_optimal(block, n):
     pattern = SparsityPattern(n, 4)
     sw = prune_magnitude(col_matrix(block), pattern)
-    _, values, _ = sw.block(0, 0)
+    _, values, _ = packed_block(sw, 0, 0)
     # dropping zeros never changes the magnitude sum, so the kept set must
     # match the brute-force optimum exactly
     assert sum(abs(v) for v in values) == brute_force_best_subset(block, n)
@@ -136,29 +137,29 @@ def test_prune_is_magnitude_optimal(block, n):
 
 
 # ----------------------------------------------------------------------
-# pack / unpack
+# packing / unpack
 
 def test_pack_bit_convention():
-    sw = pack(col_matrix([1, 0, -1, 0]), PATTERN_2_4)
-    assert sw.block(0, 0) == (0b0101, [1, -1], [0, 2])
+    sw = StructuredSparseMatrix(PATTERN_2_4, col_matrix([1, 0, -1, 0]))
+    assert packed_block(sw, 0, 0) == (0b0101, [1, -1], [0, 2])
 
 
 def test_pack_single_element_1_4():
-    sw = pack(col_matrix([0, 0, 7, 0]), PATTERN_1_4)
-    assert sw.block(0, 0) == (0b0100, [7], [2])
+    sw = StructuredSparseMatrix(PATTERN_1_4, col_matrix([0, 0, 7, 0]))
+    assert packed_block(sw, 0, 0) == (0b0100, [7], [2])
 
 
 def test_pack_rejects_invalid():
     w = col_matrix([1, 1, 1, 0])
     with pytest.raises(SparsityViolationError) as excinfo:
-        pack(w, PATTERN_2_4)
+        StructuredSparseMatrix(PATTERN_2_4, w)
     assert excinfo.value.report.violations == [(0, 0, 3)]
 
 
 def test_violation_error_survives_pickling():
     """A campaign child sends its exception to the caller pickled."""
     with pytest.raises(SparsityViolationError) as excinfo:
-        pack(DenseMatrix.from_array([[1], [2], [3], [0]]), PATTERN_2_4)
+        StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.from_array([[1], [2], [3], [0]]))
     error = excinfo.value
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is SparsityViolationError
@@ -170,7 +171,8 @@ def test_pickled_matrices_stay_read_only():
     """Unpickled matrices, as a spawned campaign child gets its A, W, golden
     product and ``Reference``, keep their data read-only and equal."""
     dense = DenseMatrix(2, 2, np.arange(4))
-    sw = pack(DenseMatrix.from_array([[0, 1], [2, 0], [0, 0], [-3, 4]]), PATTERN_2_4)
+    sw = StructuredSparseMatrix(PATTERN_2_4,
+                                DenseMatrix.from_array([[0, 1], [2, 0], [0, 0], [-3, 4]]))
     cfg = ArrayConfig(rows=1, cols=2)
     a = DenseMatrix.from_array(np.arange(-12, 12).reshape(3, 8))
     reference = reference_run(cfg, a, prune_magnitude(DenseMatrix.from_array(
@@ -196,8 +198,9 @@ def test_packed_arrays_derived_and_read_only():
     edited afterwards."""
     dense = DenseMatrix.from_array([[0], [0], [0], [5]])
     sw = StructuredSparseMatrix(PATTERN_2_4, dense)
-    assert sw == pack(dense, PATTERN_2_4) and sw.dense is dense and unpack(sw) is dense
-    assert (sw.rows, sw.cols, sw.block(0, 0)) == (4, 1, (0b1000, [5], [3]))
+    assert sw == StructuredSparseMatrix(PATTERN_2_4, DenseMatrix(4, 1, dense.data))
+    assert sw.dense is dense and unpack(sw) is dense
+    assert (sw.rows, sw.cols, packed_block(sw, 0, 0)) == (4, 1, (0b1000, [5], [3]))
     assert sw.values.tolist() == [[[5, 0]]] and sw.indexes.tolist() == [[[3, 0]]]
     for name in ("masks", "values", "indexes", "counts"):
         assert not getattr(sw, name).flags.writeable
@@ -205,7 +208,7 @@ def test_packed_arrays_derived_and_read_only():
 
 def test_unpack_pack_zero_identity():
     z = DenseMatrix.zeros(8, 3)
-    assert unpack(pack(z, PATTERN_2_4)) == z
+    assert unpack(StructuredSparseMatrix(PATTERN_2_4, z)) == z
 
 
 def valid_structured_matrices(pattern=PATTERN_2_4, max_blocks=4, max_cols=5):
@@ -233,13 +236,13 @@ def valid_structured_matrices(pattern=PATTERN_2_4, max_blocks=4, max_cols=5):
 @settings(max_examples=150)
 @given(valid_structured_matrices())
 def test_pack_unpack_roundtrip(w):
-    assert unpack(pack(w, PATTERN_2_4)) == w
+    assert unpack(StructuredSparseMatrix(PATTERN_2_4, w)) == w
 
 
 @settings(max_examples=100)
 @given(valid_structured_matrices(pattern=PATTERN_1_4))
 def test_pack_unpack_roundtrip_1_4(w):
-    assert unpack(pack(w, PATTERN_1_4)) == w
+    assert unpack(StructuredSparseMatrix(PATTERN_1_4, w)) == w
 
 
 @settings(max_examples=100)
@@ -313,7 +316,7 @@ def test_vectorized_packing_matches_loop_reference(seed):
     assert_packed_as(pruned, loop_pack(w, pattern, prune=True))
     dense = unpack(pruned)
     assert dense == loop_unpack(pruned)
-    packed = pack(dense, pattern)
+    packed = StructuredSparseMatrix(pattern, dense)
     assert_packed_as(packed, loop_pack(dense, pattern, prune=False))
 
 

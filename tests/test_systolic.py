@@ -10,12 +10,13 @@ from sparse_abft import (
     FaultSpec,
     SimState,
     StateError,
+    StructuredSparseMatrix,
     enumerate_registers,
     matmul_ref,
-    pack,
     parse_register,
     unpack,
 )
+from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles, wave_schedule
 
@@ -48,7 +49,8 @@ def test_load_weights_maps_blocks_to_pes(worked_example):
 
 def test_load_weights_1_4_slot1_idle():
     cfg = ArrayConfig(rows=1, cols=2, pattern=PATTERN_1_4)
-    w = pack(DenseMatrix.from_array([[0, 0], [5, 0], [0, 0], [0, -7]]), PATTERN_1_4)
+    w = StructuredSparseMatrix(PATTERN_1_4,
+                               DenseMatrix.from_array([[0, 0], [5, 0], [0, 0], [0, -7]]))
     state = SimState(cfg)
     state.load_weights(w)
     assert state.weights[0, 0].tolist() == [5, 0]
@@ -60,7 +62,7 @@ def test_load_weights_1_4_slot1_idle():
 
 def test_load_weights_zero_tile_yields_zero_outputs(tiny_cfg):
     state = SimState(tiny_cfg)
-    w = pack(DenseMatrix.zeros(4, 2), PATTERN_2_4)
+    w = StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.zeros(4, 2))
     a = DenseMatrix.from_array([[9, -9, 5, 77], [1, 2, 3, 4]])
     res = state.run_tile(a, w)
     assert res.outputs == DenseMatrix.zeros(2, 2)
@@ -69,21 +71,23 @@ def test_load_weights_zero_tile_yields_zero_outputs(tiny_cfg):
 
 def test_load_weights_shape_and_pattern_errors(tiny_cfg):
     state = SimState(tiny_cfg)
-    with pytest.raises(ShapeError):
-        state.load_weights(pack(DenseMatrix.zeros(8, 2), PATTERN_2_4))  # 2 block rows
-    with pytest.raises(ShapeError):
-        state.load_weights(pack(DenseMatrix.zeros(4, 3), PATTERN_2_4))  # wrong cols
-    with pytest.raises(ShapeError):
-        state.load_weights(pack(DenseMatrix.zeros(4, 2), PATTERN_1_4))  # wrong pattern
+    for pattern, rows, cols in [(PATTERN_2_4, 8, 2),    # 2 block rows
+                                (PATTERN_2_4, 4, 3),    # wrong cols
+                                (PATTERN_1_4, 4, 2)]:   # wrong pattern
+        with pytest.raises(ShapeError):
+            state.load_weights(StructuredSparseMatrix(pattern, DenseMatrix.zeros(rows, cols)))
 
 
 def test_load_weights_rejects_values_outside_input_width(tiny_cfg):
     """A weight register holds input_width bits; the engine's exact products rely on it."""
     state = SimState(tiny_cfg)
-    state.load_weights(pack(DenseMatrix.from_array([[-128, 127]] + [[0, 0]] * 3), PATTERN_2_4))
+    def tile(first_row):
+        return StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.from_array([first_row] + [[0, 0]] * 3))
+
+    state.load_weights(tile([-128, 127]))
     for bad in (128, -129):
         with pytest.raises(ValueError, match="weight"):
-            state.load_weights(pack(DenseMatrix.from_array([[bad, 0]] + [[0, 0]] * 3), PATTERN_2_4))
+            state.load_weights(tile([bad, 0]))
 
 
 # ----------------------------------------------------------------------
@@ -101,7 +105,7 @@ def test_step_computes_psum_from_pipe(worked_example):
 def test_step_bubble_passes_north_psum(tiny_cfg):
     cfg = ArrayConfig(rows=2, cols=1)
     state = SimState(cfg)
-    state.load_weights(pack(DenseMatrix.zeros(8, 1), PATTERN_2_4))
+    state.load_weights(StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.zeros(8, 1)))
     state.psum[0, 0] = 1234
     state.step()
     assert state.read_register(parse_register("tpe.1.0.psum")) == 1234
@@ -112,7 +116,7 @@ def test_step_psum_wraps_two_complement():
     w = np.zeros((8, 1), dtype=np.int64)
     w[4, 0] = 1  # PE (1,0): weight 1 at lane 0
     state = SimState(cfg)
-    state.load_weights(pack(DenseMatrix.from_array(w), PATTERN_2_4))
+    state.load_weights(StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.from_array(w)))
     state.psum[0, 0] = 2**23 - 1
     state.pipe[1, 0, 0] = 1
     state.step()
@@ -274,7 +278,7 @@ def test_ic_accumulates_column_sums(worked_example):
     state, _, trace = traced_tile(cfg, a, w, names)
     # both data waves (cycles 0 and 1) are in; the digit waves follow
     assert [trace[1, name] for name in names] == [6, 8, 10, 12]
-    assert state.checker.ic[0].tolist() == [0, 0, 0, 0]  # cleared for next round
+    assert state.ic[0].tolist() == [0, 0, 0, 0]  # cleared for next round
 
 
 # ----------------------------------------------------------------------
@@ -314,6 +318,24 @@ def test_flip_of_every_register_kind_and_its_bit_range(worked_example):
             state.flip_register_bit(reg, width)
         state.flip_register_bit(reg, width - 1)
         assert state.read_register(reg) == before
+
+
+def test_copy_and_matches_cover_every_register_kind(worked_example):
+    """``copy`` shares no register with its source, and ``matches`` sees a
+    one-bit flip in a register of every kind, the corner accumulators included."""
+    cfg, a, _, w = worked_example
+    state = SimState(cfg)
+    state.run_tile(a, w)
+    regs = {e.reg.kind: e.reg for e in enumerate_registers(cfg).entries}
+    assert set(regs) == set(RegKind)
+    for reg in regs.values():
+        other = state.copy()
+        assert other.matches(state)
+        assert not any(np.shares_memory(x, y) for x in other._arrays() for y in state._arrays())
+        before = state.read_register(reg)
+        other.flip_register_bit(reg, 0)
+        assert (state.read_register(reg), other.read_register(reg)) == (before, before ^ 1)
+        assert not other.matches(state) and not state.matches(other)
 
 
 def test_register_bounds_checked(tiny_cfg):
