@@ -15,7 +15,7 @@ from .config import ArrayConfig, load_config
 from .driver import RunResult, run_multiplication, total_active_cycles
 from .faults import FaultSpec, sample_faults
 from .matio import MatrixFormatError, read_dense, read_packed, write_dense, write_packed
-from .oracle import GoldenResult, checksum_identity, golden_result, matmul_ref
+from .oracle import GoldenResult, golden_result, matmul_ref
 from .registers import Owner, RegisterId, RegKind, enumerate_registers, parse_register
 from .sparsity import (
     DenseMatrix,
@@ -25,7 +25,6 @@ from .sparsity import (
     StructuredSparseMatrix,
     prune_magnitude,
     unpack,
-    validate_structured,
 )
 from .systolic import SimState, StateError, TileResult, tile_active_cycles
 from .tiling import Tile, TilePlan, tile_plan
@@ -57,7 +56,6 @@ __all__ = [
     "TileResult",
     "WorkloadSpec",
     "aggregate",
-    "checksum_identity",
     "classify",
     "enumerate_registers",
     "golden_result",
@@ -75,7 +73,6 @@ __all__ = [
     "tile_plan",
     "total_active_cycles",
     "unpack",
-    "validate_structured",
     "write_dense",
     "write_packed",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ArrayConfig
-from .intwrap import wrap
+from .intwrap import check_ndarray_width, wrap
 from .registers import enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 from .systolic import SimState, tile_active_cycles
@@ -66,7 +66,7 @@ def tile_operands(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -
         raise ShapeError(f"weight pattern {w.pattern} != array pattern {cfg.pattern}")
     if a.cols != w.rows:
         raise ShapeError(f"inner dimensions differ: A has {a.cols}, W has {w.rows}")
-    a.check_width(cfg.input_width)
+    check_ndarray_width(a.data, cfg.input_width, "matrix element")
     tiles = tile_plan(a.rows, a.cols, w.cols, cfg).tiles
     if (a.cols, w.cols) == (cfg.tile_k, cfg.cols):   # one tile, nothing to pad
         return [(tiles[0], a, w)]

@@ -34,12 +34,7 @@ import re
 
 import numpy as np
 
-from .sparsity import (
-    DenseMatrix,
-    SparsityPattern,
-    StructuredSparseMatrix,
-    block_rows,
-)
+from .sparsity import DenseMatrix, SparsityPattern, StructuredSparseMatrix
 
 _INT = re.compile(r"[+-]?[0-9]+")
 _TOKEN = re.compile(r"[^ \t]+")
@@ -204,7 +199,7 @@ def read_packed(path) -> StructuredSparseMatrix:
     if rows < 0 or cols < 0:
         raise MatrixFormatError(f"{path}: negative dimensions")
 
-    expected = block_rows(rows, m) * cols
+    expected = -(-rows // m) * cols   # one line per (block-row, column)
     starts, counts = _tokens(_classes(text))
     if len(counts) != expected:
         raise MatrixFormatError(f"{path}: expected {expected} block lines, found {len(counts)}")

@@ -26,27 +26,9 @@ def _product(a: DenseMatrix, w_dense: DenseMatrix):
     return exact_matmul(a.data, w_dense.data, peak), peak
 
 
-def _identity(a: DenseMatrix, w_dense: DenseMatrix, product, peak: int):
-    a_data, w_data = a.data, w_dense.data
-    if peak * a.cols * a.rows * w_dense.cols >= 1 << 63:
-        a_data, w_data = a_data.astype(object), w_data.astype(object)
-        product = a_data @ w_data
-    total = int(product.sum())
-    dot = int(a_data.sum(axis=0) @ w_data.sum(axis=1))
-    return total, dot, total == dot
-
-
 def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:
     """Exact integer product, each element wrapped to out_width bits."""
     return DenseMatrix(a.rows, w_dense.cols, wrap(_product(a, w_dense)[0], out_width))
-
-
-def checksum_identity(a: DenseMatrix, w_dense: DenseMatrix):
-    """Both sides of the output-checksum identity, over unbounded integers.
-
-    Returns (sum of all product elements, dot(colsum(A), rowsum(W)), equal).
-    """
-    return _identity(a, w_dense, *_product(a, w_dense))
 
 
 @dataclass(frozen=True)
@@ -58,9 +40,16 @@ class GoldenResult:
 
 
 def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> GoldenResult:
-    """The wrapped product and its checksum, from one product A W."""
+    """The wrapped product and its checksum, from one product A W, after
+    checking the output-checksum identity: the sum of all product elements
+    equals dot(colsum(A), rowsum(W)) over unbounded integers."""
     product, peak = _product(a, w_dense)
-    total, _, equal = _identity(a, w_dense, product, peak)
-    assert equal, "checksum identity must hold over unbounded integers"
+    a_data, w_data, exact = a.data, w_dense.data, product
+    if peak * a.cols * a.rows * w_dense.cols >= 1 << 63:
+        a_data, w_data = a_data.astype(object), w_data.astype(object)
+        exact = a_data @ w_data
+    total = int(exact.sum())
+    assert total == int(a_data.sum(axis=0) @ w_data.sum(axis=1)), \
+        "checksum identity must hold over unbounded integers"
     wrapped = DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width), owned=True)
     return GoldenResult(product=wrapped, total_checksum=total)

@@ -103,22 +103,16 @@ def parse_register(name: str) -> RegisterId:
 
 
 @dataclass(frozen=True)
-class RegisterEntry:
-    reg: RegisterId
-    width_bits: int
-
-
-@dataclass(frozen=True)
 class RegisterMap:
     """Flat register population; bit offsets and totals derive from the entries."""
 
-    entries: tuple
+    entries: tuple      # (RegisterId, width in bits) pairs, in sampling order
 
     def __post_init__(self):
-        widths = [e.width_bits for e in self.entries]
-        array_bits = sum(e.width_bits for e in self.entries if e.reg.owner is Owner.ARRAY)
+        widths = [width for _, width in self.entries]
+        array_bits = sum(width for reg, width in self.entries if reg.owner is Owner.ARRAY)
         for name, value in (("_offsets", list(itertools.accumulate(widths, initial=0))[:-1]),
-                            ("_widths", {e.reg: e.width_bits for e in self.entries}),
+                            ("_widths", dict(self.entries)),
                             ("total_bits", sum(widths)), ("array_bits", array_bits),
                             ("checker_bits", sum(widths) - array_bits)):
             object.__setattr__(self, name, value)
@@ -128,7 +122,7 @@ class RegisterMap:
         if not 0 <= global_bit < self.total_bits:
             raise ValueError(f"bit {global_bit} out of range [0, {self.total_bits})")
         i = bisect.bisect_right(self._offsets, global_bit) - 1
-        return self.entries[i].reg, global_bit - self._offsets[i]
+        return self.entries[i][0], global_bit - self._offsets[i]
 
     def width_of(self, reg: RegisterId) -> int:
         try:
@@ -145,11 +139,11 @@ def enumerate_registers(cfg: ArrayConfig) -> RegisterMap:
     state and cannot be fault targets. Maps are cached per configuration;
     they are immutable and safe to share.
     """
-    entries: list[RegisterEntry] = []
+    entries = []
 
     def add(reg: RegisterId, width: int):
         if width > 0:
-            entries.append(RegisterEntry(reg, width))
+            entries.append((reg, width))
 
     for r in range(cfg.rows):
         for c in range(cfg.cols):

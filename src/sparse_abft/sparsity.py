@@ -14,8 +14,6 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .intwrap import check_ndarray_width
-
 
 class ShapeError(ValueError):
     """Matrix dimensions incompatible with the requested operation."""
@@ -24,16 +22,14 @@ class ShapeError(ValueError):
 class SparsityViolationError(ValueError):
     """Dense matrix does not satisfy the N:M constraint."""
 
-    def __init__(self, report: "ValidationReport"):
-        self.report = report
-        worst = ", ".join(
-            f"(block {b}, col {c}: {k} non-zeros)" for b, c, k in report.violations[:4]
-        )
-        more = "" if len(report.violations) <= 4 else f" and {len(report.violations) - 4} more"
+    def __init__(self, violations: list):
+        self.violations = violations    # (block_row, col, nonzero_count), block-row-major
+        worst = ", ".join(f"(block {b}, col {c}: {k} non-zeros)" for b, c, k in violations[:4])
+        more = "" if len(violations) <= 4 else f" and {len(violations) - 4} more"
         super().__init__(f"structured-sparsity violations: {worst}{more}")
 
     def __reduce__(self):
-        return type(self), (self.report,)
+        return type(self), (self.violations,)
 
 
 @dataclass(frozen=True)
@@ -83,20 +79,6 @@ class DenseMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr.reshape(self.rows, self.cols))
 
-    @classmethod
-    def from_array(cls, arr) -> "DenseMatrix":
-        a = np.asarray(arr, dtype=np.int64)
-        if a.ndim != 2:
-            raise ShapeError(f"expected 2-D array, got shape {a.shape}")
-        return cls(a.shape[0], a.shape[1], a)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "DenseMatrix":
-        return cls(rows, cols, np.zeros((rows, cols), dtype=np.int64))
-
-    def check_width(self, width: int) -> None:
-        check_ndarray_width(self.data, width, what="matrix element")
-
     def __reduce__(self):   # unpickled data stays read-only
         return type(self), (self.rows, self.cols, self.data, True)
 
@@ -104,14 +86,6 @@ class DenseMatrix:
         if not isinstance(other, DenseMatrix):
             return NotImplemented
         return bool(np.array_equal(self.data, other.data))  # shapes included
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of an N:M structure check."""
-
-    valid: bool
-    violations: list = field(default_factory=list)  # (block_row, col, nonzero_count)
 
 
 @dataclass(frozen=True)
@@ -128,10 +102,10 @@ class StructuredSparseMatrix:
 
     pattern: SparsityPattern
     dense: DenseMatrix
-    masks: np.ndarray = field(init=False, repr=False)     # (block_rows, cols)
-    values: np.ndarray = field(init=False, repr=False)    # (block_rows, cols, n)
-    indexes: np.ndarray = field(init=False, repr=False)   # (block_rows, cols, n)
-    counts: np.ndarray = field(init=False, repr=False)    # (block_rows, cols)
+    masks: np.ndarray = field(init=False, repr=False)     # (blocks, cols)
+    values: np.ndarray = field(init=False, repr=False)    # (blocks, cols, n)
+    indexes: np.ndarray = field(init=False, repr=False)   # (blocks, cols, n)
+    counts: np.ndarray = field(init=False, repr=False)    # (blocks, cols)
 
     def __post_init__(self):
         m, n = self.pattern.m, self.pattern.n
@@ -139,7 +113,8 @@ class StructuredSparseMatrix:
         nonzero = blocks != 0
         counts = nonzero.sum(axis=1)
         if (counts > n).any():
-            raise SparsityViolationError(validate_structured(self.dense, self.pattern))
+            raise SparsityViolationError([(int(b), int(c), int(counts[b, c]))
+                                          for b, c in np.argwhere(counts > n)])
         # slot j holds a block's (j+1)-th non-zero; its offset is the number
         # of offsets i with at most j non-zeros in offsets 0..i
         ranks = nonzero.cumsum(axis=1)
@@ -168,36 +143,18 @@ class StructuredSparseMatrix:
     def cols(self) -> int:
         return self.dense.cols
 
-    @property
-    def block_rows(self) -> int:
-        return self.masks.shape[0]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StructuredSparseMatrix):
             return NotImplemented
         return self.pattern == other.pattern and self.dense == other.dense
 
 
-def block_rows(rows: int, m: int) -> int:
-    """Number of m-row blocks covering ``rows`` (last block zero-padded)."""
-    return (rows + m - 1) // m
-
-
 def _padded_blocks(w: DenseMatrix, m: int) -> np.ndarray:
-    """View of the dense data as (block_rows, m, cols), zero-padded."""
-    b = block_rows(w.rows, m)
+    """View of the dense data as (blocks, m, cols), the last block zero-padded."""
+    b = -(-w.rows // m)
     padded = np.zeros((b * m, w.cols), dtype=np.int64)
     padded[: w.rows] = w.data
     return padded.reshape(b, m, w.cols)
-
-
-def validate_structured(w: DenseMatrix, pattern: SparsityPattern) -> ValidationReport:
-    """Check that every column block of ``w`` has at most ``pattern.n`` non-zeros."""
-    blocks = _padded_blocks(w, pattern.m)
-    counts = np.count_nonzero(blocks, axis=1)  # (block_rows, cols)
-    bad = np.argwhere(counts > pattern.n)
-    violations = [(int(b), int(c), int(counts[b, c])) for b, c in bad]
-    return ValidationReport(valid=not violations, violations=violations)
 
 
 def prune_magnitude(w: DenseMatrix, pattern: SparsityPattern) -> StructuredSparseMatrix:

@@ -108,6 +108,14 @@ class TileResult:
     bottoms: np.ndarray | None = None   # keep: (cycles, C) bottom-row sums before each edge
     states: list | None = None          # keep: SimState after the weight load and each round
 
+    def __post_init__(self):
+        if self.states:   # a reference: what faulty runs read (take copies it) stays as it is
+            for x in (self.bottoms, *(x for state in self.states for x in state._arrays())):
+                x.flags.writeable = False
+
+    def __reduce__(self):   # unpickled, a reference is sealed again
+        return type(self), (self.outputs, self.rounds, self.bottoms, self.states)
+
 
 @dataclass(frozen=True)
 class Segment:
@@ -536,7 +544,7 @@ class SimState(CheckerState):
                              f"array expects width {cfg.tile_k}")
         if a_tile.rows < 1:
             raise ShapeError("input tile must have at least one row")
-        a_tile.check_width(cfg.input_width)
+        check_ndarray_width(a_tile.data, cfg.input_width, "matrix element")
         if self._loaded_tile != w_tile:
             self.load_weights(w_tile)
 
@@ -567,9 +575,6 @@ class SimState(CheckerState):
             if keep:
                 states.append(self.copy())
             lo = hi
-        if keep:   # what faulty runs read (take copies it) stays as it is
-            for x in (bottoms, *(x for state in states for x in state._arrays())):
-                x.flags.writeable = False
 
         # a row presented on cycle p leaves column c at the bottom on cycle
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up

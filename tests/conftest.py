@@ -31,10 +31,20 @@ def worked_example(tiny_cfg):
 
     Product is [[-2, 16], [-2, 36]]; both checksum sides equal 48.
     """
-    a = DenseMatrix.from_array([[1, 2, 3, 4], [5, 6, 7, 8]])
-    w_dense = DenseMatrix.from_array([[1, 0], [0, 2], [-1, 0], [0, 3]])
+    a = as_dense([[1, 2, 3, 4], [5, 6, 7, 8]])
+    w_dense = as_dense([[1, 0], [0, 2], [-1, 0], [0, 3]])
     w = StructuredSparseMatrix(tiny_cfg.pattern, w_dense)
     return tiny_cfg, a, w_dense, w
+
+
+def as_dense(values) -> DenseMatrix:
+    """The DenseMatrix of a 2-D array or nested list."""
+    data = np.asarray(values, dtype=np.int64)
+    return DenseMatrix(*data.shape, data)
+
+
+def zero_dense(rows: int, cols: int) -> DenseMatrix:
+    return DenseMatrix(rows, cols, np.zeros((rows, cols), dtype=np.int64))
 
 
 def packed_block(sw, block_row: int, col: int):
@@ -76,15 +86,14 @@ def loop_digits(value, digit_count, digit_width):
 def random_faults(rng, cfg, window, count, kinds=tuple(RegKind)):
     """``count`` faults over ``[0, window)``, each on a register of a random kind."""
     by_kind = {}
-    for entry in enumerate_registers(cfg).entries:
-        by_kind.setdefault(entry.reg.kind, []).append(entry)
+    for reg, width in enumerate_registers(cfg).entries:
+        by_kind.setdefault(reg.kind, []).append((reg, width))
     kinds = [k for k in kinds if k in by_kind]
     faults = []
     for _ in range(count):
         entries = by_kind[kinds[rng.integers(len(kinds))]]
-        entry = entries[rng.integers(len(entries))]
-        faults.append(FaultSpec(int(rng.integers(window)), entry.reg,
-                                int(rng.integers(entry.width_bits))))
+        reg, width = entries[rng.integers(len(entries))]
+        faults.append(FaultSpec(int(rng.integers(window)), reg, int(rng.integers(width))))
     return faults
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from sparse_abft import (
     ArrayConfig,
-    DenseMatrix,
     FaultSpec,
     StructuredSparseMatrix,
     golden_result,
@@ -16,7 +15,8 @@ from sparse_abft import (
 from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4
 
-from conftest import idle_slot_registers, random_inputs, random_weights, silent_pipe_targets
+from conftest import (as_dense, idle_slot_registers, random_inputs, random_weights,
+                      silent_pipe_targets)
 
 
 def run_with_faults(cfg, a, w, faults=()):
@@ -29,8 +29,8 @@ def lane_gapped():
     """1x2 array whose weights never select lanes 1 and 3."""
     cfg = ArrayConfig(rows=1, cols=2)
     w = StructuredSparseMatrix(PATTERN_2_4,
-                               DenseMatrix.from_array([[1, 4], [0, 0], [-1, 3], [0, 0]]))
-    a = DenseMatrix.from_array([[1, 2, 3, 4], [5, 6, 7, 8], [-9, 10, -11, 12]])
+                               as_dense([[1, 4], [0, 0], [-1, 3], [0, 0]]))
+    a = as_dense([[1, 2, 3, 4], [5, 6, 7, 8], [-9, 10, -11, 12]])
     return cfg, a, w
 
 
@@ -41,7 +41,7 @@ def test_unselected_input_lanes_never_influence_results(lane_gapped):
     perturbed = np.array(a.data)
     perturbed[:, 1] = [99, -99, 42]
     perturbed[:, 3] = [-1, 7, 127]
-    out, rounds = run_with_faults(cfg, DenseMatrix.from_array(perturbed), w)
+    out, rounds = run_with_faults(cfg, as_dense(perturbed), w)
     assert out == baseline_out
     assert rounds == baseline_rounds
 

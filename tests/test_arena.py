@@ -99,8 +99,8 @@ from sparse_abft.driver import run_multiplication
 
 cfg = ArrayConfig()
 rng = np.random.default_rng(5)
-a = DenseMatrix.from_array(rng.integers(-128, 128, (256, 64)))
-w = prune_magnitude(DenseMatrix.from_array(rng.integers(-127, 128, (64, 64))), cfg.pattern)
+a = DenseMatrix(256, 64, rng.integers(-128, 128, (256, 64)))
+w = prune_magnitude(DenseMatrix(64, 64, rng.integers(-127, 128, (64, 64))), cfg.pattern)
 campaigns = CampaignConfig(array=cfg, campaigns=1, fault_lo=1, fault_hi=5, master_seed=3,
                            workload=WorkloadSpec(a_rows=512))
 calls = {"run": lambda i: run_multiplication(cfg, a, w),

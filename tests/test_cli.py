@@ -7,7 +7,6 @@ import sys
 import pytest
 
 from sparse_abft import (
-    DenseMatrix,
     OutcomeCategory,
     SimState,
     StructuredSparseMatrix,
@@ -20,6 +19,8 @@ from sparse_abft import (
 from sparse_abft import driver
 from sparse_abft.cli import main
 from sparse_abft.sparsity import PATTERN_2_4, unpack
+
+from conftest import as_dense, zero_dense
 
 
 @pytest.fixture
@@ -45,7 +46,7 @@ def tiny_files(tmp_path, worked_example):
 def test_prune_writes_expected_packed_line(tmp_path, capsys):
     infile = tmp_path / "w.mat"
     outfile = tmp_path / "w.smat"
-    write_dense(infile, DenseMatrix.from_array([[5], [-2], [0], [3]]))
+    write_dense(infile, as_dense([[5], [-2], [0], [3]]))
     assert main(["prune", "--pattern", "2:4", "--in", str(infile), "--out", str(outfile)]) == 0
     assert outfile.read_text().splitlines()[1] == "1001 5 3"
     assert "kept 2 non-zeros of 4" in capsys.readouterr().out
@@ -54,7 +55,7 @@ def test_prune_writes_expected_packed_line(tmp_path, capsys):
 def test_prune_idempotent_on_valid_input(tmp_path):
     infile = tmp_path / "w.mat"
     outfile = tmp_path / "w.smat"
-    valid = DenseMatrix.from_array([[1, 0], [0, 2], [-1, 0], [0, 3]])
+    valid = as_dense([[1, 0], [0, 2], [-1, 0], [0, 3]])
     write_dense(infile, valid)
     main(["prune", "--pattern", "2:4", "--in", str(infile), "--out", str(outfile)])
     assert unpack(read_packed(outfile)) == valid
@@ -62,7 +63,7 @@ def test_prune_idempotent_on_valid_input(tmp_path):
 
 def test_prune_pattern_3_4_accepted_5_4_rejected(tmp_path):
     infile = tmp_path / "w.mat"
-    write_dense(infile, DenseMatrix.zeros(4, 1))
+    write_dense(infile, zero_dense(4, 1))
     assert main(["prune", "--pattern", "3:4", "--in", str(infile),
                  "--out", str(infile.with_suffix(".smat"))]) == 0
     with pytest.raises(SystemExit) as excinfo:
@@ -78,7 +79,7 @@ def test_prune_parse_failure_exit_2(tmp_path):
 
 def test_prune_pattern_m_above_63_exit_2(tmp_path):
     infile = tmp_path / "w.mat"
-    write_dense(infile, DenseMatrix.zeros(64, 1))
+    write_dense(infile, zero_dense(64, 1))
     with pytest.raises(SystemExit) as excinfo:
         main(["prune", "--pattern", "1:64", "--in", str(infile), "--out", "x.smat"])
     assert excinfo.value.code == 2
@@ -168,8 +169,8 @@ def test_run_width_past_int64_engine_exit_2(tiny_files, capsys, name):
 def test_run_zero_matrices(tiny_files, tmp_path):
     p = tiny_files
     a0, w0 = tmp_path / "a0.mat", tmp_path / "w0.smat"
-    write_dense(a0, DenseMatrix.zeros(2, 4))
-    write_packed(w0, StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.zeros(4, 2)))
+    write_dense(a0, zero_dense(2, 4))
+    write_packed(w0, StructuredSparseMatrix(PATTERN_2_4, zero_dense(4, 2)))
     rc = main(["run", "--config", str(p["cfg"]), "--a", str(a0), "--w", str(w0),
                "--out", str(p["out"]), "--report", str(p["report"])])
     assert rc == 0
@@ -180,7 +181,7 @@ def test_run_zero_matrices(tiny_files, tmp_path):
 def test_run_shape_mismatch_exit_4(tiny_files, tmp_path):
     p = tiny_files
     a_bad = tmp_path / "bad_a.mat"
-    write_dense(a_bad, DenseMatrix.zeros(2, 5))
+    write_dense(a_bad, zero_dense(2, 5))
     rc = main(["run", "--config", str(p["cfg"]), "--a", str(a_bad), "--w", str(p["w"]),
                "--out", str(p["out"])])
     assert rc == 4
@@ -193,7 +194,7 @@ def test_campaign_file_shape_mismatch_exit_4(tiny_files, tmp_path, bad):
     a_path, cfg = p["a"], {"R": 1, "C": 2}
     if bad == "inner dimension":
         a_path = tmp_path / "bad_a.mat"
-        write_dense(a_path, DenseMatrix.zeros(2, 5))
+        write_dense(a_path, zero_dense(2, 5))
     else:
         cfg["pattern"] = "1:4"    # the weights are 2:4
     p["cfg"].write_text(json.dumps({**cfg, "workload": {"a": str(a_path), "w": str(p["w"])}}))

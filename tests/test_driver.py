@@ -23,7 +23,7 @@ from sparse_abft.driver import tile_operands
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 from sparse_abft.systolic import SimState, tile_active_cycles
 
-from conftest import random_inputs, random_weights
+from conftest import as_dense, random_inputs, random_weights, zero_dense
 
 
 def test_single_tile_run(worked_example):
@@ -77,12 +77,12 @@ def test_shape_and_pattern_errors(worked_example):
     with pytest.raises(ShapeError):
         run_multiplication(dataclasses.replace(cfg, pattern=PATTERN_1_4), a, w)
     with pytest.raises(ShapeError):
-        run_multiplication(cfg, DenseMatrix.zeros(2, 5), w)
+        run_multiplication(cfg, zero_dense(2, 5), w)
 
 
 def test_input_width_enforced(worked_example):
     cfg, _, _, w = worked_example
-    wide = DenseMatrix.from_array([[300, 0, 0, 0]])
+    wide = as_dense([[300, 0, 0, 0]])
     with pytest.raises(ValueError):
         run_multiplication(cfg, wide, w)
 
@@ -112,8 +112,8 @@ def test_tracing_keeps_the_segment_schedule(monkeypatch):
     """A traced run clocks the same segments as an untraced one."""
     cfg = ArrayConfig()
     rng = np.random.default_rng(1)
-    a = DenseMatrix.from_array(rng.integers(-128, 128, (256, 64)))
-    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-128, 128, (64, 64))), cfg.pattern)
+    a = as_dense(rng.integers(-128, 128, (256, 64)))
+    w = prune_magnitude(as_dense(rng.integers(-128, 128, (64, 64))), cfg.pattern)
     advance = SimState._advance
     calls = []
 
@@ -143,7 +143,7 @@ def test_exact_single_tile_operands_are_the_callers_own():
     with pytest.raises(ShapeError):
         tile_operands(dataclasses.replace(cfg, pattern=PATTERN_1_4), a, w)
     with pytest.raises(ValueError, match="outside signed 8-bit"):
-        tile_operands(cfg, DenseMatrix.from_array(np.full((5, cfg.tile_k), 128)), w)
+        tile_operands(cfg, as_dense(np.full((5, cfg.tile_k), 128)), w)
 
 
 def test_tiles_of_one_inner_chunk_share_their_a_slice():
@@ -204,6 +204,6 @@ def test_tile_operands_pad_edge_chunks(a_rows, k, cols):
     assert [t for t, _, _ in operands] == list(tile_plan(a_rows, k, cols, cfg).tiles)
     for tile, a_tile, w_tile in operands:
         (k_lo, _), (c_lo, _) = tile.k_range, tile.col_range
-        assert a_tile == DenseMatrix.from_array(a_pad[:, k_lo:k_lo + 8])
+        assert a_tile == as_dense(a_pad[:, k_lo:k_lo + 8])
         assert w_tile == StructuredSparseMatrix(
-            cfg.pattern, DenseMatrix.from_array(w_pad[k_lo:k_lo + 8, c_lo:c_lo + 3]))
+            cfg.pattern, as_dense(w_pad[k_lo:k_lo + 8, c_lo:c_lo + 3]))

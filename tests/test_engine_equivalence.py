@@ -28,7 +28,7 @@ from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern
 from sparse_abft.systolic import (TileResult, _lagged, _tile_schedule, tile_active_cycles,
                                   wave_schedule)
 
-from conftest import loop_digits, random_faults, random_inputs, random_weights
+from conftest import as_dense, loop_digits, random_faults, random_inputs, random_weights
 
 PATTERN_1_3 = SparsityPattern(1, 3)
 
@@ -210,8 +210,8 @@ WIDE_CORNER = dict(input_width=30, ic_width=60, col_out_width=62, oc_width=62, c
 def full_scale_tile(cfg, a_rows):
     """Inputs and weights all at the largest positive value."""
     top = (1 << cfg.input_width - 1) - 1
-    a = DenseMatrix.from_array(np.full((a_rows, cfg.tile_k), top))
-    w = prune_magnitude(DenseMatrix.from_array(np.full((cfg.tile_k, cfg.cols), top)), cfg.pattern)
+    a = as_dense(np.full((a_rows, cfg.tile_k), top))
+    w = prune_magnitude(as_dense(np.full((cfg.tile_k, cfg.cols), top)), cfg.pattern)
     return a, w
 
 
@@ -274,7 +274,7 @@ def test_traced_run_matches_reference(widths):
                        random_faults(rng, cfg, 1, 1)
                        + random_faults(rng, cfg, 1, 1, kinds=(RegKind.CKSUM_ACTUAL,
                                                               RegKind.CKSUM_PREDICTED))]
-        watch = [entry.reg.name for entry in enumerate_registers(cfg).entries]
+        watch = [reg.name for reg, _ in enumerate_registers(cfg).entries]
         state = run_both(cfg, tiles, faults + random_faults(rng, cfg, window, 4), watch=watch)
         assert len(state.trace_sink.getvalue().splitlines()) == len(watch) * window
 
@@ -287,10 +287,10 @@ def test_step_matches_reference_from_random_state():
         w = random_weights(rng, cfg.tile_k, cfg.cols, pattern)
         for state in states:
             state.load_weights(w)
-        for entry in enumerate_registers(cfg).entries:   # arbitrary values in every register
-            value = int(rng.integers(1 << entry.width_bits))
+        for reg, width in enumerate_registers(cfg).entries:   # arbitrary values in every register
+            value = int(rng.integers(1 << width))
             for state in states:
-                state.write_register(entry.reg, value)
+                state.write_register(reg, value)
         faults = random_faults(rng, cfg, 12, 6)
         for state in states:
             state.schedule_faults(faults)
@@ -339,7 +339,7 @@ def test_one_cycle_segments_around_last_digits_and_compares(widths):
         for trial in range(3):
             faults = [FaultSpec(t, f.register, f.bit) for t in cycles
                       for f in random_faults(rng, cfg, 1, 1)]
-            watch = [e.reg.name for e in enumerate_registers(cfg).entries] if trial == 0 else ()
+            watch = [reg.name for reg, _ in enumerate_registers(cfg).entries] if trial == 0 else ()
             run_both(cfg, tiles, faults, watch=watch)
 
 

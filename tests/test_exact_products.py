@@ -13,7 +13,6 @@ import pytest
 
 from sparse_abft import (
     ArrayConfig,
-    DenseMatrix,
     FaultSpec,
     SimState,
     enumerate_registers,
@@ -25,7 +24,7 @@ from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles
 
-from conftest import random_inputs, random_weights
+from conftest import as_dense, random_inputs, random_weights
 from test_engine_equivalence import run_both
 
 # (pattern, largest input_width on float64, next one up)
@@ -39,8 +38,8 @@ def edge_config(pattern, width):
 
 def full_scale(cfg, value, a_rows=6):
     """A tile whose inputs and pruned weights all equal ``value``."""
-    a = DenseMatrix.from_array(np.full((a_rows, cfg.tile_k), value))
-    w = prune_magnitude(DenseMatrix.from_array(np.full((cfg.tile_k, cfg.cols), value)),
+    a = as_dense(np.full((a_rows, cfg.tile_k), value))
+    w = prune_magnitude(as_dense(np.full((cfg.tile_k, cfg.cols), value)),
                         cfg.pattern)
     return a, w
 
@@ -64,10 +63,10 @@ def test_edges_straddle_the_float64_bound(monkeypatch):
 
 def top_bit_faults(rng, cfg, window, count):
     """``count`` flips of the top bit of weight, index, input-pipe and psum registers."""
-    entries = [e for e in enumerate_registers(cfg).entries if e.reg.kind in
+    entries = [(reg, width) for reg, width in enumerate_registers(cfg).entries if reg.kind in
                (RegKind.WEIGHT, RegKind.INDEX, RegKind.INPUT_PIPE, RegKind.PSUM)]
     picks = rng.choice(len(entries), count, replace=False)
-    return [FaultSpec(int(rng.integers(window)), entries[i].reg, entries[i].width_bits - 1)
+    return [FaultSpec(int(rng.integers(window)), entries[i][0], entries[i][1] - 1)
             for i in picks]
 
 
@@ -149,11 +148,11 @@ def test_top_bit_psum_faults_just_past_the_bound_match_reference():
         w = random_weights(rng, cfg.tile_k, cfg.cols, cfg.pattern)
         tiles = [(random_inputs(rng, 20, cfg.tile_k), w) for _ in range(2)]
         window = 2 * tile_active_cycles(cfg, 20)
-        psums = [e for e in enumerate_registers(cfg).entries if e.reg.kind is RegKind.PSUM]
+        psums = [e for e in enumerate_registers(cfg).entries if e[0].kind is RegKind.PSUM]
         for _ in range(8):
             picks = rng.choice(len(psums), 4, replace=False)
-            run_both(cfg, tiles, [FaultSpec(int(rng.integers(window)), psums[i].reg,
-                                            psums[i].width_bits - 1) for i in picks])
+            run_both(cfg, tiles, [FaultSpec(int(rng.integers(window)), psums[i][0],
+                                            psums[i][1] - 1) for i in picks])
 
 
 def test_long_segments_keep_every_product_on_one_thread(monkeypatch):

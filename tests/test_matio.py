@@ -6,22 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_abft import DenseMatrix, read_dense, read_packed, write_dense, write_packed
 from sparse_abft.matio import MatrixFormatError
-from sparse_abft.sparsity import (
-    PATTERN_2_4,
-    SparsityPattern,
-    StructuredSparseMatrix,
-    block_rows,
-    prune_magnitude,
-)
+from sparse_abft.sparsity import (PATTERN_2_4, SparsityPattern, StructuredSparseMatrix,
+                                   prune_magnitude)
 
-from conftest import packed_block
+from conftest import as_dense, packed_block, zero_dense
 from test_sparsity import valid_structured_matrices
 
 PATTERNS = ["2:4", "1:4", "1:3", "3:4"]
 
 
 def test_dense_roundtrip(tmp_path):
-    m = DenseMatrix.from_array([[1, -2, 3], [-4, 5, -6]])
+    m = as_dense([[1, -2, 3], [-4, 5, -6]])
     path = tmp_path / "m.mat"
     write_dense(path, m)
     assert read_dense(path) == m
@@ -29,7 +24,7 @@ def test_dense_roundtrip(tmp_path):
 
 
 def test_packed_roundtrip(tmp_path):
-    w = DenseMatrix.from_array([[1, 0], [0, 2], [-1, 0], [0, 3]])
+    w = as_dense([[1, 0], [0, 2], [-1, 0], [0, 3]])
     sw = StructuredSparseMatrix(PATTERN_2_4, w)
     path = tmp_path / "w.smat"
     write_packed(path, sw)
@@ -41,7 +36,7 @@ def test_packed_roundtrip(tmp_path):
 
 
 def test_packed_mask_line_matches_prune_example(tmp_path):
-    sw = prune_magnitude(DenseMatrix.from_array([[5], [-2], [0], [3]]), PATTERN_2_4)
+    sw = prune_magnitude(as_dense([[5], [-2], [0], [3]]), PATTERN_2_4)
     path = tmp_path / "w.smat"
     write_packed(path, sw)
     assert path.read_text().splitlines()[1] == "1001 5 3"
@@ -139,11 +134,11 @@ def test_packed_negative_dimensions(tmp_path, content):
 
 def test_zero_column_dense_roundtrip(tmp_path):
     path = tmp_path / "m.mat"
-    write_dense(path, DenseMatrix.zeros(2, 0))
+    write_dense(path, zero_dense(2, 0))
     assert path.read_text() == "2 0\n\n\n"
-    assert read_dense(path) == DenseMatrix.zeros(2, 0)
+    assert read_dense(path) == zero_dense(2, 0)
     path.write_text("2 0\n")
-    assert read_dense(path) == DenseMatrix.zeros(2, 0)
+    assert read_dense(path) == zero_dense(2, 0)
     assert_fault(read_dense, path, "2 0\n5\n", "expected 0 data lines, found 1")
 
 
@@ -257,7 +252,7 @@ def loop_read_packed(path):
         pattern = SparsityPattern(n, m)
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: bad header: {exc}") from exc
-    b = block_rows(rows, m)
+    b = -(-rows // m)
     expected = b * cols
     if len(lines) - 1 != expected:
         raise MatrixFormatError(f"{path}: expected {expected} block lines, found {len(lines) - 1}")
@@ -296,7 +291,7 @@ def loop_write_packed(path, sw):
     m = sw.pattern.m
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{sw.rows} {sw.cols} {sw.pattern.n} {sw.pattern.m}\n")
-        for br in range(sw.block_rows):
+        for br in range(len(sw.masks)):
             for c in range(sw.cols):
                 mask, vals, _ = packed_block(sw, br, c)
                 line = format(mask, f"0{m}b")
@@ -336,7 +331,7 @@ def respace(rng, text, skip_first_token=False):
 def test_dense_io_matches_loop_reference(tmp_path_factory, seed):
     rng = np.random.default_rng(seed)
     shape = (int(rng.integers(0, 12)), int(rng.integers(1, 12)))
-    m = DenseMatrix.from_array(random_values(rng, shape))
+    m = as_dense(random_values(rng, shape))
     d = tmp_path_factory.mktemp("io")
     write_dense(d / "new.mat", m)
     loop_write_dense(d / "loop.mat", m)
@@ -353,7 +348,7 @@ def test_packed_io_matches_loop_reference(tmp_path_factory, seed, pattern_text):
     rng = np.random.default_rng(seed)
     pattern = SparsityPattern.parse(pattern_text)
     shape = (int(rng.integers(0, 14)), int(rng.integers(0, 6)))
-    sw = prune_magnitude(DenseMatrix.from_array(random_values(rng, shape, zeros=0.4)), pattern)
+    sw = prune_magnitude(as_dense(random_values(rng, shape, zeros=0.4)), pattern)
     d = tmp_path_factory.mktemp("io")
     write_packed(d / "new.smat", sw)
     loop_write_packed(d / "loop.smat", sw)
@@ -365,7 +360,7 @@ def test_packed_io_matches_loop_reference(tmp_path_factory, seed, pattern_text):
 
 
 def test_packed_io_with_63_row_blocks(tmp_path):
-    w = DenseMatrix.from_array(np.eye(63, 2, k=-61, dtype=np.int64) * 7)  # rows 61 and 62
+    w = as_dense(np.eye(63, 2, k=-61, dtype=np.int64) * 7)  # rows 61 and 62
     sw = StructuredSparseMatrix(SparsityPattern(2, 63), w)
     write_packed(tmp_path / "new.smat", sw)
     loop_write_packed(tmp_path / "loop.smat", sw)

@@ -2,31 +2,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_abft import DenseMatrix, checksum_identity, golden_result, matmul_ref
+from sparse_abft import DenseMatrix, golden_result, matmul_ref
 from sparse_abft.sparsity import ShapeError
+
+from conftest import as_dense, zero_dense
+
+
+def python_dot(a, w):
+    """dot(colsum(A), rowsum(W)) in Python ints: the identity's other side."""
+    return sum(sum(int(x) for x in a.data[:, j]) * sum(int(x) for x in w.data[j])
+               for j in range(a.cols))
 
 
 def test_worked_example(worked_example):
     _, a, w_dense, _ = worked_example
     assert matmul_ref(a, w_dense, 24).data.tolist() == [[-2, 16], [-2, 36]]
-    assert checksum_identity(a, w_dense) == (48, 48, True)
+    assert golden_result(a, w_dense, 24).total_checksum == python_dot(a, w_dense) == 48
 
 
 def test_identity_matrix():
-    a = DenseMatrix.from_array(np.eye(4, dtype=np.int64))
-    w = DenseMatrix.from_array([[1, 2], [3, 4], [5, 6], [7, 8]])
+    a = as_dense(np.eye(4, dtype=np.int64))
+    w = as_dense([[1, 2], [3, 4], [5, 6], [7, 8]])
     assert matmul_ref(a, w, 24) == w
 
 
 def test_zero_weights():
-    a = DenseMatrix.from_array([[1, 2], [3, 4]])
-    assert matmul_ref(a, DenseMatrix.zeros(2, 3), 24) == DenseMatrix.zeros(2, 3)
-    assert checksum_identity(DenseMatrix.zeros(2, 2), DenseMatrix.zeros(2, 2)) == (0, 0, True)
+    a = as_dense([[1, 2], [3, 4]])
+    assert matmul_ref(a, zero_dense(2, 3), 24) == zero_dense(2, 3)
+    z = zero_dense(2, 2)
+    assert golden_result(z, z, 24).total_checksum == python_dot(z, z) == 0
 
 
 def test_wraparound_at_out_width():
-    a = DenseMatrix.from_array([[127] * 64])
-    w = DenseMatrix.from_array([[127]] * 64)
+    a = as_dense([[127] * 64])
+    w = as_dense([[127]] * 64)
     true_value = 64 * 127 * 127  # 1032256, fits 24 bits
     assert matmul_ref(a, w, 24).data[0, 0] == true_value
     assert matmul_ref(a, w, 16).data[0, 0] == ((true_value + 2**15) % 2**16) - 2**15
@@ -34,9 +43,9 @@ def test_wraparound_at_out_width():
 
 def test_shape_mismatch():
     with pytest.raises(ShapeError):
-        matmul_ref(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(4, 2), 24)
+        matmul_ref(zero_dense(2, 3), zero_dense(4, 2), 24)
     with pytest.raises(ShapeError):
-        checksum_identity(DenseMatrix.zeros(2, 3), DenseMatrix.zeros(4, 2))
+        golden_result(zero_dense(2, 3), zero_dense(4, 2), 24)
 
 
 @settings(max_examples=300)
@@ -46,8 +55,8 @@ def test_identity_holds_on_random_pairs(seed):
     n = int(rng.integers(1, 17))
     a = DenseMatrix(n, 16, rng.integers(-128, 128, size=(n, 16)))
     w = DenseMatrix(16, 16, rng.integers(-128, 128, size=(16, 16)))
-    total, dot, equal = checksum_identity(a, w)
-    assert equal and total == dot
+    total = golden_result(a, w, 24).total_checksum
+    assert total == python_dot(a, w)
     # recompute one side with plain Python arithmetic as a second opinion
     slow = sum(
         int(a.data[i, j]) * int(w.data[j, c])
@@ -58,19 +67,18 @@ def test_identity_holds_on_random_pairs(seed):
 
 def test_totals_past_int64_are_exact():
     """Every int64 sum here wraps to 0; the true total is 2^71."""
-    a = DenseMatrix.from_array([[2**40, 2**40]])
-    w = DenseMatrix.from_array([[2**30], [2**30]])
-    assert checksum_identity(a, w) == (2**71, 2**71, True)
+    a = as_dense([[2**40, 2**40]])
+    w = as_dense([[2**30], [2**30]])
     golden = golden_result(a, w, 24)
-    assert golden.total_checksum == 2**71
+    assert golden.total_checksum == python_dot(a, w) == 2**71
     assert golden.product == matmul_ref(a, w, 24)
 
 
 def test_product_past_the_float64_bound_is_exact():
     """3 (2^26 + 1)^2 is odd and above 2^53, where float64 rounds; one below it is not."""
     for value, k in ((2**26 + 1, 3), (2**26 - 1, 2)):
-        a = DenseMatrix.from_array([[value] * k])
-        w = DenseMatrix.from_array([[-value]] * k)
+        a = as_dense([[value] * k])
+        w = as_dense([[-value]] * k)
         assert matmul_ref(a, w, 63).data[0, 0] == -k * value**2
         assert golden_result(a, w, 63).total_checksum == -k * value**2
 

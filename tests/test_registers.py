@@ -40,7 +40,7 @@ def test_1_4_mode_same_bit_population():
 def test_every_register_exactly_once():
     cfg = ArrayConfig(rows=2, cols=3)
     rm = enumerate_registers(cfg)
-    regs = [e.reg for e in rm.entries]
+    regs = [reg for reg, _ in rm.entries]
     assert len(regs) == len(set(regs))
     expected = 2 * 3 * (2 + 2 + 4 + 1) + 2 * 4 + 3 + 2
     assert len(regs) == expected
@@ -48,7 +48,7 @@ def test_every_register_exactly_once():
 
 def test_owner_split():
     rm = enumerate_registers(ArrayConfig(rows=1, cols=1))
-    owners = {e.reg.kind: e.reg.owner for e in rm.entries}
+    owners = {reg.kind: reg.owner for reg, _ in rm.entries}
     assert owners[RegKind.WEIGHT] is Owner.ARRAY
     assert owners[RegKind.PSUM] is Owner.ARRAY
     assert owners[RegKind.IC_ACC] is Owner.CHECKER
@@ -64,15 +64,15 @@ def test_locate_bit_covers_population():
         reg, offset = rm.locate_bit(bit)
         assert 0 <= offset < rm.width_of(reg)
         seen[reg] = seen.get(reg, 0) + 1
-    assert seen == {e.reg: e.width_bits for e in rm.entries}
+    assert seen == dict(rm.entries)
     with pytest.raises(ValueError):
         rm.locate_bit(rm.total_bits)
 
 
 def test_names_roundtrip():
     cfg = ArrayConfig(rows=2, cols=2)
-    for entry in enumerate_registers(cfg).entries:
-        assert parse_register(entry.reg.name) == entry.reg
+    for reg, _ in enumerate_registers(cfg).entries:
+        assert parse_register(reg.name) == reg
 
 
 @pytest.mark.parametrize("bad", ["tpe.0.0", "tpe.0.0.q.1", "ic.0.1", "oc", "cksum.x", "zzz"])

@@ -17,9 +17,11 @@ import json
 import numpy as np
 import pytest
 
-from sparse_abft import DenseMatrix, prune_magnitude, write_dense, write_packed
+from sparse_abft import prune_magnitude, write_dense, write_packed
 from sparse_abft.cli import main
 from sparse_abft.sparsity import PATTERN_2_4
+
+from conftest import as_dense
 
 # 2x3 array with 4-bit operands and an 8-bit IC: 16 rows per round, two
 # digit waves per round, tile_k = 8
@@ -81,8 +83,8 @@ def workdir(tmp_path, monkeypatch):
 def test_run_report_and_trace_pinned(workdir):
     rng = np.random.default_rng(2402)
     # 20 rows = two rounds per tile; k = 12 and 5 columns = 2 x 2 tiles
-    write_dense("a.mat", DenseMatrix.from_array(rng.integers(-8, 8, size=(20, 12))))
-    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-7, 8, size=(12, 5))), PATTERN_2_4)
+    write_dense("a.mat", as_dense(rng.integers(-8, 8, size=(20, 12))))
+    w = prune_magnitude(as_dense(rng.integers(-7, 8, size=(12, 5))), PATTERN_2_4)
     write_packed("w.smat", w)
     (workdir / "cfg.json").write_text(json.dumps(ARRAY))
     rc = main(["run", "--config", "cfg.json", "--a", "a.mat", "--w", "w.smat",
@@ -120,8 +122,8 @@ def test_file_campaign_report_pinned(workdir, faults):
     """The four-tile file workload's report; its ``config_echo.workload``
     still echoes the synthetic defaults, not the files' shape."""
     rng = np.random.default_rng(2404)
-    write_dense("a.mat", DenseMatrix.from_array(rng.integers(-8, 8, size=(20, 12))))
-    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-7, 8, size=(12, 5))), PATTERN_2_4)
+    write_dense("a.mat", as_dense(rng.integers(-8, 8, size=(20, 12))))
+    w = prune_magnitude(as_dense(rng.integers(-7, 8, size=(12, 5))), PATTERN_2_4)
     write_packed("w.smat", w)
     (workdir / "cfg.json").write_text(json.dumps({**ARRAY, "workload": {"a": "a.mat", "w": "w.smat"}}))
     assert main(["campaign", "--config", "cfg.json", "--campaigns", "12",
@@ -133,7 +135,7 @@ def test_prune_output_pinned(workdir, capsys):
     rng = np.random.default_rng(2403)
     # 10 rows: the last 2:4 block of each column is half padding; small
     # magnitudes make ties and all-zero blocks common
-    write_dense("w.mat", DenseMatrix.from_array(rng.integers(-3, 4, size=(10, 7))))
+    write_dense("w.mat", as_dense(rng.integers(-3, 4, size=(10, 7))))
     assert main(["prune", "--pattern", "2:4", "--in", "w.mat", "--out", "w.smat"]) == 0
     assert capsys.readouterr().out == PRUNE_STDOUT
     assert sha256(workdir / "w.smat") == PRUNE_DIGEST

@@ -7,18 +7,19 @@ outputs, rounds and cycle count.
 """
 
 import io
+import pickle
 
 import numpy as np
 import pytest
 
-from sparse_abft import (ArrayConfig, DenseMatrix, FaultSpec, SimState, enumerate_registers,
+from sparse_abft import (ArrayConfig, FaultSpec, SimState, enumerate_registers,
                          parse_register)
 from sparse_abft.driver import reference_run, run_multiplication
 from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern, prune_magnitude
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles
 
-from conftest import random_faults, random_inputs, random_weights
+from conftest import as_dense, random_faults, random_inputs, random_weights
 
 PATTERNS = [PATTERN_2_4, PATTERN_1_4, SparsityPattern(1, 3)]
 
@@ -92,22 +93,23 @@ def test_weight_fault_carried_into_equal_next_w_tile():
     rng = np.random.default_rng(4)
     cfg = ArrayConfig(rows=2, cols=3, input_width=4, ic_width=8)
     half = rng.integers(1, 8, size=(2 * cfg.tile_k, cfg.cols))
-    w = prune_magnitude(DenseMatrix.from_array(np.hstack([half, half])), cfg.pattern)
-    a = DenseMatrix.from_array(rng.integers(1, 8, size=(10, 2 * cfg.tile_k)))
+    w = prune_magnitude(as_dense(np.hstack([half, half])), cfg.pattern)
+    a = as_dense(rng.integers(1, 8, size=(10, 2 * cfg.tile_k)))
     reference = reference_run(cfg, a, w)
     assert reference.operands[0][2] == reference.operands[1][2]
     per_tile = tile_active_cycles(cfg, a.rows)
-    weights = [e for e in enumerate_registers(cfg).entries if e.reg.kind is RegKind.WEIGHT]
-    for entry in weights:
+    weights = [(reg, width) for reg, width in enumerate_registers(cfg).entries
+               if reg.kind is RegKind.WEIGHT]
+    for reg, width in weights:
         # the first tile's last cycle, anywhere in it, and anywhere in the second
         for cycle in (per_tile - 1, int(rng.integers(per_tile)), int(rng.integers(per_tile, 2 * per_tile))):
-            faults = [FaultSpec(cycle, entry.reg, int(rng.integers(entry.width_bits)))]
+            faults = [FaultSpec(cycle, reg, int(rng.integers(width)))]
             assert_reuse_exact(cfg, a, w, faults, reference)
     # faulty runs leave the reference as they found it: every state it keeps
     # (at each tile's start and after each round) and the bottoms
     assert reference_snapshot(reference) == reference_snapshot(reference_run(cfg, a, w))
     # a flip on the first tile's last cycle changes only the second tile's columns
-    late = run_multiplication(cfg, a, w, faults=[FaultSpec(per_tile - 1, weights[0].reg, 2)],
+    late = run_multiplication(cfg, a, w, faults=[FaultSpec(per_tile - 1, weights[0][0], 2)],
                               reference=reference).outputs.data
     clean = run_multiplication(cfg, a, w).outputs.data
     assert np.array_equal(late[:, :cfg.cols], clean[:, :cfg.cols])
@@ -137,9 +139,9 @@ def test_only_tiles_a_fault_reaches_are_simulated(monkeypatch):
     advance = SimState._advance
     monkeypatch.setattr(SimState, "_advance", lambda self, *args: clocked.add(self.cycle // per_tile)
                         or advance(self, *args))
-    entries = enumerate_registers(cfg).entries
-    pipe = next(e.reg for e in entries if e.reg.kind is RegKind.INPUT_PIPE)
-    weight = next(e.reg for e in entries if e.reg.kind is RegKind.WEIGHT)
+    regs = [reg for reg, _ in enumerate_registers(cfg).entries]
+    pipe = next(reg for reg in regs if reg.kind is RegKind.INPUT_PIPE)
+    weight = next(reg for reg in regs if reg.kind is RegKind.WEIGHT)
 
     def simulated_tiles(faults, **kwargs):
         clocked.clear()
@@ -203,15 +205,15 @@ def test_fault_effect_outlives_its_round(kind):
     a PE row's last digit wave of a round is summed into the next round's
     checksum: the run must not re-sync at the cut between them."""
     cfg, a, w, reference, rng = round_workload(14)
-    entries = [e for e in enumerate_registers(cfg).entries if e.reg.kind is kind]
+    entries = [(reg, width) for reg, width in enumerate_registers(cfg).entries if reg.kind is kind]
     later_flags = 0
     for tile in range(4):
         compares = compare_cycles(cfg, a.rows, tile)
         for compare in compares[:-1]:
             # from the round's last digit waves, through its compare, into the next round
             for cycle in range(compare - cfg.rows - cfg.cols - 3, compare + 3):
-                entry = entries[rng.integers(len(entries))]
-                faults = [FaultSpec(cycle, entry.reg, int(rng.integers(entry.width_bits)))]
+                reg, width = entries[rng.integers(len(entries))]
+                faults = [FaultSpec(cycle, reg, int(rng.integers(width)))]
                 assert_reuse_exact(cfg, a, w, faults, reference)
                 run = run_multiplication(cfg, a, w, faults=faults)
                 after = next(q for q, c in enumerate(compares) if c >= cycle) + 1
@@ -223,7 +225,7 @@ def test_pipe_flip_in_a_last_round_clocks_only_that_round(monkeypatch):
     cfg, a, w, reference, _ = round_workload(15)
     per_tile = tile_active_cycles(cfg, a.rows)
     cuts = _tile_schedule(cfg, a.rows)[1]
-    pipe = next(e.reg for e in enumerate_registers(cfg).entries if e.reg.kind is RegKind.INPUT_PIPE)
+    pipe = next(reg for reg, _ in enumerate_registers(cfg).entries if reg.kind is RegKind.INPUT_PIPE)
     faults = [FaultSpec(per_tile + cuts[-2] + 1, pipe, 0)]
     assert_reuse_exact(cfg, a, w, faults, reference)
     clocked, simulated = [], set()
@@ -264,3 +266,22 @@ def test_the_reference_is_read_only():
     state = SimState(cfg)
     state.take(reference.results[0].states[-1])
     assert all(x.flags.writeable for x in state._arrays())
+
+
+def test_a_pickled_reference_stays_read_only():
+    """A spawned campaign child gets its ``Reference`` pickled: every kept
+    array comes back read-only, and reusing runs on it repeat the original's."""
+    cfg, a, w, reference, rng = round_workload(17)
+    copy = pickle.loads(pickle.dumps(reference))
+    for result in copy.results:
+        for x in (result.bottoms, *(x for s in result.states for x in s._arrays())):
+            assert not x.flags.writeable
+    assert reference_snapshot(copy) == reference_snapshot(reference)
+    window = tile_active_cycles(cfg, a.rows) * len(reference.results)
+    for faults in ([], *(random_faults(rng, cfg, window, 3) for _ in range(4))):
+        original, unpickled = (run_multiplication(cfg, a, w, faults=faults, reference=r)
+                               for r in (reference, copy))
+        assert unpickled.outputs == original.outputs
+        assert [r.to_json_dict() for r in unpickled.rounds] == \
+            [r.to_json_dict() for r in original.rounds]
+        assert unpickled.total_cycles == original.total_cycles

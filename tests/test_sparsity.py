@@ -15,17 +15,16 @@ from sparse_abft import (
     read_packed,
     run_multiplication,
     unpack,
-    validate_structured,
     write_packed,
 )
 from sparse_abft.driver import reference_run
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 
-from conftest import packed_block
+from conftest import as_dense, packed_block, zero_dense
 
 
 def col_matrix(*values):
-    return DenseMatrix.from_array(np.array(values).T)
+    return as_dense(np.array(values).T)
 
 
 # ----------------------------------------------------------------------
@@ -53,19 +52,19 @@ def test_pattern_m_limited_to_63():
 
 
 # ----------------------------------------------------------------------
-# validate_structured
+# validation: the constructor builds a valid matrix and raises on the rest
 
 def test_validate_zero_matrix_any_shape():
     for rows, cols in ((4, 1), (8, 3), (5, 2)):
-        report = validate_structured(DenseMatrix.zeros(rows, cols), PATTERN_2_4)
-        assert report.valid and not report.violations
+        z = zero_dense(rows, cols)
+        assert StructuredSparseMatrix(PATTERN_2_4, z).dense == z
 
 
 def test_validate_reports_violation():
     w = col_matrix([5, 0, 0, 0], [1, 1, 1, 0])
-    report = validate_structured(w, PATTERN_2_4)
-    assert not report.valid
-    assert report.violations == [(0, 1, 3)]
+    with pytest.raises(SparsityViolationError) as excinfo:
+        StructuredSparseMatrix(PATTERN_2_4, w)
+    assert excinfo.value.violations == [(0, 1, 3)]
 
 
 def test_validate_ok_two_per_block():
@@ -73,14 +72,15 @@ def test_validate_ok_two_per_block():
     # brute-force the count per block-column
     for c in range(2):
         assert np.count_nonzero(w.data[:, c]) <= 2
-    assert validate_structured(w, PATTERN_2_4).valid
+    assert StructuredSparseMatrix(PATTERN_2_4, w).counts.tolist() == [[2, 2]]
 
 
 def test_validate_pads_partial_blocks_with_zeros():
-    w = DenseMatrix.from_array([[1], [2]])  # 2 rows, block of 4
-    assert validate_structured(w, PATTERN_2_4).valid
-    w3 = DenseMatrix.from_array([[1], [2], [3]])
-    assert not validate_structured(w3, PATTERN_2_4).valid
+    w = as_dense([[1], [2]])  # 2 rows, block of 4
+    assert StructuredSparseMatrix(PATTERN_2_4, w).dense == w
+    w3 = as_dense([[1], [2], [3]])
+    with pytest.raises(SparsityViolationError):
+        StructuredSparseMatrix(PATTERN_2_4, w3)
 
 
 def test_dense_matrix_shape_checked():
@@ -114,7 +114,7 @@ def test_prune_tie_breaks_to_lower_index():
 
 
 def test_prune_all_zero_block():
-    sw = prune_magnitude(DenseMatrix.zeros(4, 2), PATTERN_2_4)
+    sw = prune_magnitude(zero_dense(4, 2), PATTERN_2_4)
     assert packed_block(sw, 0, 0) == (0, [], [])
     assert packed_block(sw, 0, 1) == (0, [], [])
 
@@ -133,7 +133,7 @@ def test_prune_is_magnitude_optimal(block, n):
     # dropping zeros never changes the magnitude sum, so the kept set must
     # match the brute-force optimum exactly
     assert sum(abs(v) for v in values) == brute_force_best_subset(block, n)
-    assert validate_structured(unpack(sw), pattern).valid
+    assert StructuredSparseMatrix(pattern, unpack(sw)) == sw
 
 
 # ----------------------------------------------------------------------
@@ -153,18 +153,37 @@ def test_pack_rejects_invalid():
     w = col_matrix([1, 1, 1, 0])
     with pytest.raises(SparsityViolationError) as excinfo:
         StructuredSparseMatrix(PATTERN_2_4, w)
-    assert excinfo.value.report.violations == [(0, 0, 3)]
+    assert excinfo.value.violations == [(0, 0, 3)]
 
 
 def test_violation_error_survives_pickling():
     """A campaign child sends its exception to the caller pickled."""
     with pytest.raises(SparsityViolationError) as excinfo:
-        StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.from_array([[1], [2], [3], [0]]))
+        StructuredSparseMatrix(PATTERN_2_4, as_dense([[1], [2], [3], [0]]))
     error = excinfo.value
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is SparsityViolationError
     assert str(copy) == str(error)
-    assert copy.report.violations == error.report.violations == [(0, 0, 3)]
+    assert copy.violations == error.violations == [(0, 0, 3)]
+
+
+def test_violation_message_names_four_and_counts_the_rest():
+    """Six violating blocks: the message names the first four in
+    block-row-major order, the order ``np.argwhere`` gives, and counts the
+    other two; the list and the message both survive pickling."""
+    # column c holds blocks (0, c) and (1, c); column 3 is valid
+    w = col_matrix([1, 1, 1, 0, 1, 1, 1, 1], [1, 1, 1, 1, 1, 1, 1, 0],
+                   [1, 1, 1, 0, 1, 1, 1, 1], [1, 1, 0, 0, 0, 0, 1, 1])
+    with pytest.raises(SparsityViolationError) as excinfo:
+        StructuredSparseMatrix(PATTERN_2_4, w)
+    error = excinfo.value
+    violations = [(0, 0, 3), (0, 1, 4), (0, 2, 3), (1, 0, 4), (1, 1, 3), (1, 2, 4)]
+    message = ("structured-sparsity violations: (block 0, col 0: 3 non-zeros), "
+               "(block 0, col 1: 4 non-zeros), (block 0, col 2: 3 non-zeros), "
+               "(block 1, col 0: 4 non-zeros) and 2 more")
+    copy = pickle.loads(pickle.dumps(error))
+    assert error.violations == copy.violations == violations
+    assert str(error) == str(copy) == message
 
 
 def test_pickled_matrices_stay_read_only():
@@ -172,10 +191,10 @@ def test_pickled_matrices_stay_read_only():
     product and ``Reference``, keep their data read-only and equal."""
     dense = DenseMatrix(2, 2, np.arange(4))
     sw = StructuredSparseMatrix(PATTERN_2_4,
-                                DenseMatrix.from_array([[0, 1], [2, 0], [0, 0], [-3, 4]]))
+                                as_dense([[0, 1], [2, 0], [0, 0], [-3, 4]]))
     cfg = ArrayConfig(rows=1, cols=2)
-    a = DenseMatrix.from_array(np.arange(-12, 12).reshape(3, 8))
-    reference = reference_run(cfg, a, prune_magnitude(DenseMatrix.from_array(
+    a = as_dense(np.arange(-12, 12).reshape(3, 8))
+    reference = reference_run(cfg, a, prune_magnitude(as_dense(
         np.arange(-10, 14).reshape(8, 3)), cfg.pattern))
     dense2, sw2, reference2 = pickle.loads(pickle.dumps((dense, sw, reference)))
     assert dense2 == dense and sw2 == sw
@@ -196,7 +215,7 @@ def test_pickled_matrices_stay_read_only():
 def test_packed_arrays_derived_and_read_only():
     """The packed arrays come from the dense values only, and cannot be
     edited afterwards."""
-    dense = DenseMatrix.from_array([[0], [0], [0], [5]])
+    dense = as_dense([[0], [0], [0], [5]])
     sw = StructuredSparseMatrix(PATTERN_2_4, dense)
     assert sw == StructuredSparseMatrix(PATTERN_2_4, DenseMatrix(4, 1, dense.data))
     assert sw.dense is dense and unpack(sw) is dense
@@ -207,7 +226,7 @@ def test_packed_arrays_derived_and_read_only():
 
 
 def test_unpack_pack_zero_identity():
-    z = DenseMatrix.zeros(8, 3)
+    z = zero_dense(8, 3)
     assert unpack(StructuredSparseMatrix(PATTERN_2_4, z)) == z
 
 
@@ -228,7 +247,7 @@ def valid_structured_matrices(pattern=PATTERN_2_4, max_blocks=4, max_cols=5):
                     data[b * m + r, c] = draw(
                         st.integers(-128, 127).filter(lambda v: v != 0)
                     )
-        return DenseMatrix.from_array(data)
+        return as_dense(data)
 
     return build()
 
@@ -251,12 +270,13 @@ def test_prune_validates_on_random_dense(seed):
     rng = np.random.default_rng(seed)
     w = DenseMatrix(8, 4, rng.integers(-128, 128, size=(8, 4)))
     for pattern in (PATTERN_2_4, PATTERN_1_4):
-        assert validate_structured(unpack(prune_magnitude(w, pattern)), pattern).valid
+        pruned = prune_magnitude(w, pattern)
+        assert StructuredSparseMatrix(pattern, unpack(pruned)) == pruned
 
 
 def test_prune_zero_columns():
-    w = prune_magnitude(DenseMatrix.zeros(5, 0), PATTERN_2_4)
-    assert w.dense == DenseMatrix.zeros(5, 0)
+    w = prune_magnitude(zero_dense(5, 0), PATTERN_2_4)
+    assert w.dense == zero_dense(5, 0)
     assert w.masks.shape == (2, 0)
 
 
@@ -295,8 +315,8 @@ def assert_packed_as(sw, want):
 
 def loop_unpack(sw):
     m = sw.pattern.m
-    dense = np.zeros((sw.block_rows * m, sw.cols), dtype=np.int64)
-    for br in range(sw.block_rows):
+    dense = np.zeros((len(sw.masks) * m, sw.cols), dtype=np.int64)
+    for br in range(len(sw.masks)):
         for c in range(sw.cols):
             for j in range(int(sw.counts[br, c])):
                 dense[br * m + int(sw.indexes[br, c, j]), c] = int(sw.values[br, c, j])
@@ -311,7 +331,7 @@ def test_vectorized_packing_matches_loop_reference(seed):
     pattern = SparsityPattern(int(rng.integers(1, m + 1)), m)
     # small magnitudes make ties and zeros common
     shape = (int(rng.integers(1, 14)), int(rng.integers(1, 5)))
-    w = DenseMatrix.from_array(rng.integers(-3, 4, size=shape))
+    w = as_dense(rng.integers(-3, 4, size=shape))
     pruned = prune_magnitude(w, pattern)
     assert_packed_as(pruned, loop_pack(w, pattern, prune=True))
     dense = unpack(pruned)
@@ -330,11 +350,11 @@ def test_file_and_array_agree_with_dense(tmp_path_factory, seed, pattern_text):
                       pattern=pattern)
     k, cols = int(rng.integers(1, 3 * cfg.tile_k)), int(rng.integers(1, 2 * cfg.cols + 2))
     # small magnitudes make zeros, and so partly empty blocks, common
-    w = prune_magnitude(DenseMatrix.from_array(rng.integers(-2, 3, size=(k, cols))), pattern)
+    w = prune_magnitude(as_dense(rng.integers(-2, 3, size=(k, cols))), pattern)
     path = tmp_path_factory.mktemp("io") / "w.smat"
     write_packed(path, w)
     assert read_packed(path) == w
-    a = DenseMatrix.from_array(rng.integers(-128, 128, size=(int(rng.integers(1, 6)), k)))
+    a = as_dense(rng.integers(-128, 128, size=(int(rng.integers(1, 6)), k)))
     run = run_multiplication(cfg, a, w)
     assert not run.flagged
     assert run.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)

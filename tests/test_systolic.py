@@ -6,7 +6,6 @@ import pytest
 
 from sparse_abft import (
     ArrayConfig,
-    DenseMatrix,
     FaultSpec,
     SimState,
     StateError,
@@ -20,7 +19,7 @@ from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles, wave_schedule
 
-from conftest import random_inputs, random_weights
+from conftest import as_dense, random_inputs, random_weights, zero_dense
 
 
 def traced_tile(cfg, a, w, names):
@@ -50,7 +49,7 @@ def test_load_weights_maps_blocks_to_pes(worked_example):
 def test_load_weights_1_4_slot1_idle():
     cfg = ArrayConfig(rows=1, cols=2, pattern=PATTERN_1_4)
     w = StructuredSparseMatrix(PATTERN_1_4,
-                               DenseMatrix.from_array([[0, 0], [5, 0], [0, 0], [0, -7]]))
+                               as_dense([[0, 0], [5, 0], [0, 0], [0, -7]]))
     state = SimState(cfg)
     state.load_weights(w)
     assert state.weights[0, 0].tolist() == [5, 0]
@@ -62,10 +61,10 @@ def test_load_weights_1_4_slot1_idle():
 
 def test_load_weights_zero_tile_yields_zero_outputs(tiny_cfg):
     state = SimState(tiny_cfg)
-    w = StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.zeros(4, 2))
-    a = DenseMatrix.from_array([[9, -9, 5, 77], [1, 2, 3, 4]])
+    w = StructuredSparseMatrix(PATTERN_2_4, zero_dense(4, 2))
+    a = as_dense([[9, -9, 5, 77], [1, 2, 3, 4]])
     res = state.run_tile(a, w)
-    assert res.outputs == DenseMatrix.zeros(2, 2)
+    assert res.outputs == zero_dense(2, 2)
     assert not any(r.flag for r in res.rounds)
 
 
@@ -75,14 +74,14 @@ def test_load_weights_shape_and_pattern_errors(tiny_cfg):
                                 (PATTERN_2_4, 4, 3),    # wrong cols
                                 (PATTERN_1_4, 4, 2)]:   # wrong pattern
         with pytest.raises(ShapeError):
-            state.load_weights(StructuredSparseMatrix(pattern, DenseMatrix.zeros(rows, cols)))
+            state.load_weights(StructuredSparseMatrix(pattern, zero_dense(rows, cols)))
 
 
 def test_load_weights_rejects_values_outside_input_width(tiny_cfg):
     """A weight register holds input_width bits; the engine's exact products rely on it."""
     state = SimState(tiny_cfg)
     def tile(first_row):
-        return StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.from_array([first_row] + [[0, 0]] * 3))
+        return StructuredSparseMatrix(PATTERN_2_4, as_dense([first_row] + [[0, 0]] * 3))
 
     state.load_weights(tile([-128, 127]))
     for bad in (128, -129):
@@ -105,7 +104,7 @@ def test_step_computes_psum_from_pipe(worked_example):
 def test_step_bubble_passes_north_psum(tiny_cfg):
     cfg = ArrayConfig(rows=2, cols=1)
     state = SimState(cfg)
-    state.load_weights(StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.zeros(8, 1)))
+    state.load_weights(StructuredSparseMatrix(PATTERN_2_4, zero_dense(8, 1)))
     state.psum[0, 0] = 1234
     state.step()
     assert state.read_register(parse_register("tpe.1.0.psum")) == 1234
@@ -116,7 +115,7 @@ def test_step_psum_wraps_two_complement():
     w = np.zeros((8, 1), dtype=np.int64)
     w[4, 0] = 1  # PE (1,0): weight 1 at lane 0
     state = SimState(cfg)
-    state.load_weights(StructuredSparseMatrix(PATTERN_2_4, DenseMatrix.from_array(w)))
+    state.load_weights(StructuredSparseMatrix(PATTERN_2_4, as_dense(w)))
     state.psum[0, 0] = 2**23 - 1
     state.pipe[1, 0, 0] = 1
     state.step()
@@ -154,7 +153,7 @@ def test_input_bundles_advance_east(worked_example):
 def test_skewed_arrival_across_pe_rows():
     cfg = ArrayConfig(rows=2, cols=1)
     w = random_weights(np.random.default_rng(0), cfg.tile_k, cfg.cols, cfg.pattern)
-    rows = DenseMatrix.from_array(np.arange(16, dtype=np.int64).reshape(2, 8))
+    rows = as_dense(np.arange(16, dtype=np.int64).reshape(2, 8))
     names = [f"tpe.{r}.0.in.{lane}" for r in range(2) for lane in range(4)]
     _, _, trace = traced_tile(cfg, rows, w, names)
 
@@ -183,23 +182,23 @@ def test_run_tile_worked_example(worked_example):
 
 def test_run_tile_zero_inputs(worked_example):
     cfg, _, _, w = worked_example
-    res = SimState(cfg).run_tile(DenseMatrix.zeros(3, 4), w)
-    assert res.outputs == DenseMatrix.zeros(3, 2)
+    res = SimState(cfg).run_tile(zero_dense(3, 4), w)
+    assert res.outputs == zero_dense(3, 2)
     assert [(r.actual, r.predicted, r.flag) for r in res.rounds] == [(0, 0, False)]
 
 
 def test_run_tile_unit_vector_row(worked_example):
     cfg, _, _, w = worked_example
-    res = SimState(cfg).run_tile(DenseMatrix.from_array([[1, 0, 0, 0]]), w)
+    res = SimState(cfg).run_tile(as_dense([[1, 0, 0, 0]]), w)
     assert res.outputs.data.tolist() == [[1, 0]]
 
 
 def test_run_tile_shape_errors(worked_example):
     cfg, a, _, w = worked_example
     with pytest.raises(ShapeError):
-        SimState(cfg).run_tile(DenseMatrix.zeros(2, 8), w)
+        SimState(cfg).run_tile(zero_dense(2, 8), w)
     with pytest.raises(ShapeError):
-        SimState(cfg).run_tile(DenseMatrix.zeros(0, 4), w)
+        SimState(cfg).run_tile(zero_dense(0, 4), w)
 
 
 def test_run_tile_cycle_count_and_round_cadence():
@@ -308,7 +307,7 @@ def test_flip_of_every_register_kind_and_its_bit_range(worked_example):
     state = SimState(cfg)
     state.load_weights(w)
     table = enumerate_registers(cfg)
-    for reg in {e.reg.kind: e.reg for e in table.entries}.values():
+    for reg in {reg.kind: reg for reg, _ in table.entries}.values():
         width = table.width_of(reg)
         before = state.read_register(reg)
         state.flip_register_bit(reg, width - 1)
@@ -326,7 +325,7 @@ def test_copy_and_matches_cover_every_register_kind(worked_example):
     cfg, a, _, w = worked_example
     state = SimState(cfg)
     state.run_tile(a, w)
-    regs = {e.reg.kind: e.reg for e in enumerate_registers(cfg).entries}
+    regs = {reg.kind: reg for reg, _ in enumerate_registers(cfg).entries}
     assert set(regs) == set(RegKind)
     for reg in regs.values():
         other = state.copy()
