@@ -42,8 +42,11 @@ def float64_exact(peak: int, terms: int, seed: int = 0) -> bool:
 
 
 def blas_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = a @ b`` in float64, in row blocks of at most 2^18 multiply-adds (one thread)."""
+    """``out = a @ b`` in float64, in row blocks of at most 2^18 multiply-adds (one
+    thread): one ``np.dot`` when the whole product fits in one block."""
     step = max((1 << 18) // max(b.size, 1), 1)
+    if len(a) <= step:
+        return np.dot(a, b, out=out)
     for lo in range(0, len(a), step):
         np.dot(a[lo:lo + step], b, out=out[lo:lo + step])
     return out

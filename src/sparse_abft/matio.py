@@ -24,8 +24,9 @@ row-offset order. Patterns have m <= 63, so a mask fits int64.
 
 The readers check a whole file with numpy operations over its bytes and
 convert every value in one call; only when a check fails are the lines
-walked one by one, to name the first bad row or block. The writers format
-each row (each block row for packed) with one %-format string.
+walked one by one, to name the first bad row or block. The dense writer
+formats a block of whole rows, about 2,048 values, per %-format call; the
+packed writer formats each block row with one %-format string.
 """
 
 from __future__ import annotations
@@ -178,9 +179,11 @@ def read_dense(path) -> DenseMatrix:
 
 def write_dense(path, matrix: DenseMatrix) -> None:
     row = " ".join(["%d"] * matrix.cols) + "\n"
+    step = max(2048 // max(matrix.cols, 1), 1)   # rows per %-format call
+    blocks = (matrix.data[lo:lo + step] for lo in range(0, matrix.rows, step))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{matrix.rows} {matrix.cols}\n")
-        fh.write("".join([row % tuple(values.tolist()) for values in matrix.data]))
+        fh.write("".join([row * len(b) % tuple(b.ravel().tolist()) for b in blocks]))
 
 
 def read_packed(path) -> StructuredSparseMatrix:

@@ -392,16 +392,17 @@ class SimState(CheckerState):
     @functools.cached_property
     def _lane_weights(self) -> tuple:
         """``(R, m, C)`` in int64 and float64: the weight each PE applies to each
-        input lane, columns reversed (see ``_advance``). Dropped when a weight or
+        input lane, columns reversed (see ``_advance``), summed over the used
+        slots in one exact int64 ``np.add.at`` scatter. Dropped when a weight or
         index register is written, so it is rebuilt once per weight load."""
         cfg = self.cfg
-        lw = np.zeros((cfg.rows, cfg.pattern.m, cfg.cols), dtype=np.int64)
-        rows, cols = np.arange(cfg.rows)[:, None], np.arange(cfg.cols)[::-1]
-        for j in range(cfg.pattern.n):
-            # an index register can encode lanes past m-1 when m is not a
-            # power of two; those selections wrap around like a mux with
-            # tied inputs. Each (row, col) appears once per slot.
-            lw[rows, self.indexes[:, :, j] % cfg.pattern.m, cols] += self.weights[:, :, j]
+        n, m = cfg.pattern.n, cfg.pattern.m
+        lw = np.zeros((cfg.rows, m, cfg.cols), dtype=np.int64)
+        rows, cols = np.arange(cfg.rows)[:, None, None], np.arange(cfg.cols)[::-1, None]
+        # an index register can encode lanes past m-1 when m is not a power of
+        # two; those selections wrap around like a mux with tied inputs. Slots
+        # past n sit idle; used slots of one PE that select one lane add.
+        np.add.at(lw, (rows, self.indexes[:, :, :n] % m, cols), self.weights[:, :, :n])
         return lw, lw.astype(np.float64)
 
     def _advance(self, seg: Segment, arena: _Arena, label: str | None = None) -> np.ndarray:

@@ -1,8 +1,13 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_abft import DenseMatrix, golden_result, matmul_ref
+from sparse_abft import DenseMatrix, golden_result, matmul_ref, oracle
 from sparse_abft.sparsity import ShapeError
 
 from conftest import as_dense, zero_dense
@@ -88,3 +93,38 @@ def test_golden_result_fields(worked_example):
     g = golden_result(a, w_dense, 24)
     assert g.total_checksum == 48
     assert g.product.data.tolist() == [[-2, 16], [-2, 36]]
+
+
+# a wrong golden product: one added to every element of a 2x2 product, whose
+# true total is 134; prints the optimize flag, then the total if none raises
+WRONG_PRODUCT = """
+import sys
+import numpy as np
+from sparse_abft import DenseMatrix, golden_result, oracle
+
+true_product = oracle._product
+
+def off_by_one(a, w):
+    product, peak = true_product(a, w)
+    return product + 1, peak
+
+oracle._product = off_by_one
+a = DenseMatrix(2, 2, np.array([[1, 2], [3, 4]]))
+w = DenseMatrix(2, 2, np.array([[5, 6], [7, 8]]))
+print(sys.flags.optimize, flush=True)
+print(golden_result(a, w, 24).total_checksum)
+"""
+
+
+def test_identity_check_survives_python_O(tmp_path):
+    """Under ``python -O`` a golden product that breaks the checksum identity
+    still raises instead of giving a plausible wrong total (138)."""
+    script = tmp_path / "wrong_product.py"
+    script.write_text(WRONG_PRODUCT)
+    src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-O", str(script)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.stdout.split() == ["1"], done.stdout
+    assert done.returncode != 0
+    assert "checksum identity must hold over unbounded integers" in done.stderr

@@ -3,11 +3,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparse_abft import (
     ArrayConfig,
     FaultSpec,
     SimState,
+    SparsityPattern,
     StateError,
     StructuredSparseMatrix,
     enumerate_registers,
@@ -15,7 +17,7 @@ from sparse_abft import (
     parse_register,
     unpack,
 )
-from sparse_abft.registers import RegKind
+from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles, wave_schedule
 
@@ -87,6 +89,53 @@ def test_load_weights_rejects_values_outside_input_width(tiny_cfg):
     for bad in (128, -129):
         with pytest.raises(ValueError, match="weight"):
             state.load_weights(tile([bad, 0]))
+
+
+def loop_lane_weights(state):
+    """The former per-slot form of ``SimState._lane_weights``, kept as its reference."""
+    cfg = state.cfg
+    lw = np.zeros((cfg.rows, cfg.pattern.m, cfg.cols), dtype=np.int64)
+    rows, cols = np.arange(cfg.rows)[:, None], np.arange(cfg.cols)[::-1]
+    for j in range(cfg.pattern.n):
+        lw[rows, state.indexes[:, :, j] % cfg.pattern.m, cols] += state.weights[:, :, j]
+    return lw
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["2:4", "1:4", "1:3", "2:3"]),
+       st.sampled_from([8, 60]))
+def test_lane_weights_match_per_slot_reference(seed, pattern_text, width):
+    """After a weight load and after weight and index flips (idle slots
+    included), the lane weights and their float64 twin equal the per-slot
+    sums. With m = 3 a 2-bit index can name lane 3, which wraps to lane 0;
+    slots of one PE that select one lane add, which at width 60 float64
+    could not sum exactly."""
+    rng = np.random.default_rng(seed)
+    pattern = SparsityPattern.parse(pattern_text)
+    wide = dict(ic_width=60, col_out_width=63, oc_width=63) if width == 60 else {}
+    cfg = ArrayConfig(rows=3, cols=4, pattern=pattern, input_width=width, **wide)
+    state = SimState(cfg)
+
+    def check():
+        lw, lw_float = state._lane_weights
+        expected = loop_lane_weights(state)
+        assert lw.dtype == np.int64 and np.array_equal(lw, expected)
+        assert lw_float.dtype == np.float64 and np.array_equal(lw_float, expected.astype(float))
+
+    state.load_weights(random_weights(rng, cfg.tile_k, cfg.cols, pattern, width))
+    check()
+    regs = [entry for entry in enumerate_registers(cfg).entries
+            if entry[0].kind in (RegKind.WEIGHT, RegKind.INDEX)]
+    for _ in range(int(rng.integers(1, 12))):
+        reg, bits = regs[rng.integers(len(regs))]
+        state.flip_register_bit(reg, int(rng.integers(bits)))
+    # one PE's used slots all select one lane, with top-range weights
+    r, c = int(rng.integers(cfg.rows)), int(rng.integers(cfg.cols))
+    for j in range(pattern.n):
+        state.write_register(RegisterId(RegKind.INDEX, r, c, j), 3)
+        state.write_register(RegisterId(RegKind.WEIGHT, r, c, j),
+                             int(rng.integers(1 << width - 2, 1 << width - 1)))
+    check()
 
 
 # ----------------------------------------------------------------------
