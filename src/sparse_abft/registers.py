@@ -1,16 +1,10 @@
 """Register naming and enumeration for fault injection.
 
-Every storage element in the simulator has a stable ``RegisterId``. The
-canonical text form (used by the CLI and reports) is dot-separated:
-
-    tpe.R.C.w.J      weight slot J of tensor PE (R, C)
-    tpe.R.C.idx.J    index slot J
-    tpe.R.C.in.L     input pipeline lane L
-    tpe.R.C.psum     partial-sum register
-    ic.R.acc.L       input-checksum accumulator, PE row R, lane L
-    oc.C             output-checksum pipeline register, column C
-    cksum.actual     actual-checksum accumulator
-    cksum.predicted  predicted-checksum accumulator
+Every storage element in the simulator has a stable ``RegisterId``. Every
+fact about a register kind (its text form, width, storage, owner and
+signedness) is one row of the register table, ``RegKind``. The canonical text
+forms, used by the CLI and reports, are dot-separated, such as ``tpe.R.C.w.J``
+for weight slot J of tensor PE (R, C).
 
 Enumeration order is fixed (row-major PEs, then IC, OC, corner accumulators)
 so that seeded per-bit sampling is reproducible.
@@ -22,6 +16,7 @@ import bisect
 import enum
 import functools
 import itertools
+import re
 from dataclasses import dataclass
 
 from .config import ArrayConfig
@@ -33,17 +28,31 @@ class Owner(enum.Enum):
 
 
 class RegKind(enum.Enum):
-    WEIGHT = "w"
-    INDEX = "idx"
-    INPUT_PIPE = "in"
-    PSUM = "psum"
-    IC_ACC = "ic"
-    OC_PIPE = "oc"
-    CKSUM_ACTUAL = "actual"
-    CKSUM_PREDICTED = "predicted"
+    """The register table: one row per kind, giving its code (the enum value),
+    its canonical text form, the ``ArrayConfig`` attribute of its width, the
+    ``SimState`` attribute that stores it, its owner and whether it holds two's
+    complement values (index registers hold unsigned row offsets). The
+    placeholders of a form are the kind's index fields, in the order of the
+    stored array's axes; a form with none names an int attribute."""
 
+    WEIGHT = "w", "tpe.{row}.{col}.w.{lane}", "input_width", "weights", Owner.ARRAY
+    INDEX = "idx", "tpe.{row}.{col}.idx.{lane}", "index_width", "indexes", Owner.ARRAY, False
+    INPUT_PIPE = "in", "tpe.{row}.{col}.in.{lane}", "input_width", "pipe", Owner.ARRAY
+    PSUM = "psum", "tpe.{row}.{col}.psum", "col_out_width", "psum", Owner.ARRAY
+    IC_ACC = "ic", "ic.{row}.acc.{lane}", "ic_width", "ic", Owner.CHECKER
+    OC_PIPE = "oc", "oc.{col}", "oc_width", "oc", Owner.CHECKER
+    CKSUM_ACTUAL = "actual", "cksum.actual", "cksum_width", "actual", Owner.CHECKER
+    CKSUM_PREDICTED = "predicted", "cksum.predicted", "cksum_width", "predicted", Owner.CHECKER
 
-_ARRAY_KINDS = {RegKind.WEIGHT, RegKind.INDEX, RegKind.INPUT_PIPE, RegKind.PSUM}
+    def __new__(cls, code, form, width_attr, storage, owner, signed=True):
+        kind = object.__new__(cls)
+        kind._value_, kind.form, kind.width_attr, kind.storage = code, form, width_attr, storage
+        kind.owner, kind.signed = owner, signed
+        # parsing accepts each index field in plain decimal only: ASCII
+        # digits, no sign, no leading zero, no underscore
+        kind.pattern = re.compile(re.sub(r"\\{(\w+)\\}", r"(?P<\1>0|[1-9][0-9]*)", re.escape(form)))
+        kind.fields = tuple(kind.pattern.groupindex)
+        return kind
 
 
 @dataclass(frozen=True, order=True)
@@ -55,50 +64,26 @@ class RegisterId:
 
     @property
     def owner(self) -> Owner:
-        return Owner.ARRAY if self.kind in _ARRAY_KINDS else Owner.CHECKER
+        return self.kind.owner
 
     @property
     def signed(self) -> bool:
-        """Index registers hold unsigned row offsets; all others are two's complement."""
-        return self.kind is not RegKind.INDEX
+        return self.kind.signed
 
     @property
     def name(self) -> str:
-        k = self.kind
-        if k in (RegKind.WEIGHT, RegKind.INDEX, RegKind.INPUT_PIPE):
-            return f"tpe.{self.row}.{self.col}.{k.value}.{self.lane}"
-        if k is RegKind.PSUM:
-            return f"tpe.{self.row}.{self.col}.psum"
-        if k is RegKind.IC_ACC:
-            return f"ic.{self.row}.acc.{self.lane}"
-        if k is RegKind.OC_PIPE:
-            return f"oc.{self.col}"
-        return f"cksum.{k.value}"
+        return self.kind.form.format(row=self.row, col=self.col, lane=self.lane)
 
     def __str__(self) -> str:
         return self.name
 
 
 def parse_register(name: str) -> RegisterId:
-    parts = name.split(".")
-    try:
-        if parts[0] == "tpe":
-            r, c = int(parts[1]), int(parts[2])
-            if parts[3] == "psum" and len(parts) == 4:
-                return RegisterId(RegKind.PSUM, r, c)
-            kind = {"w": RegKind.WEIGHT, "idx": RegKind.INDEX, "in": RegKind.INPUT_PIPE}[parts[3]]
-            if len(parts) != 5:
-                raise ValueError
-            return RegisterId(kind, r, c, int(parts[4]))
-        if parts[0] == "ic" and len(parts) == 4 and parts[2] == "acc":
-            return RegisterId(RegKind.IC_ACC, row=int(parts[1]), lane=int(parts[3]))
-        if parts[0] == "oc" and len(parts) == 2:
-            return RegisterId(RegKind.OC_PIPE, col=int(parts[1]))
-        if parts[0] == "cksum" and len(parts) == 2:
-            kind = {"actual": RegKind.CKSUM_ACTUAL, "predicted": RegKind.CKSUM_PREDICTED}[parts[1]]
-            return RegisterId(kind)
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"unknown register name {name!r}") from exc
+    """The register whose canonical ``name`` is ``name``; ValueError for any other text."""
+    for kind in RegKind:
+        match = kind.pattern.fullmatch(name)
+        if match:
+            return RegisterId(kind, **{k: int(v) for k, v in match.groupdict().items()})
     raise ValueError(f"unknown register name {name!r}")
 
 
@@ -140,25 +125,26 @@ def enumerate_registers(cfg: ArrayConfig) -> RegisterMap:
     they are immutable and safe to share.
     """
     entries = []
+    widths = {kind: getattr(cfg, kind.width_attr) for kind in RegKind}
 
-    def add(reg: RegisterId, width: int):
-        if width > 0:
-            entries.append((reg, width))
+    def add(kind: RegKind, row: int = 0, col: int = 0, lane: int = 0):
+        if widths[kind] > 0:
+            entries.append((RegisterId(kind, row, col, lane), widths[kind]))
 
     for r in range(cfg.rows):
         for c in range(cfg.cols):
             for j in range(cfg.slots):
-                add(RegisterId(RegKind.WEIGHT, r, c, j), cfg.input_width)
+                add(RegKind.WEIGHT, r, c, j)
             for j in range(cfg.slots):
-                add(RegisterId(RegKind.INDEX, r, c, j), cfg.index_width)
+                add(RegKind.INDEX, r, c, j)
             for lane in range(cfg.pattern.m):
-                add(RegisterId(RegKind.INPUT_PIPE, r, c, lane), cfg.input_width)
-            add(RegisterId(RegKind.PSUM, r, c), cfg.col_out_width)
+                add(RegKind.INPUT_PIPE, r, c, lane)
+            add(RegKind.PSUM, r, c)
     for r in range(cfg.rows):
         for lane in range(cfg.pattern.m):
-            add(RegisterId(RegKind.IC_ACC, row=r, lane=lane), cfg.ic_width)
+            add(RegKind.IC_ACC, row=r, lane=lane)
     for c in range(cfg.cols):
-        add(RegisterId(RegKind.OC_PIPE, col=c), cfg.oc_width)
-    add(RegisterId(RegKind.CKSUM_ACTUAL), cfg.cksum_width)
-    add(RegisterId(RegKind.CKSUM_PREDICTED), cfg.cksum_width)
+        add(RegKind.OC_PIPE, col=c)
+    add(RegKind.CKSUM_ACTUAL)
+    add(RegKind.CKSUM_PREDICTED)
     return RegisterMap(tuple(entries))

@@ -97,6 +97,10 @@ from .registers import RegisterId, RegKind, enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 
 
+# the SimState attributes of the register kinds stored in arrays
+_ARRAYS = tuple(kind.storage for kind in RegKind if kind.fields)
+
+
 class StateError(RuntimeError):
     """Operation incompatible with the simulator's state (inputs before any weights)."""
 
@@ -247,40 +251,28 @@ class SimState(CheckerState):
     # register access
 
     def _storage(self, reg: RegisterId):
-        """(array, index, width) of one register.
-
-        The corner accumulators are int attributes and come back as
-        ``(None, attribute name, width)``. The width comes from the register
-        table, which raises ValueError for registers this array lacks.
+        """(store, key, width) of one register, as its kind's row of the
+        register table names them: its array and index or, for a kind with no
+        index fields (a corner accumulator), this state's attribute dict and
+        the attribute name. The width comes from the register map, which
+        raises ValueError for registers this array lacks.
         """
         width = enumerate_registers(self.cfg).width_of(reg)
         k = reg.kind
-        if k is RegKind.PSUM:
-            return self.psum, (reg.row, reg.col), width
-        if k is RegKind.IC_ACC:
-            return self.ic, (reg.row, reg.lane), width
-        if k is RegKind.OC_PIPE:
-            return self.oc, reg.col, width
-        if k in (RegKind.CKSUM_ACTUAL, RegKind.CKSUM_PREDICTED):
-            return None, k.value, width
-        arr = {RegKind.WEIGHT: self.weights, RegKind.INDEX: self.indexes,
-               RegKind.INPUT_PIPE: self.pipe}[k]
-        return arr, (reg.row, reg.col, reg.lane), width
+        if not k.fields:
+            return vars(self), k.storage, width
+        return getattr(self, k.storage), tuple(getattr(reg, f) for f in k.fields), width
 
     def read_register(self, reg: RegisterId) -> int:
-        arr, key, _ = self._storage(reg)
-        return getattr(self, key) if arr is None else int(arr[key])
+        store, key, _ = self._storage(reg)
+        return int(store[key])
 
     def write_register(self, reg: RegisterId, value: int) -> None:
         self._write(reg, value, *self._storage(reg))
 
-    def _write(self, reg: RegisterId, value: int, arr, key, width: int) -> None:
-        value = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
-        if arr is None:
-            setattr(self, key, value)
-        else:
-            arr[key] = value
-        if arr is self.weights or arr is self.indexes:
+    def _write(self, reg: RegisterId, value: int, store, key, width: int) -> None:
+        store[key] = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
+        if store is self.weights or store is self.indexes:
             vars(self).pop("_lane_weights", None)
 
     def _check_bit(self, reg: RegisterId, bit: int, width: int = 0) -> None:
@@ -289,10 +281,9 @@ class SimState(CheckerState):
             raise ValueError(f"bit {bit} out of range for {width}-bit register {reg.name}")
 
     def flip_register_bit(self, reg: RegisterId, bit: int) -> None:
-        arr, key, width = self._storage(reg)
+        store, key, width = self._storage(reg)
         self._check_bit(reg, bit, width)
-        value = getattr(self, key) if arr is None else int(arr[key])
-        self._write(reg, value ^ (1 << bit), arr, key, width)
+        self._write(reg, int(store[key]) ^ (1 << bit), store, key, width)
 
     # ------------------------------------------------------------------
     # fault scheduling
@@ -336,13 +327,12 @@ class SimState(CheckerState):
     # (run_tile keeps it when it recurs)
 
     def _arrays(self) -> tuple:
-        return self.weights, self.indexes, self.pipe, self.psum, self.ic, self.oc
+        return tuple(getattr(self, name) for name in _ARRAYS)
 
     def copy(self) -> "SimState":
         """An independent copy with no faults scheduled."""
         other = copy.copy(self)
-        other.weights, other.indexes, other.pipe, other.psum, other.ic, other.oc = (
-            x.copy() for x in self._arrays())
+        vars(other).update((name, getattr(self, name).copy()) for name in _ARRAYS)
         other.round_results, other.pending_faults = list(self.round_results), {}
         return other
 
@@ -474,7 +464,7 @@ class SimState(CheckerState):
             # any flip; weights and indexes hold still
             columns = []
             for reg in self.watch:
-                arr, key, width = self._storage(reg)   # raises for registers this array lacks
+                store, key, width = self._storage(reg)   # raises for registers this array lacks
                 r, c, k = reg.row, reg.col, reg.kind
                 if k is RegKind.INPUT_PIPE:
                     values = stream[r, C - c:C - c + L, reg.lane].astype(np.int64)
@@ -484,13 +474,13 @@ class SimState(CheckerState):
                     values = psums[r][:, c]
                 elif k is RegKind.OC_PIPE:
                     values = _skewed(chain)[C - c:C - c + L, :c + 1].sum(axis=1)
-                elif arr is not None:
-                    values = np.full(L, arr[key])
+                elif k.fields:
+                    values = np.full(L, store[key])
                 else:
                     digits = seg.corner_data - 1 if k is RegKind.CKSUM_ACTUAL else seg.corner_digit
                     adds = [v << w * d if d >= 0 else 0
                             for v, d in zip(outs.tolist(), digits.tolist())]
-                    running = itertools.accumulate(adds, initial=getattr(self, key))
+                    running = itertools.accumulate(adds, initial=store[key])
                     values = np.array([*running][1:], dtype=object)
                     values[-1] *= not compares   # cleared on the compare edge
                 columns.append((wrap(values, width) if reg.signed else values).tolist())

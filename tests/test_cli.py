@@ -252,6 +252,18 @@ def test_run_trace_unknown_register_exit_2_before_first_line(tiny_files, tmp_pat
     assert trace.read_text().splitlines() == []
 
 
+@pytest.mark.parametrize("name", ["oc.01", "tpe.0.0.in.-1"])
+def test_run_trace_non_canonical_name_exit_2_before_opening(tiny_files, tmp_path, name):
+    """Only a canonical name parses, so the trace never names a register in
+    another form than the one typed."""
+    p = tiny_files
+    trace = tmp_path / "trace.csv"
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"]), "--trace", name, "--trace-out", str(trace)])
+    assert rc == 2
+    assert not trace.exists()
+
+
 def test_run_outputs_byte_identical_across_reruns(tiny_files):
     p = tiny_files
     args = ["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),

@@ -1,6 +1,10 @@
-import pytest
+import hashlib
 
-from sparse_abft import ArrayConfig, Owner, RegisterId, RegKind, enumerate_registers, parse_register
+import pytest
+from hypothesis import example, given, strategies as st
+
+from sparse_abft import (ArrayConfig, Owner, RegisterId, RegKind, SparsityPattern,
+                         enumerate_registers, parse_register)
 from sparse_abft.sparsity import PATTERN_1_4
 
 
@@ -88,3 +92,39 @@ def test_register_name_forms():
     assert RegisterId(RegKind.IC_ACC, row=4, lane=1).name == "ic.4.acc.1"
     assert RegisterId(RegKind.OC_PIPE, col=9).name == "oc.9"
     assert RegisterId(RegKind.CKSUM_PREDICTED).name == "cksum.predicted"
+
+
+NAME_PARTS = ["tpe", "ic", "oc", "cksum", "w", "idx", "in", "psum", "acc", "actual", "predicted",
+              "0", "1", "7", "10", "01", "00", "+1", "-1", " 1", "1 ", "1_0", "\u0663", "0x1"]
+
+
+@given(st.lists(st.sampled_from(NAME_PARTS) | st.text(max_size=3), max_size=6).map(".".join)
+       | st.text())
+@example("oc.01")
+@example("oc.+1")
+@example("oc. 1")
+@example("oc.1_0")
+@example("oc.\u0663")
+@example("tpe.0.0.w.-1")
+def test_names_parse_only_in_canonical_form(text):
+    """A name parses only as itself: each index field is plain ASCII decimal,
+    so no other text parses under a name the report would echo differently."""
+    try:
+        reg = parse_register(text)
+    except ValueError:
+        return
+    assert reg.name == text
+
+
+@pytest.mark.parametrize("rows, cols, pattern, digest", [
+    (8, 32, "2:4", "6aecd5d1e8a0090b"),
+    (8, 32, "1:4", "6aecd5d1e8a0090b"),
+    (2, 3, "1:3", "12d41133fdff12e3"),
+    (2, 3, "1:1", "7e3366fa5d5c4b7a"),   # zero-width index slots skipped
+])
+def test_enumeration_order_pinned(rows, cols, pattern, digest):
+    """Seeded sampling draws bits in map order, so the order, names and widths
+    of the population are fixed."""
+    cfg = ArrayConfig(rows=rows, cols=cols, pattern=SparsityPattern.parse(pattern))
+    text = "".join(f"{reg.name} {width}\n" for reg, width in enumerate_registers(cfg).entries)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest

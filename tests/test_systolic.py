@@ -386,6 +386,46 @@ def test_copy_and_matches_cover_every_register_kind(worked_example):
         assert not other.matches(state) and not state.matches(other)
 
 
+# where each kind is stored and whether it is signed, written out here without
+# reading any column of the register table
+STORED_AT = {
+    "WEIGHT": ("weights", ("row", "col", "lane"), True),
+    "INDEX": ("indexes", ("row", "col", "lane"), False),
+    "INPUT_PIPE": ("pipe", ("row", "col", "lane"), True),
+    "PSUM": ("psum", ("row", "col"), True),
+    "IC_ACC": ("ic", ("row", "lane"), True),
+    "OC_PIPE": ("oc", ("col",), True),
+    "CKSUM_ACTUAL": ("actual", (), True),
+    "CKSUM_PREDICTED": ("predicted", (), True),
+}
+
+
+@pytest.mark.parametrize("pattern", ["2:4", "1:4", "1:3", "1:1"])
+def test_every_register_stored_in_its_own_cell(pattern):
+    """Each register's value, written before any is read back, reads back and
+    sits at the attribute and index its kind names, and every other cell
+    stays zero: no kind is stored in another's array or under another field,
+    and no two registers share a cell."""
+    cfg = ArrayConfig(rows=2, cols=3, pattern=SparsityPattern.parse(pattern))
+    state, written = SimState(cfg), {}
+    for i, (reg, width) in enumerate(enumerate_registers(cfg).entries):
+        value = 1 + i * 97 % ((1 << width) - 1)   # nonzero bits, unlike its neighbours'
+        if STORED_AT[reg.kind.name][2] and value >> width - 1:
+            value -= 1 << width   # read as two's complement
+        written[reg] = value
+        state.write_register(reg, value)
+    expected = {attr: np.zeros(np.shape(getattr(state, attr)), dtype=object)
+                for attr, _, _ in STORED_AT.values()}
+    for reg, value in written.items():
+        assert state.read_register(reg) == value
+        attr, fields, _ = STORED_AT[reg.kind.name]
+        index = tuple(getattr(reg, f) for f in fields)
+        assert expected[attr][index] == 0
+        expected[attr][index] = value
+    for attr, cells in expected.items():
+        assert np.array_equal(np.array(getattr(state, attr), dtype=object), cells), attr
+
+
 def test_register_bounds_checked(tiny_cfg):
     state = SimState(tiny_cfg)
     for name in ("tpe.1.0.psum", "tpe.0.2.psum", "tpe.0.0.in.4", "ic.1.acc.0", "oc.2"):
