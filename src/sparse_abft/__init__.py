@@ -26,7 +26,7 @@ from .sparsity import (
     prune_magnitude,
     unpack,
 )
-from .systolic import SimState, StateError, TileResult, tile_active_cycles
+from .systolic import SimState, TileResult, tile_active_cycles
 from .tiling import Tile, TilePlan, tile_plan
 
 __version__ = "0.1.0"
@@ -49,7 +49,6 @@ __all__ = [
     "SimState",
     "SparsityPattern",
     "SparsityViolationError",
-    "StateError",
     "StructuredSparseMatrix",
     "Tile",
     "TilePlan",

@@ -34,20 +34,18 @@ from .sparsity import DenseMatrix, prune_magnitude, unpack
 
 
 class OutcomeCategory(enum.Enum):
-    DETECTED = "detected"
-    SILENT = "silent"
-    FALSE_POSITIVE = "false_positive"
-    FALSE_NEGATIVE = "false_negative"
-    BENIGN = "benign"
+    """One row per bucket: its report key (the enum value) and table label."""
 
+    DETECTED = "detected", "Detected"
+    SILENT = "silent", "Silent"
+    FALSE_POSITIVE = "false_positive", "False Positive"
+    FALSE_NEGATIVE = "false_negative", "False Negative"
+    BENIGN = "benign", "Benign"
 
-CATEGORY_LABELS = {
-    OutcomeCategory.DETECTED: "Detected",
-    OutcomeCategory.SILENT: "Silent",
-    OutcomeCategory.FALSE_POSITIVE: "False Positive",
-    OutcomeCategory.FALSE_NEGATIVE: "False Negative",
-    OutcomeCategory.BENIGN: "Benign",
-}
+    def __new__(cls, value, label):
+        category = object.__new__(cls)
+        category._value_, category.label = value, label
+        return category
 
 
 def classify(faults, flag_history) -> OutcomeCategory:
@@ -78,6 +76,11 @@ class WorkloadSpec:
     cols: int = 0               # 0 = array width
     a_path: str | None = None   # a file workload names both files
     w_path: str | None = None
+
+    def __post_init__(self):
+        for key, least in (("a_rows", 1), ("k", 0), ("cols", 0)):
+            if getattr(self, key) < least:
+                raise ValueError(f"workload.{key} must be at least {least}, got {getattr(self, key)}")
 
     @property
     def kind(self) -> str:
@@ -326,8 +329,7 @@ def render_stats_table(stats: CategoryStats, cfg: CampaignConfig,
     """Text table: one row per category, one column for the batch ``cfg`` ran."""
     regime = cfg.fault_regime
     header = f"{cfg.array.pattern} ({regime} fault{'s' if regime != '1' else ''})"
-    rows = {CATEGORY_LABELS[OutcomeCategory(value)]: pct
-            for value, pct in stats.percentages(paper_compat).items()}
+    rows = {OutcomeCategory(v).label: pct for v, pct in stats.percentages(paper_compat).items()}
     name_w = max(len(label) for label in rows)
     col_w = max(12, len(header))
     lines = [" " * name_w + " | " + header.rjust(col_w)]

@@ -97,9 +97,10 @@ def run_multiplication(
 
     Outputs of tiles sharing output columns (inner-dimension chunks) are
     accumulated host-side with wraparound at the column output width, which
-    is congruent to the single-pass architectural result. A fault past the
-    last active cycle would never fire and a watched register the array
-    lacks could never be read, so both raise ValueError before any cycle.
+    is congruent to the single-pass architectural result. A fault before the
+    first or past the last active cycle would never fire and a watched
+    register the array lacks could never be read, so both raise ValueError
+    before any cycle.
     A traced run clocks every cycle; others take the tiles and rounds no fault
     reaches from ``reference``, the ``reference_run`` (which checks them) of
     cfg, A, W.
@@ -109,7 +110,7 @@ def run_multiplication(
     window = total_active_cycles(cfg, a.rows, a.cols, w.cols)
     faults = list(faults)
     for spec in faults:
-        if spec.cycle >= window:
+        if not 0 <= spec.cycle < window:
             raise ValueError(f"fault at cycle {spec.cycle} would never fire: "
                              f"the run has {window} active cycles")
     for reg in watch or ():

@@ -3,9 +3,10 @@
 The oracle computes the true product and wraps it only at the declared output
 width. With ``peak = max|A| max|W|`` it runs on float64 BLAS, in one-thread
 calls of at most 2^18 multiply-adds, while ``peak k < 2^53`` keeps every
-partial sum an exact float64, else in int64, exact modulo ``2^64``. Checksum
-totals are summed in int64 while ``peak k rows cols < 2^63``, and exactly, as
-Python ints, past that.
+partial sum an exact float64, else in int64, exact modulo ``2^64``. The exact
+checksum total is ``dot(colsum(A), rowsum(W))`` over Python ints, with the
+column and row sums in int64 while ``max(rows, cols) peak < 2^63`` and exact
+past that; the product's int64 sum must equal it modulo ``2^64``.
 """
 
 from __future__ import annotations
@@ -40,16 +41,15 @@ class GoldenResult:
 
 
 def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> GoldenResult:
-    """The wrapped product and its checksum, from one product A W, after
-    checking the output-checksum identity: the sum of all product elements
-    equals dot(colsum(A), rowsum(W)) over unbounded integers."""
+    """The wrapped product and the exact sum of its elements, after checking
+    the output-checksum identity: the product's elements sum to
+    dot(colsum(A), rowsum(W)) modulo 2^64, the modulus the product is exact to."""
     product, peak = _product(a, w_dense)
-    a_data, w_data, exact = a.data, w_dense.data, product
-    if peak * a.cols * a.rows * w_dense.cols >= 1 << 63:
+    a_data, w_data = a.data, w_dense.data
+    if max(a.rows, w_dense.cols) * peak >= 1 << 63:
         a_data, w_data = a_data.astype(object), w_data.astype(object)
-        exact = a_data @ w_data
-    total = int(exact.sum())
-    if total != int(a_data.sum(axis=0) @ w_data.sum(axis=1)):   # kept under python -O
+    total = sum(x * y for x, y in zip(a_data.sum(axis=0).tolist(), w_data.sum(axis=1).tolist()))
+    if (int(product.sum()) - total) % (1 << 64):   # kept under python -O
         raise RuntimeError("checksum identity must hold over unbounded integers")
     wrapped = DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width), owned=True)
     return GoldenResult(product=wrapped, total_checksum=total)

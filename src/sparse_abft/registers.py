@@ -74,9 +74,6 @@ class RegisterId:
     def name(self) -> str:
         return self.kind.form.format(row=self.row, col=self.col, lane=self.lane)
 
-    def __str__(self) -> str:
-        return self.name
-
 
 def parse_register(name: str) -> RegisterId:
     """The register whose canonical ``name`` is ``name``; ValueError for any other text."""

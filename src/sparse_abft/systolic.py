@@ -86,7 +86,7 @@ import functools
 import itertools
 import math
 import threading
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -99,10 +99,6 @@ from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
 
 # the SimState attributes of the register kinds stored in arrays
 _ARRAYS = tuple(kind.storage for kind in RegKind if kind.fields)
-
-
-class StateError(RuntimeError):
-    """Operation incompatible with the simulator's state (inputs before any weights)."""
 
 
 @dataclass
@@ -128,9 +124,8 @@ class Segment:
     ``west`` holds the bundle entering each PE row (zero for bubbles; digit
     bundles are split from the IC accumulators while clocking), ``is_data``
     marks the rows whose bundle is a data wave, ``row_digit`` the checksum
-    digit entering each row (-1 none; ``cells`` lists where, ``(cycles,
-    rows)`` in cycle order), and ``corner_data`` and ``corner_digit`` tag the
-    wave whose OC chain output reaches the corner.
+    digit entering each row (-1 none), and ``corner_data`` and
+    ``corner_digit`` tag the wave whose OC chain output reaches the corner.
     """
 
     west: np.ndarray            # (L, R, m)
@@ -138,18 +133,17 @@ class Segment:
     row_digit: np.ndarray       # (L, R)
     corner_data: np.ndarray     # (L,) bool
     corner_digit: np.ndarray    # (L,)
-    cells: tuple = (np.empty(0, dtype=np.int64),) * 2
 
     def part(self, lo: int, hi: int) -> "Segment":
         """Cycles ``[lo, hi)`` of this segment."""
-        (t, r), (i, j) = self.cells, self.cells[0].searchsorted((lo, hi)).tolist()
-        return Segment(*(x[lo:hi] for x in [*vars(self).values()][:5]), (t[i:j] - lo, r[i:j]))
+        return Segment(*(x[lo:hi] for x in vars(self).values()))
 
 
 class _Arena(threading.local):
     """This thread's flat buffers, grown on demand, as views for a tile's padded rows, west
     bundles, unkept bottoms and segment temporaries; never for registers, results or kept
-    states. ``_ARENA`` serves untraced tiles (a trace sink may run another simulation)."""
+    states. ``_ARENA`` serves steps and untraced tiles (a trace sink may run another
+    simulation)."""
 
     def __call__(self, name: str, shape, dtype=np.int64, fill=None) -> np.ndarray:
         """Buffer ``name`` as a ``shape`` array, set to ``fill`` if given, until its next use."""
@@ -217,10 +211,9 @@ def _tile_schedule(cfg: ArrayConfig, a_rows: int):
     row_data, row_digit = _lagged(data, np.arange(R)), _lagged(digit, np.arange(R))
     corner_digit = _lagged(digit, R + C + 1).ravel()
     inputs = Segment(np.where(row_data >= 0, row_data, a_rows) * R + np.arange(R), row_data >= 0,
-                     row_digit, _lagged(data, R + C + 1).ravel() >= 0, corner_digit,
-                     np.nonzero(row_digit >= 0))
+                     row_digit, _lagged(data, R + C + 1).ravel() >= 0, corner_digit)
     out_rows = np.flatnonzero(data >= 0) + R + 1
-    for arr in (*(getattr(inputs, f.name) for f in fields(inputs)[:5]), *inputs.cells, out_rows):
+    for arr in (*vars(inputs).values(), out_rows):
         arr.flags.writeable = False
     cuts = np.flatnonzero(corner_digit == cfg.digits_per_round - 1) + 1
     return inputs, tuple(cuts.tolist()), out_rows
@@ -255,7 +248,8 @@ class SimState(CheckerState):
         register table names them: its array and index or, for a kind with no
         index fields (a corner accumulator), this state's attribute dict and
         the attribute name. The width comes from the register map, which
-        raises ValueError for registers this array lacks.
+        raises ValueError for registers this array lacks. Reads, writes (a
+        flip is a read and a write) and traces find a register only here.
         """
         width = enumerate_registers(self.cfg).width_of(reg)
         k = reg.kind
@@ -268,22 +262,19 @@ class SimState(CheckerState):
         return int(store[key])
 
     def write_register(self, reg: RegisterId, value: int) -> None:
-        self._write(reg, value, *self._storage(reg))
-
-    def _write(self, reg: RegisterId, value: int, store, key, width: int) -> None:
+        store, key, width = self._storage(reg)
         store[key] = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
         if store is self.weights or store is self.indexes:
             vars(self).pop("_lane_weights", None)
 
-    def _check_bit(self, reg: RegisterId, bit: int, width: int = 0) -> None:
-        width = width or enumerate_registers(self.cfg).width_of(reg)
+    def _check_bit(self, reg: RegisterId, bit: int) -> None:
+        width = enumerate_registers(self.cfg).width_of(reg)
         if not 0 <= bit < width:
             raise ValueError(f"bit {bit} out of range for {width}-bit register {reg.name}")
 
     def flip_register_bit(self, reg: RegisterId, bit: int) -> None:
-        store, key, width = self._storage(reg)
-        self._check_bit(reg, bit, width)
-        self._write(reg, int(store[key]) ^ (1 << bit), store, key, width)
+        self._check_bit(reg, bit)
+        self.write_register(reg, self.read_register(reg) ^ (1 << bit))
 
     # ------------------------------------------------------------------
     # fault scheduling
@@ -359,25 +350,20 @@ class SimState(CheckerState):
         """Raw clock edge with explicit per-row west bundles (or bubbles).
 
         The inputs are not waves of any schedule, so they are not
-        IC-accumulated, captured, or corner-accumulated. Intended for
+        IC-accumulated, captured, or corner-accumulated; before any weight
+        load they meet the zero weight and index registers. Intended for
         PE-level unit tests and single-cycle experiments; orchestrated runs
         go through run_tile.
         """
-        cfg = self.cfg
-        if west_inputs is None:
-            west = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
-        else:
-            if self._loaded_tile is None:
-                raise StateError("cannot stream inputs before weights are loaded")
-            west = np.asarray(west_inputs, dtype=np.int64)
-            if west.shape != (cfg.rows, cfg.pattern.m):
-                raise ShapeError(
-                    f"west inputs shape {west.shape} != ({cfg.rows}, {cfg.pattern.m})"
-                )
-            check_ndarray_width(west, cfg.input_width, "west input")
+        cfg, shape = self.cfg, (self.cfg.rows, self.cfg.pattern.m)
+        west = np.asarray(np.zeros(shape) if west_inputs is None else west_inputs, dtype=np.int64)
+        if west.shape != shape:
+            raise ShapeError(f"west inputs shape {west.shape} != {shape}")
+        check_ndarray_width(west, cfg.input_width, "west input")
         seg = Segment(west[None], np.zeros((1, cfg.rows), bool), np.full((1, cfg.rows), -1),
                       np.zeros(1, bool), np.full(1, -1))
-        self._advance(seg, _Arena(), None if west_inputs is None else "Stream")
+        # nothing a step computes outlives its _advance, so it shares the thread's arena
+        self._advance(seg, _ARENA, None if west_inputs is None else "Stream")
 
     @functools.cached_property
     def _lane_weights(self) -> tuple:
@@ -424,7 +410,7 @@ class SimState(CheckerState):
         # with the digit bundles split from the IC accumulators
         stream = np.concatenate([self.pipe[:, ::-1], seg.west.swapaxes(0, 1)], 1,
                                 out=arena("stream", (R, C + L, cfg.pattern.m), lw.dtype))
-        cyc, row = seg.cells
+        cyc, row = np.nonzero(seg.row_digit >= 0)   # in cycle order
         if len(cyc):
             digits = seg.row_digit[cyc, row]
             # in time order, so a later restart also removes the earlier ones

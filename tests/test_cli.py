@@ -16,7 +16,7 @@ from sparse_abft import (
     write_dense,
     write_packed,
 )
-from sparse_abft import driver
+from sparse_abft import campaign, driver
 from sparse_abft.cli import main
 from sparse_abft.sparsity import PATTERN_2_4, unpack
 
@@ -154,6 +154,15 @@ def test_run_injection_past_window_exit_2(tiny_files, capsys):
     assert rc == 2
     assert "never fire" in capsys.readouterr().err
     assert not p["report"].exists()
+
+
+def test_run_injection_before_window_exit_2(tiny_files, capsys):
+    p = tiny_files
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"]), "--report", str(p["report"]), "--inject=-1:oc.0:3"])
+    assert rc == 2
+    assert "fault at cycle -1 would never fire" in capsys.readouterr().err
+    assert not p["report"].exists() and not p["out"].exists()
 
 
 @pytest.mark.parametrize("name", ["input_width", "col_out_width", "ic_width", "oc_width"])
@@ -349,12 +358,25 @@ def test_campaign_bad_config_exit_2(tmp_path):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_campaign_error_in_fanned_out_campaigns_exit_2(tmp_path, capsys, monkeypatch, threads):
     """The error every campaign raises reaches the CLI alike, serial or fanned out."""
+    def fail(cfg, index, workload=None):
+        raise ValueError("every campaign fails")
+    monkeypatch.setattr(campaign, "run_campaign", fail)   # forked children inherit it
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"R": 2, "C": 4, "workload": {"a_rows": 0}}))
+    cfg.write_text(json.dumps({"R": 2, "C": 4}))
     monkeypatch.setenv("SPARSE_ABFT_THREADS", threads)
     assert main(["campaign", "--config", str(cfg), "--campaigns", "8"]) == 2
-    assert capsys.readouterr().err == "error: all dimensions must be at least 1\n"
+    assert capsys.readouterr().err == "error: every campaign fails\n"
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("key,value,least", [("a_rows", 0, 1), ("k", -1, 0), ("cols", -1, 0)])
+def test_campaign_workload_dimension_out_of_range_exit_2(tmp_path, capsys, key, value, least):
+    """A synthetic dimension below its least value is a config error that
+    names its key, not an error from deep inside the first campaign."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"R": 2, "C": 4, "workload": {key: value}}))
+    assert main(["campaign", "--config", str(cfg), "--campaigns", "1"]) == 2
+    assert capsys.readouterr().err == f"error: workload.{key} must be at least {least}, got {value}\n"
 
 
 MISTYPED_CONFIGS = [

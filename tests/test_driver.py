@@ -99,6 +99,18 @@ def test_fault_past_run_window_rejected(worked_example):
     assert run.total_cycles == window
 
 
+def test_fault_before_run_window_rejected_before_first_cycle(worked_example):
+    """A fault at a negative cycle would never fire either, and is refused
+    with the same window message before any cycle is clocked."""
+    cfg, a, _, w = worked_example
+    sink = io.StringIO()
+    window = total_active_cycles(cfg, a.rows, a.cols, w.cols)
+    with pytest.raises(ValueError, match=f"cycle -1 would never fire: the run has {window} active"):
+        run_multiplication(cfg, a, w, faults=[FaultSpec(-1, parse_register("oc.0"), 3)],
+                           watch=[parse_register("oc.0")], trace_sink=sink)
+    assert sink.getvalue() == ""
+
+
 def test_unknown_watched_register_rejected_before_first_cycle(worked_example):
     cfg, a, _, w = worked_example
     sink = io.StringIO()

@@ -79,6 +79,40 @@ def test_totals_past_int64_are_exact():
     assert golden.product == matmul_ref(a, w, 24)
 
 
+def signed_operands(bits):
+    """A 4x8 A and an 8x3 W of random signed ``bits``-bit values."""
+    rng = np.random.default_rng(bits)
+    lo, hi = -(1 << bits - 1), 1 << bits - 1
+    return (DenseMatrix(4, 8, rng.integers(lo, hi, size=(4, 8))),
+            DenseMatrix(8, 3, rng.integers(lo, hi, size=(8, 3))))
+
+
+@pytest.mark.parametrize("bits", [40, 62])
+def test_total_matches_brute_force_on_wide_operands(bits):
+    """Past ``max(rows, cols) peak = 2^63`` the column and row sums leave
+    int64; the total stays the exact sum of every product element."""
+    a, w = signed_operands(bits)
+    brute = sum(int(a.data[i, j]) * int(w.data[j, c])
+                for i in range(4) for j in range(8) for c in range(3))
+    assert golden_result(a, w, 24).total_checksum == brute == python_dot(a, w)
+
+
+@pytest.mark.parametrize("bits", [7, 40])
+def test_wrong_product_raises_at_any_operand_width(monkeypatch, bits):
+    """The identity checks the int64 product ``golden_result`` returns, so a
+    product one off in every element raises however wide the operands."""
+    true_product = oracle._product
+
+    def off_by_one(a, w):
+        product, peak = true_product(a, w)
+        return product + 1, peak
+
+    monkeypatch.setattr(oracle, "_product", off_by_one)
+    a, w = signed_operands(bits)
+    with pytest.raises(RuntimeError, match="checksum identity must hold"):
+        golden_result(a, w, 24)
+
+
 def test_product_past_the_float64_bound_is_exact():
     """3 (2^26 + 1)^2 is odd and above 2^53, where float64 rounds; one below it is not."""
     for value, k in ((2**26 + 1, 3), (2**26 - 1, 2)):

@@ -1,9 +1,11 @@
+import collections
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from sparse_abft import (ArrayConfig, Owner, RegisterId, RegKind, SparsityPattern,
+from sparse_abft import (ArrayConfig, Owner, RegisterId, RegKind, SimState, SparsityPattern,
                          enumerate_registers, parse_register)
 from sparse_abft.sparsity import PATTERN_1_4
 
@@ -128,3 +130,22 @@ def test_enumeration_order_pinned(rows, cols, pattern, digest):
     cfg = ArrayConfig(rows=rows, cols=cols, pattern=SparsityPattern.parse(pattern))
     text = "".join(f"{reg.name} {width}\n" for reg, width in enumerate_registers(cfg).entries)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("pattern", ["2:4", "1:4", "1:3", "1:1"])
+def test_enumeration_covers_every_storage_cell_once(pattern):
+    """Every kind of the register table with a non-zero width is listed once
+    per cell of its ``SimState`` storage, at its width, so a kind added to
+    the table is sampled like the others."""
+    cfg = ArrayConfig(rows=2, cols=3, pattern=SparsityPattern.parse(pattern))
+    state = SimState(cfg)
+    listed = collections.Counter((reg.kind, tuple(getattr(reg, f) for f in reg.kind.fields), width)
+                                 for reg, width in enumerate_registers(cfg).entries)
+    cells = collections.Counter()
+    for kind in RegKind:
+        width = getattr(cfg, kind.width_attr)
+        if width:
+            cells.update((kind, cell, width)
+                         for cell in np.ndindex(np.shape(getattr(state, kind.storage))))
+    assert listed == cells
+    assert {kind for kind, _, _ in cells} >= set(RegKind) - {RegKind.INDEX}

@@ -10,7 +10,6 @@ from sparse_abft import (
     FaultSpec,
     SimState,
     SparsityPattern,
-    StateError,
     StructuredSparseMatrix,
     enumerate_registers,
     matmul_ref,
@@ -171,11 +170,19 @@ def test_step_psum_wraps_two_complement():
     assert state.read_register(parse_register("tpe.1.0.psum")) == -(2**23)
 
 
-def test_step_rejects_data_before_weights(tiny_cfg):
+def test_step_streams_before_weights(tiny_cfg):
+    """Before any weight load the weight and index registers hold zero: a
+    bundle streamed then moves east like any other, with zero products."""
     state = SimState(tiny_cfg)
-    with pytest.raises(StateError):
-        state.step(np.zeros((1, 4), dtype=np.int64))
-    state.step()  # bubble is fine
+    sink = io.StringIO()
+    state.watch = [parse_register(name) for name in ("tpe.0.1.in.0", "tpe.0.0.psum", "tpe.0.1.psum")]
+    state.trace_sink = sink
+    state.step(np.array([[1, 2, 3, 4]]))
+    state.step()
+    assert sink.getvalue().splitlines() == [
+        "0,Stream,tpe.0.1.in.0,0", "0,Stream,tpe.0.0.psum,0", "0,Stream,tpe.0.1.psum,0",
+        "1,WeightLoad,tpe.0.1.in.0,1", "1,WeightLoad,tpe.0.0.psum,0", "1,WeightLoad,tpe.0.1.psum,0"]
+    assert state.pipe[0].tolist() == [[0, 0, 0, 0], [1, 2, 3, 4]]
 
 
 def test_step_validates_bundle_shape_and_width(worked_example):
