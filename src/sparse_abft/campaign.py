@@ -254,17 +254,18 @@ def run_campaigns(cfg: CampaignConfig, workers: int = 0) -> list:
     matrices and simulates only the tiles its faults reach, with the outcome
     of simulating every tile.
 
-    The indexes are split into ``p = max(1, min(workers, campaigns // 4))``
-    strided shares ``range(k, campaigns, p)`` (``workers`` 0 = ``worker_count()``):
-    a child costs 15–22 ms CPU on a 2-vCPU host, which a share of 2–3 campaigns
-    cannot repay, so 4–7 campaigns run serially even on many cores. Share 0 runs
-    in this process, each other share in a child started once everything the
-    campaigns share (file workload, register map) is built, so a forked child
-    inherits it. Every child is joined before the call returns or raises: its
+    The indexes are split into ``p = max(1, min(workers, campaigns // 16))``
+    strided shares ``range(k, campaigns, p)`` (``workers`` 0 = ``worker_count()``),
+    so a call of fewer than 32 campaigns runs serially even on many cores: on a
+    2-vCPU host a second process cost 52–108% more CPU per campaign below 32
+    campaigns, for at best 19% less wall time (README "Install and test").
+    Share 0 runs in this process, each other share in a child started once
+    everything the campaigns share (file workload, register map) is built, so
+    a forked child inherits it. Every child is joined before the call returns or raises: its
     exception is re-raised here, and its exit without a reply raises
     ``RuntimeError``, as do merged indexes other than exactly ``0..campaigns-1``.
     """
-    processes = max(1, min(workers or worker_count(), cfg.campaigns // 4))
+    processes = max(1, min(workers or worker_count(), cfg.campaigns // 16))
     workload = _file_workload(cfg, with_reference=cfg.campaigns > 1)
     enumerate_registers(cfg.array)      # cached, so forked children inherit the map
     shares = [range(k, cfg.campaigns, processes) for k in range(processes)]

@@ -356,9 +356,13 @@ class SimState(CheckerState):
         go through run_tile.
         """
         cfg, shape = self.cfg, (self.cfg.rows, self.cfg.pattern.m)
-        west = np.asarray(np.zeros(shape) if west_inputs is None else west_inputs, dtype=np.int64)
+        given = np.asarray(np.zeros(shape) if west_inputs is None else west_inputs)
+        with np.errstate(invalid="ignore"):     # NaN, inf and 2^63 on are refused below
+            west = given.astype(np.int64)
         if west.shape != shape:
             raise ShapeError(f"west inputs shape {west.shape} != {shape}")
+        if (off := given[west != given]).size:
+            raise ValueError(f"west input {off[0]} is not an int64 value")
         check_ndarray_width(west, cfg.input_width, "west input")
         seg = Segment(west[None], np.zeros((1, cfg.rows), bool), np.full((1, cfg.rows), -1),
                       np.zeros(1, bool), np.full(1, -1))

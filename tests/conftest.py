@@ -3,6 +3,8 @@ targeted fault populations."""
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from sparse_abft import (
     enumerate_registers,
     prune_magnitude,
 )
+from sparse_abft import campaign
 from sparse_abft.intwrap import wrap
 from sparse_abft.registers import RegisterId, RegKind
 
@@ -53,6 +56,18 @@ def packed_block(sw, block_row: int, col: int):
     k = int(sw.counts[block_row, col])
     return (int(sw.masks[block_row, col]), sw.values[block_row, col, :k].tolist(),
             sw.indexes[block_row, col, :k].tolist())
+
+
+def count_children(monkeypatch) -> list:
+    """Make ``run_campaigns`` record each child process it starts."""
+    started = []
+
+    class Counted(multiprocessing.Process):
+        def start(self):
+            started.append(self.name)
+            super().start()
+    monkeypatch.setattr(campaign.multiprocessing, "Process", Counted)
+    return started
 
 
 def random_inputs(rng: np.random.Generator, rows: int, k: int, width: int = 8) -> DenseMatrix:

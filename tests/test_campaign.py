@@ -30,7 +30,7 @@ from sparse_abft.campaign import CategoryStats, render_stats_table, worker_count
 from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import ShapeError
 
-from conftest import random_inputs, random_weights
+from conftest import count_children, random_inputs, random_weights
 
 ARRAY_REG = RegisterId(RegKind.PSUM, 0, 0)
 CHECKER_REG = RegisterId(RegKind.OC_PIPE, col=0)
@@ -125,27 +125,17 @@ def multi_tile_files(tmp_path, campaigns, lo=1, hi=3, seed=5):
                           WorkloadSpec(a_path=str(a_path), w_path=str(w_path)))
 
 
-def count_children(monkeypatch) -> list:
-    """Make ``run_campaigns`` record each child process it starts."""
-    started = []
-
-    class Counted(multiprocessing.Process):
-        def start(self):
-            started.append(self.name)
-            super().start()
-    monkeypatch.setattr(campaign.multiprocessing, "Process", Counted)
-    return started
-
-
 @pytest.mark.parametrize("workers,campaigns,children", [
     *((workers, campaigns, 0) for workers in (2, 3) for campaigns in range(4, 8)),
-    (2, 8, 1),
-    (3, 11, 1),
-    (3, 12, 2),
+    *((workers, campaigns, 0) for workers in (2, 3) for campaigns in (8, 16, 31)),
+    (3, 11, 0),
+    (3, 12, 0),
+    (2, 32, 1),
+    (3, 48, 2),
 ])
 def test_every_share_holds_at_least_four_campaigns(monkeypatch, workers, campaigns, children):
-    """A child costs more than a share of 2-3 campaigns saves, so none is
-    started for one."""
+    """Every share holds at least 16 campaigns: below 32 campaigns a child
+    costs more CPU than it saves in wall time, so none is started."""
     started = count_children(monkeypatch)
     outcomes = run_campaigns(small_campaign(campaigns=campaigns, a_rows=8), workers=workers)
     assert len(started) == children
@@ -153,21 +143,30 @@ def test_every_share_holds_at_least_four_campaigns(monkeypatch, workers, campaig
     assert multiprocessing.active_children() == []
 
 
+# the parallel calls below that start children; every other one runs serially
+CHILDREN = {("synthetic", 2, 32): 1, ("synthetic", 3, 32): 1, ("synthetic", 2, 48): 1,
+            ("synthetic", 3, 48): 2, ("files", 2, 32): 1, ("files", 3, 48): 2}
+
+
 @pytest.mark.parametrize("kind,workers,campaigns", [
-    *(("synthetic", workers, campaigns) for workers in (2, 3) for campaigns in (4, 5, 8, 9, 12)),
+    *(("synthetic", workers, campaigns) for workers in (2, 3)
+      for campaigns in (4, 5, 8, 9, 12, 31, 32, 48)),
     ("files", 3, 5),
     ("files", 3, 8),
+    ("files", 3, 31),
+    ("files", 2, 32),
+    ("files", 3, 48),
 ])
 def test_run_campaigns_parallel_matches_serial(tmp_path, monkeypatch, kind, workers, campaigns):
     if kind == "files":
         cfg = multi_tile_files(tmp_path, campaigns)
     else:
-        cfg = small_campaign(lo=1, hi=3, campaigns=campaigns)
+        cfg = small_campaign(lo=1, hi=3, campaigns=campaigns, a_rows=8)
     serial = run_campaigns(cfg, workers=1)
     started = count_children(monkeypatch)
     parallel = run_campaigns(cfg, workers=workers)
     assert [o.to_json_dict() for o in parallel] == [o.to_json_dict() for o in serial]
-    assert bool(started) == (campaigns >= 8)    # at 2-3 workers, a child from 8 campaigns on
+    assert len(started) == CHILDREN.get((kind, workers, campaigns), 0)
     assert multiprocessing.active_children() == []
 
 
@@ -187,8 +186,8 @@ class Counted(multiprocessing.Process):
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn")
     campaign.multiprocessing.Process = Counted
-    synthetic = CampaignConfig(ArrayConfig(rows=2, cols=4), 8, 1, 3, 42, WorkloadSpec(a_rows=64))
-    files = CampaignConfig(ArrayConfig(rows=2, cols=4), 8, 1, 3, 5,
+    synthetic = CampaignConfig(ArrayConfig(rows=2, cols=4), 32, 1, 3, 42, WorkloadSpec(a_rows=8))
+    files = CampaignConfig(ArrayConfig(rows=2, cols=4), 32, 1, 3, 5,
                            WorkloadSpec(a_path=sys.argv[1], w_path=sys.argv[2]))
     for cfg in (synthetic, files):
         serial = [o.to_json_dict() for o in run_campaigns(cfg, workers=1)]
@@ -205,7 +204,7 @@ def test_run_campaigns_under_spawn_matches_serial(tmp_path):
     """Children started with spawn unpickle the config, their share and the
     file workload's shared data (with its ``Reference``) instead of
     inheriting them."""
-    workload = multi_tile_files(tmp_path, 8).workload
+    workload = multi_tile_files(tmp_path, 32).workload
     script = tmp_path / "spawn_check.py"    # a file, so spawned children can import ``Counted``
     script.write_text(SPAWN_CHECK)
     src = str(pathlib.Path(campaign.__file__).resolve().parents[1])
@@ -240,18 +239,29 @@ def raiser(exc):
     ShapeError("inner dimensions differ: A has 3, W has 4"),
 ], ids=["ValueError", "OSError", "ShapeError"])
 def test_child_exception_reraised_with_type_and_message(monkeypatch, exc):
-    fail_at(monkeypatch, 3, raiser(exc))    # index 3 is in a child's share at 2 workers
+    fail_at(monkeypatch, 3, raiser(exc))    # index 3 is in the child's share at 2 workers
+    started = count_children(monkeypatch)
     with pytest.raises(type(exc)) as excinfo:
-        run_campaigns(small_campaign(campaigns=8), workers=2)
+        run_campaigns(small_campaign(campaigns=32, a_rows=8), workers=2)
     assert type(excinfo.value) is type(exc)
     assert str(excinfo.value) == str(exc)
+    assert len(started) == 1
     assert multiprocessing.active_children() == []
 
 
+def exit_in_child():
+    """End a child process without a reply; in the caller (the test process
+    itself, should the call run serially) do nothing."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(7)
+
+
 def test_child_exit_without_reply_raises(monkeypatch):
-    fail_at(monkeypatch, 1, lambda: os._exit(7))
+    fail_at(monkeypatch, 1, exit_in_child)  # index 1 is in the child's share at 2 workers
+    started = count_children(monkeypatch)
     with pytest.raises(RuntimeError, match="exited with code 7"):
-        run_campaigns(small_campaign(campaigns=8), workers=2)
+        run_campaigns(small_campaign(campaigns=32, a_rows=8), workers=2)
+    assert len(started) == 1
     assert multiprocessing.active_children() == []
 
 
@@ -265,10 +275,12 @@ def test_caller_exception_stops_every_child(monkeypatch):
             time.sleep(60)
         return real(cfg, i, workload)
     monkeypatch.setattr(campaign, "run_campaign", patched)
+    started = count_children(monkeypatch)
     start = time.monotonic()
     with pytest.raises(ValueError, match="caller's share"):
-        run_campaigns(small_campaign(campaigns=12), workers=3)
+        run_campaigns(small_campaign(campaigns=48, a_rows=8), workers=3)
     assert time.monotonic() - start < 30
+    assert len(started) == 2
     assert multiprocessing.active_children() == []
 
 
@@ -277,10 +289,12 @@ def test_merged_indexes_must_be_exact(monkeypatch):
 
     def misindexed(cfg, i, workload=None):
         outcome = real(cfg, i, workload)
-        return dataclasses.replace(outcome, index=0) if i == 5 else outcome
+        return dataclasses.replace(outcome, index=0) if i == 5 else outcome   # a child's
     monkeypatch.setattr(campaign, "run_campaign", misindexed)
-    with pytest.raises(RuntimeError, match="indexes 0..7"):
-        run_campaigns(small_campaign(campaigns=8), workers=2)
+    started = count_children(monkeypatch)
+    with pytest.raises(RuntimeError, match="indexes 0..31"):
+        run_campaigns(small_campaign(campaigns=32, a_rows=8), workers=2)
+    assert len(started) == 1
     assert multiprocessing.active_children() == []
 
 

@@ -20,7 +20,7 @@ from sparse_abft import campaign, driver
 from sparse_abft.cli import main
 from sparse_abft.sparsity import PATTERN_2_4, unpack
 
-from conftest import as_dense, zero_dense
+from conftest import as_dense, count_children, zero_dense
 
 
 @pytest.fixture
@@ -364,8 +364,10 @@ def test_campaign_error_in_fanned_out_campaigns_exit_2(tmp_path, capsys, monkeyp
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"R": 2, "C": 4}))
     monkeypatch.setenv("SPARSE_ABFT_THREADS", threads)
-    assert main(["campaign", "--config", str(cfg), "--campaigns", "8"]) == 2
+    started = count_children(monkeypatch)
+    assert main(["campaign", "--config", str(cfg), "--campaigns", "32"]) == 2
     assert capsys.readouterr().err == "error: every campaign fails\n"
+    assert len(started) == int(threads) - 1
     assert multiprocessing.active_children() == []
 
 

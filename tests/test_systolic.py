@@ -195,6 +195,21 @@ def test_step_validates_bundle_shape_and_width(worked_example):
         state.step(np.full((1, 4), 200, dtype=np.int64))
 
 
+@pytest.mark.parametrize("bundle", [[[1.7, 2.2, -0.9, 4.0]], [[np.nan, 0, 0, 0]],
+                                    [[np.inf, 0, 0, 0]], [[2.0 ** 63, 0, 0, 0]]],
+                         ids=["fraction", "nan", "inf", "2^63"])
+def test_step_refuses_bundles_that_are_not_integers(worked_example, bundle):
+    """A bundle no int64 holds is refused, not truncated; whole floats are kept."""
+    cfg, _, _, w = worked_example
+    state = SimState(cfg)
+    state.load_weights(w)
+    with pytest.raises(ValueError, match="is not an int64 value"):
+        state.step(bundle)
+    assert state.cycle == 0 and not state.pipe.any()
+    state.step([[1.0, 2.0, -1.0, 4.0]])
+    assert state.pipe[0, 0].tolist() == [1, 2, -1, 4]
+
+
 def test_input_bundles_advance_east(worked_example):
     cfg, _, _, w = worked_example
     state = SimState(cfg)
