@@ -1,5 +1,7 @@
 """Cycle-accurate N:M sparse systolic tensor array with ABFT checking."""
 
+import types
+
 from .checker import ChecksumRoundResult
 from .campaign import (
     CampaignConfig,
@@ -31,47 +33,6 @@ from .tiling import Tile, TilePlan, tile_plan
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArrayConfig",
-    "CampaignConfig",
-    "CampaignOutcome",
-    "ChecksumRoundResult",
-    "DenseMatrix",
-    "FaultSpec",
-    "GoldenResult",
-    "MatrixFormatError",
-    "OutcomeCategory",
-    "Owner",
-    "RegKind",
-    "RegisterId",
-    "RunResult",
-    "ShapeError",
-    "SimState",
-    "SparsityPattern",
-    "SparsityViolationError",
-    "StructuredSparseMatrix",
-    "Tile",
-    "TilePlan",
-    "TileResult",
-    "WorkloadSpec",
-    "aggregate",
-    "classify",
-    "enumerate_registers",
-    "golden_result",
-    "load_config",
-    "matmul_ref",
-    "parse_register",
-    "prune_magnitude",
-    "read_dense",
-    "read_packed",
-    "run_campaign",
-    "run_campaigns",
-    "run_multiplication",
-    "sample_faults",
-    "tile_active_cycles",
-    "tile_plan",
-    "total_active_cycles",
-    "unpack",
-    "write_dense",
-    "write_packed",
-]
+# the public surface: every name imported above
+__all__ = sorted(name for name, value in vars().items()
+                 if not name.startswith("_") and not isinstance(value, types.ModuleType))

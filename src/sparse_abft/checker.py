@@ -10,12 +10,10 @@ The checker owns three groups of state, which ``SimState`` inherits:
   waves; ``predicted`` collects OC outputs of digit waves, each weighted by
   ``2^(input_width * k)`` for digit ``k`` before it arrives here.
 
-Signed digits, least-significant first, follow one bias-and-mask rule (the
-form of ``intwrap.wrap``): with ``B = sum(2^(j*w + w - 1) for j < D)``, digit
-``k`` of ``v`` is ``((v + B) >> k*w & (2^w - 1)) - 2^(w-1)``, and ``v`` fits
-``D`` signed ``w``-bit digits iff ``0 <= v + B < 2^(D*w)``. Within the
-streaming cap of ``2^(ic_width - input_width)`` rows every reachable
-accumulator value fits, so the array's signed multipliers are reused.
+Signed digits, least-significant first, follow the bias-and-mask rule of
+``intwrap.signed_digit``, ``input_width`` bits each. Within the streaming cap of
+``2^(ic_width - input_width)`` rows every reachable accumulator value fits
+``digits_per_round`` digits, so the array's signed multipliers are reused.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ArrayConfig
-from .intwrap import wrap
+from .intwrap import signed_digit, wrap
 
 
 @dataclass
@@ -72,7 +70,5 @@ class CheckerState:
         ``ic`` holds one row of lane values, or a stack of them with one
         digit index per row in ``digit_k``; only that digit is computed.
         """
-        w, count = self.cfg.input_width, self.cfg.digits_per_round
-        # the bias B (module docstring) makes every signed digit an unsigned field
-        biased = np.asarray(ic) + sum(1 << (j * w + w - 1) for j in range(count))
-        return (biased >> (np.asarray(digit_k)[..., None] * w) & ((1 << w) - 1)) - (1 << (w - 1))
+        return signed_digit(ic, self.cfg.input_width, self.cfg.digits_per_round,
+                            np.asarray(digit_k)[..., None])

@@ -1,9 +1,10 @@
 """Ground-truth matrix multiplication and checksum identities.
 
 The oracle computes the true product and wraps it only at the declared output
-width. With ``peak = max|A| max|W|`` it runs on float64 BLAS, in one-thread
-calls of at most 2^18 multiply-adds, while ``peak k < 2^53`` keeps every
-partial sum an exact float64, else in int64, exact modulo ``2^64``. The exact
+width. Its product is ``intwrap.exact_matmul``'s: float64 BLAS in one-thread
+blocks of at most 2^18 multiply-adds, over the operands while ``max|A| max|W|
+k < 2^53`` keeps every partial sum an exact float64, else over signed-digit
+slices recombined in int64, exact modulo ``2^64``. The exact
 checksum total is ``dot(colsum(A), rowsum(W))`` over Python ints, with the
 column and row sums in int64 while ``max(rows, cols) peak < 2^63`` and exact
 past that; the product's int64 sum must equal it modulo ``2^64``.
@@ -23,8 +24,7 @@ def _product(a: DenseMatrix, w_dense: DenseMatrix):
         raise ShapeError(f"inner dimensions differ: {a.cols} vs {w_dense.rows}")
     peak_a, peak_w = (max(int(x.max(initial=0)), -int(x.min(initial=0)))
                       for x in (a.data, w_dense.data))
-    peak = peak_a * peak_w
-    return exact_matmul(a.data, w_dense.data, peak), peak
+    return exact_matmul(a.data, w_dense.data, peak_a, peak_w), peak_a * peak_w
 
 
 def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:

@@ -128,15 +128,11 @@ def enumerate_registers(cfg: ArrayConfig) -> RegisterMap:
         if widths[kind] > 0:
             entries.append((RegisterId(kind, row, col, lane), widths[kind]))
 
-    for r in range(cfg.rows):
-        for c in range(cfg.cols):
-            for j in range(cfg.slots):
-                add(RegKind.WEIGHT, r, c, j)
-            for j in range(cfg.slots):
-                add(RegKind.INDEX, r, c, j)
-            for lane in range(cfg.pattern.m):
-                add(RegKind.INPUT_PIPE, r, c, lane)
-            add(RegKind.PSUM, r, c)
+    pe = ((RegKind.WEIGHT, cfg.slots), (RegKind.INDEX, cfg.slots),
+          (RegKind.INPUT_PIPE, cfg.pattern.m), (RegKind.PSUM, 1))
+    for r, c, (kind, lanes) in itertools.product(range(cfg.rows), range(cfg.cols), pe):
+        for lane in range(lanes):
+            add(kind, r, c, lane)
     for r in range(cfg.rows):
         for lane in range(cfg.pattern.m):
             add(RegKind.IC_ACC, row=r, lane=lane)

@@ -62,6 +62,19 @@ PATTERN_2_4 = SparsityPattern(2, 4)
 PATTERN_1_4 = SparsityPattern(1, 4)
 
 
+def as_int64(values, what: str) -> np.ndarray:
+    """``values`` as int64, signed integer data unchecked; else a ValueError names
+    the first value no int64 holds exactly (a fraction, NaN, inf, 2^63 on)."""
+    given = np.asarray(values)
+    if given.dtype.kind == "i":
+        return given.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):     # NaN, inf and 2^63 on are refused below
+        data = given.astype(np.int64)
+    if (off := given[data != given]).size:
+        raise ValueError(f"{what} {off[0]} is not an int64 value")
+    return data
+
+
 @dataclass(frozen=True)
 class DenseMatrix:
     """Row-major dense integer matrix."""
@@ -72,7 +85,7 @@ class DenseMatrix:
     owned: InitVar[bool] = False    # data was built for this matrix alone: kept, not copied
 
     def __post_init__(self, owned):
-        arr = np.asarray(self.data, dtype=np.int64)
+        arr = as_int64(self.data, "matrix element")
         if arr.size != self.rows * self.cols:
             raise ShapeError(f"data length {arr.size} != {self.rows}x{self.cols}")
         arr = arr if owned else arr.copy()

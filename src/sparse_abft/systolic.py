@@ -58,16 +58,15 @@ a diagonal sum once gives the value that wrapping on every edge would, if the
 sum is exact modulo ``2^64``. Bundle values and weights stand in
 ``input_width``-bit registers, whose bits a fault flips but never widens, and
 at most ``n`` slots feed a lane: faulted or not, a product is at most ``peak =
-n 2^(2 input_width - 2)`` and a psum at most ``2^(col_out_width - 1)``. While
-``R m peak + 2^(col_out_width - 1) < 2^53`` (2^23.2 on 8x32 at the default
-widths) float64 holds every partial sum of a diagonal, so the sums run in
-float64, each row's products by ``blas_matmul`` on one OpenBLAS thread, and
-become int64 once. Past it (``col_out_width`` above 53, or wide operands) they
-are int64 sums, exact modulo ``2^64``, of each row's ``exact_matmul``. The
-corner adds are Python ints, with no width to overflow: each OC output reaching
-the corner, weighted by ``2^(input_width * d)`` for digit ``d`` (a data wave is
-digit 0 of ``actual``), summed digit by digit; a traced corner accumulator
-reads their running sums.
+n 2^(2 input_width - 2)``. A diagonal's up to ``R m`` products sum in float64,
+by ``blas_matmul`` on one OpenBLAS thread, over the bundles and lane weights
+while ``R m peak < 2^53`` (2^20 on 8x32 at the default widths), else over
+``slice_plan``'s signed-digit slices of both, one sum per slice pair;
+``exact_sum`` recombines those in int64, exact modulo ``2^64``, and the psum at
+the diagonal's top is added there. The corner adds are Python ints, with no
+width to overflow: each OC output reaching the corner, weighted by
+``2^(input_width * d)`` for digit ``d`` (a data wave is digit 0 of ``actual``),
+summed digit by digit; a traced corner accumulator reads their running sums.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -92,9 +91,9 @@ import numpy as np
 
 from .checker import CheckerState
 from .config import ArrayConfig
-from .intwrap import blas_matmul, check_ndarray_width, exact_matmul, float64_exact, wrap
+from .intwrap import blas_matmul, check_ndarray_width, exact_sum, slice_plan, slices, wrap
 from .registers import RegisterId, RegKind, enumerate_registers
-from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
+from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix, as_int64
 
 
 # the SimState attributes of the register kinds stored in arrays
@@ -356,13 +355,9 @@ class SimState(CheckerState):
         go through run_tile.
         """
         cfg, shape = self.cfg, (self.cfg.rows, self.cfg.pattern.m)
-        given = np.asarray(np.zeros(shape) if west_inputs is None else west_inputs)
-        with np.errstate(invalid="ignore"):     # NaN, inf and 2^63 on are refused below
-            west = given.astype(np.int64)
+        west = as_int64(np.zeros(shape) if west_inputs is None else west_inputs, "west input")
         if west.shape != shape:
             raise ShapeError(f"west inputs shape {west.shape} != {shape}")
-        if (off := given[west != given]).size:
-            raise ValueError(f"west input {off[0]} is not an int64 value")
         check_ndarray_width(west, cfg.input_width, "west input")
         seg = Segment(west[None], np.zeros((1, cfg.rows), bool), np.full((1, cfg.rows), -1),
                       np.zeros(1, bool), np.full(1, -1))
@@ -371,10 +366,11 @@ class SimState(CheckerState):
 
     @functools.cached_property
     def _lane_weights(self) -> tuple:
-        """``(R, m, C)`` in int64 and float64: the weight each PE applies to each
-        input lane, columns reversed (see ``_advance``), summed over the used
-        slots in one exact int64 ``np.add.at`` scatter. Dropped when a weight or
-        index register is written, so it is rebuilt once per weight load."""
+        """``(width, count, lw)``: the ``slice_plan`` of a diagonal's products (module
+        docstring), which splits bundles into ``count`` slices, and the ``(slices, R, m, C)``
+        slices of the weight each PE applies to each input lane, columns reversed (see
+        ``_advance``), summed over the used slots in one exact int64 ``np.add.at`` scatter.
+        Dropped when a weight or index register is written: rebuilt once per weight load."""
         cfg = self.cfg
         n, m = cfg.pattern.n, cfg.pattern.m
         lw = np.zeros((cfg.rows, m, cfg.cols), dtype=np.int64)
@@ -383,7 +379,9 @@ class SimState(CheckerState):
         # two; those selections wrap around like a mux with tied inputs. Slots
         # past n sit idle; used slots of one PE that select one lane add.
         np.add.at(lw, (rows, self.indexes[:, :, :n] % m, cols), self.weights[:, :, :n])
-        return lw, lw.astype(np.float64)
+        width, count, lw_count = slice_plan(1 << cfg.input_width - 1, n << cfg.input_width - 1,
+                                            cfg.rows * m)
+        return width, count, slices(lw, width, lw_count)
 
     def _advance(self, seg: Segment, arena: _Arena, label: str | None = None) -> np.ndarray:
         """Clock the ``L`` cycles of ``seg`` from the current state, on ``arena``.
@@ -405,15 +403,13 @@ class SimState(CheckerState):
         np.multiply(seg.west, seg.is_data[:, :, None], out=ic[1:])
         np.cumsum(ic, axis=0, out=ic)
 
-        # in float64 where the sums below are exact (module docstring)
-        peak = cfg.pattern.n << 2 * cfg.input_width - 2   # bounds faulted runs too
-        on_float = float64_exact(peak, R * cfg.pattern.m, 1 << cfg.col_out_width - 1)
-        lw, psums = self._lane_weights[on_float], []
         # the bundle at PE (r, c) before edge t0 + i is stream[r, C + i - 1 - c]:
         # the pipe as it stands (east end first), then the segment's bundles,
-        # with the digit bundles split from the IC accumulators
-        stream = np.concatenate([self.pipe[:, ::-1], seg.west.swapaxes(0, 1)], 1,
-                                out=arena("stream", (R, C + L, cfg.pattern.m), lw.dtype))
+        # with the digit bundles split from the IC accumulators; in float64
+        # where that is its one slice (module docstring)
+        width, count, lw = self._lane_weights
+        stream = np.concatenate([self.pipe[:, ::-1], seg.west.swapaxes(0, 1)], 1, out=arena(
+            "stream", (R, C + L, cfg.pattern.m), np.float64 if count == 1 else np.int64))
         cyc, row = np.nonzero(seg.row_digit >= 0)   # in cycle order
         if len(cyc):
             digits = seg.row_digit[cyc, row]
@@ -421,25 +417,29 @@ class SimState(CheckerState):
             for t, r in zip(*(x[digits == cfg.digits_per_round - 1].tolist() for x in (cyc, row))):
                 ic[t + 1:, r] -= ic[t + 1, r]
             stream[row, C + cyc] = self.digit_wave(wrap(ic[cyc, row], cfg.ic_width), digits)
-        # sums[s] adds up one diagonal of the PE columns: the psum standing
-        # at its top when the segment starts plus the products added on its
-        # way south. sums[:L] are the bottom-row psums before each edge and
-        # sums[L + R - 1 - r] is PE row r's psum after the last edge; while
-        # rows below r are still missing, sums[R - r:R - r + L] are row r's
-        # psums after each edge.
-        buffer, sums = arena("buffer", (C + L, C), lw.dtype), arena("sums", (L + R, C), lw.dtype, 0)
-        sums[:R] = self.psum[::-1]
+        # sums[s] adds up one diagonal of the PE columns: the psum standing at
+        # its top when the segment starts, added last, plus the products added
+        # on its way south, in float64 parts[s] per slice pair. sums[:L] are the
+        # bottom-row psums before each edge and sums[L + R - 1 - r] is PE row
+        # r's psum after the last edge; while rows below r are missing, sums[R -
+        # r:R - r + L] are row r's psums after each edge, kept when traced.
+        parts = arena("parts", (L + R + traced * R * L, C), np.float64)
+        buffer = arena("buffer", (C + L, C), np.float64)
         # reversed weight columns put a row's product (i, c) at skewed[i, C-1-c]
         skewed = _skewed(buffer)[:L, ::-1]
-        for r in range(R):
-            if on_float:
-                blas_matmul(stream[r], lw[r], buffer)
-            else:
-                buffer[:] = exact_matmul(stream[r], lw[r], peak)
-            sums[R - r:R - r + L] += skewed
-            if traced:
-                psums.append(sums[R - r:R - r + L].astype(np.int64))
-        sums = arena("int_sums", sums.shape, fill=sums) if on_float else sums
+
+        def diagonals(x, lw):
+            parts[:L + R] = 0
+            for r in range(R):
+                blas_matmul(x[r], lw[r], buffer)
+                parts[R - r:R - r + L] += skewed
+                if traced:
+                    parts[L + R + r * L:][:L] = parts[R - r:R - r + L]
+            return parts
+
+        bundles = stream[None] if count == 1 else slices(stream, width, count)
+        sums = exact_sum(diagonals, bundles, lw, width, arena("sums", parts.shape))
+        sums[:R] += self.psum[::-1]
 
         # OC chain, the same diagonal sums over columns, on the spent products
         # buffer: one row holds the OC value standing on top, then the bottom-row results
@@ -461,7 +461,8 @@ class SimState(CheckerState):
                 elif k is RegKind.IC_ACC:
                     values = ic[1:, r, reg.lane]
                 elif k is RegKind.PSUM:
-                    values = psums[r][:, c]
+                    values = sums[L + R + r * L:][:L, c].copy()
+                    values[:r] += self.psum[:r][::-1, c][:L]   # the tops of the first r
                 elif k is RegKind.OC_PIPE:
                     values = _skewed(chain)[C - c:C - c + L, :c + 1].sum(axis=1)
                 elif k.fields:
@@ -483,7 +484,7 @@ class SimState(CheckerState):
                             enumerate(zip(*columns)) for name, value in zip(names, values))
 
         # commit: the last reads of arena
-        self.psum = wrap(sums[L:][::-1], cfg.col_out_width)
+        self.psum = wrap(sums[L:L + R][::-1], cfg.col_out_width)
         self.pipe = stream[:, L:][:, ::-1].astype(np.int64)
         self.ic = wrap(ic[L], cfg.ic_width)
         self.oc = chain_out[L:][::-1].copy()

@@ -1,11 +1,12 @@
 """The segment engine at the edge of its float64 products.
 
-A PE row's products run on float64 BLAS while ``m n 2^(2 input_width - 2)``
-stays below 2^53, and in int64 past that: for 2:4 up to ``input_width`` 25,
-for 1:4 up to 26. Full-scale tiles at both ends of the range and top-bit
-faults on the registers that feed the products (weights, indexes, input
-pipes) and on the partial sums must give what the per-cycle reference
-engine gives, on both sides of that edge.
+A segment's diagonal sums of products run on float64 BLAS over one slice of
+the bundles and lane weights while ``R m n 2^(2 input_width - 2)`` stays
+below 2^53, and over signed-digit slices of both, recombined in int64, past
+that. Full-scale tiles at both ends of the range and top-bit faults on the
+registers that feed the products (weights, indexes, input pipes) and on the
+partial sums must give what the per-cycle reference engine gives, on both
+sides of that edge.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from sparse_abft import (
     prune_magnitude,
 )
 from sparse_abft import systolic
-from sparse_abft.intwrap import blas_matmul, exact_matmul, float64_exact, int_max, int_min
+from sparse_abft.intwrap import blas_matmul, int_max, int_min
 from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles
@@ -27,7 +28,8 @@ from sparse_abft.systolic import _tile_schedule, tile_active_cycles
 from conftest import as_dense, random_inputs, random_weights
 from test_engine_equivalence import run_both
 
-# (pattern, largest input_width on float64, next one up)
+# (pattern, largest input_width whose one-row products m n 2^(2 input_width - 2)
+# stay below 2^53, next one up)
 EDGES = [(PATTERN_2_4, 25, 26), (PATTERN_1_4, 26, 27)]
 
 
@@ -44,21 +46,33 @@ def full_scale(cfg, value, a_rows=6):
     return a, w
 
 
+def slice_pairs(cfg):
+    """The slice pairs of a segment's products, each one ``blas_matmul`` per PE row."""
+    width, count, lw = SimState(cfg)._lane_weights
+    return sum((i + j) * width < 64 for i in range(count) for j in range(len(lw)))
+
+
+# (pattern, input_width) of EDGES and the slice pairs of its products at R = 3
+EDGE_PAIRS = {(PATTERN_2_4, 25): 1, (PATTERN_2_4, 26): 4, (PATTERN_1_4, 26): 4,
+              (PATTERN_1_4, 27): 4}
+
+
 def test_edges_straddle_the_float64_bound(monkeypatch):
-    """Each PE row's products take float64 BLAS below the edge and int64 above it."""
-    on_float = []
-
-    def spy(a, b, peak):
-        on_float.append(peak * b.shape[0] < 1 << 53)
-        return exact_matmul(a, b, peak)
-
-    monkeypatch.setattr(systolic, "exact_matmul", spy)
+    """The float64 sums span a diagonal's R m products, so one slice holds
+    while ``R m peak < 2^53``: on 3 rows, 2:4 straddles its one-row edge at
+    25 and 26 bits, and 1:4 takes 2 slices of each operand at 26 and 27. A
+    segment calls ``blas_matmul`` once per PE row and slice pair."""
+    calls = []
+    monkeypatch.setattr(systolic, "blas_matmul", lambda *args: calls.append(1) or blas_matmul(*args))
     for pattern, below, above in EDGES:
-        for width, expected in ((below, True), (above, False)):
+        for width in (below, above):
             cfg = edge_config(pattern, width)
-            on_float.clear()
+            peak = pattern.n << 2 * width - 2
+            assert (slice_pairs(cfg) == 1) == (cfg.rows * pattern.m * peak < 1 << 53)
+            assert slice_pairs(cfg) == EDGE_PAIRS[pattern, width]
+            calls.clear()
             SimState(cfg).run_tile(*full_scale(cfg, int_min(width)))
-            assert on_float and set(on_float) == {expected}
+            assert len(calls) == cfg.rows * EDGE_PAIRS[pattern, width]
 
 
 def top_bit_faults(rng, cfg, window, count):
@@ -84,16 +98,16 @@ def test_full_scale_tiles_at_the_edge_match_reference(pattern, width):
 
 
 # ----------------------------------------------------------------------
-# A segment's diagonal sums (a psum and up to R dot products of m lanes) run
-# in float64 while R m peak + 2^(col_out_width - 1) < 2^53, and as int64 sums
-# of each row's exact_matmul past that.
+# A segment's diagonal sums are a psum and up to R dot products of m lanes.
+# The products sum in float64 and the psum is added in int64 after them, so
+# col_out_width does not move the float64 bound R m peak < 2^53.
 
 def sums_config(rows, pattern, width, col_out_width):
     return ArrayConfig(rows=rows, cols=4, pattern=pattern, input_width=width, ic_width=2 * width,
                        col_out_width=col_out_width, oc_width=63, cksum_width=200)
 
 
-# (config, whether its sums run in float64)
+# (config, whether its psum and products together stay below 2^53)
 SUMS_EDGES = [
     (sums_config(3, PATTERN_2_4, 8, 53), True),     # 3*4*2^15 + 2^52
     (sums_config(3, PATTERN_2_4, 8, 54), False),    # the psum term alone is 2^53
@@ -108,21 +122,19 @@ def sums_id(cfg):
 
 
 def test_sums_straddle_the_float64_bound(monkeypatch):
-    """Below the bound every row's products go through ``blas_matmul`` into
-    float64 sums; at or past it every row takes ``exact_matmul``."""
-    paths = []
-    monkeypatch.setattr(systolic, "blas_matmul",
-                        lambda *args: paths.append(True) or blas_matmul(*args))
-    monkeypatch.setattr(systolic, "exact_matmul",
-                        lambda *args: paths.append(False) or exact_matmul(*args))
-    for cfg, on_float in SUMS_EDGES:
+    """On both sides of 2^53 for psum and products together, the products
+    alone stay below it: every config takes one slice, one ``blas_matmul``
+    per PE row a segment, and adds its psums, up to 2^62, in int64."""
+    calls = []
+    monkeypatch.setattr(systolic, "blas_matmul", lambda *args: calls.append(1) or blas_matmul(*args))
+    for cfg, below in SUMS_EDGES:
         peak = cfg.pattern.n << 2 * cfg.input_width - 2
         bound = cfg.rows * cfg.pattern.m * peak + (1 << cfg.col_out_width - 1)
-        assert (bound < 1 << 53) == on_float
-        assert float64_exact(peak, cfg.rows * cfg.pattern.m, 1 << cfg.col_out_width - 1) == on_float
-        paths.clear()
+        assert (bound < 1 << 53) == below
+        assert cfg.rows * cfg.pattern.m * peak < 1 << 53 and slice_pairs(cfg) == 1
+        calls.clear()
         SimState(cfg).run_tile(*full_scale(cfg, int_min(cfg.input_width)))
-        assert paths and set(paths) == {on_float}, sums_id(cfg)
+        assert len(calls) == cfg.rows, sums_id(cfg)
 
 
 @pytest.mark.parametrize("cfg", [cfg for cfg, _ in SUMS_EDGES], ids=sums_id)

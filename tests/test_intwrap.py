@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_abft.intwrap import exact_matmul, int_max, int_min, wrap
+from sparse_abft import DenseMatrix, golden_result
+from sparse_abft.intwrap import exact_matmul, int_max, int_min, slice_plan, wrap
 
 
 def test_wrap_identity_in_range():
@@ -56,7 +57,7 @@ def test_exact_matmul_at_the_float64_bound(data):
     width, k = data.draw(st.sampled_from(BOUNDARY))
     m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
     a, b = operands(data, (m, k), width), operands(data, (k, n), width)
-    got = exact_matmul(a, b, 1 << 2 * width - 2)
+    got = exact_matmul(a, b, 1 << width - 1, 1 << width - 1)
     assert got.dtype == np.int64 and got.tolist() == exact(a, b)
 
 
@@ -65,12 +66,13 @@ def test_float64_alone_rounds_past_the_bound():
     top = int_max(26)
     a, b = np.full((1, 9), top), np.full((9, 1), top)   # sum 9 (2^25 - 1)^2 is odd, past 2^53
     assert (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64).tolist() != exact(a, b)
-    assert exact_matmul(a, b, 1 << 50).tolist() == exact(a, b)
+    assert exact_matmul(a, b, top, top).tolist() == exact(a, b)
 
 
-# (k, n) and the rows each BLAS call takes, 2^18 // (k n): one block for any
-# row count, and blocks of 256, 32, 16, 2 and 1 rows; 1-column operands
-# included, and one whose 1-row blocks would be dot products past 10,000
+# (k, n): BLAS calls take at most 128 inner terms by 512 columns by the rows
+# that fit 2^18 multiply-adds. One block for any row count, row blocks of
+# 256, 32, 16 and 2048 rows, and inner or column blocks too; 1-column operands
+# included, and ones whose 1-row products would be dot products past 10,000
 SHAPES = [(1, 1), (4, 32), (32, 1), (32, 32), (128, 128), (8192, 1), (16384, 1), (512, 256),
           (256, 1024)]
 
@@ -79,8 +81,64 @@ SHAPES = [(1, 1), (4, 32), (32, 1), (32, 32), (128, 128), (8192, 1), (16384, 1),
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_exact_matmul_in_row_blocks(k, n, data):
-    step = (1 << 18) // (k * n)
+    step = (1 << 18) // (min(k, 128) * min(n, 512))
     m = data.draw(st.sampled_from([1, 2, step - 1, step, step + 1, 3 * step + 1]).filter(
         lambda rows: 1 <= rows <= 800))
     a, b = operands(data, (m, k), 12), operands(data, (k, n), 12)
-    assert exact_matmul(a, b, 1 << 22).tolist() == exact(a, b)
+    assert exact_matmul(a, b, 1 << 11, 1 << 11).tolist() == exact(a, b)
+
+
+@pytest.mark.parametrize("m, k, n", [(3, 200, 0), (0, 300, 600), (2, 0, 600), (0, 0, 0)])
+def test_empty_products(m, k, n):
+    """A product with no rows, columns or inner terms is an m x n block of zeros."""
+    got = exact_matmul(np.ones((m, k), np.int64), np.ones((k, n), np.int64), 1, 1)
+    assert got.dtype == np.int64 and got.shape == (m, n) and not got.any()
+
+
+def wrap64(values):
+    """Nested lists of Python ints, each reduced to signed 64-bit range."""
+    return [[(x + (1 << 63)) % (1 << 64) - (1 << 63) for x in row] for row in values]
+
+
+# (m, k, n): small products, and products with k n past 2^18, which take
+# inner, column and row blocks
+SHAPES_BY_SIZE = {
+    "small": st.tuples(st.integers(1, 5), st.integers(1, 40), st.integers(1, 5)),
+    "large": st.sampled_from([(2, 2304, 128), (1, 640, 1024), (3, 1024, 300)]),
+}
+
+
+@pytest.mark.parametrize("size", SHAPES_BY_SIZE)
+@pytest.mark.parametrize("width", [8, 30, 53, 60, 63])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_exact_products_match_python_ints_at_any_width(width, size, data):
+    """``exact_matmul`` equals the Python-int product modulo 2^64, and
+    ``golden_result`` its wrapped product and exact total, at input widths
+    from int8 to int64 range, below and past 2^18 multiply-adds a block."""
+    m, k, n = data.draw(SHAPES_BY_SIZE[size])
+    a, b = operands(data, (m, k), width), operands(data, (k, n), width)
+    want = exact(a, b)
+    peak = 1 << width - 1
+    assert exact_matmul(a, b, peak, peak).tolist() == wrap64(want)
+    out_width = data.draw(st.sampled_from([24, 63]))
+    golden = golden_result(DenseMatrix(m, k, a), DenseMatrix(k, n, b), out_width)
+    half = 1 << out_width - 1
+    assert golden.product.data.tolist() == [[(x + half) % (2 * half) - half for x in row]
+                                            for row in want]
+    assert golden.total_checksum == sum(map(sum, want))
+
+
+def test_slice_plan_splits_only_past_the_float64_bound():
+    """One slice each while peak_a peak_b terms < 2^53; past it, digits narrow
+    enough that terms products of two sum below 2^53, and enough of them to
+    hold every operand value (all 64 bits for int64 range)."""
+    assert slice_plan(1 << 7, 1 << 7, 2304) == (64, 1, 1)
+    assert slice_plan(1 << 26, 1 << 26, 1) == (64, 1, 1)
+    assert slice_plan(1 << 26, 1 << 26, 2) == (26, 2, 2)
+    assert slice_plan(1 << 7, 1 << 62, 2304) == (21, 1, 4)
+    for peak_a, peak_b, terms in ((1 << 29, 1 << 30, 12), (1 << 62, 1 << 63, 1024)):
+        width, count_a, count_b = slice_plan(peak_a, peak_b, terms)
+        assert terms << 2 * width - 2 < 1 << 53
+        assert all(count * width >= min(peak.bit_length() + 2, 64)
+                   for peak, count in ((peak_a, count_a), (peak_b, count_b)))

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse_abft import DenseMatrix, golden_result, matmul_ref, oracle
+from sparse_abft.intwrap import slice_plan
 from sparse_abft.sparsity import ShapeError
 
 from conftest import as_dense, zero_dense
@@ -79,12 +80,12 @@ def test_totals_past_int64_are_exact():
     assert golden.product == matmul_ref(a, w, 24)
 
 
-def signed_operands(bits):
-    """A 4x8 A and an 8x3 W of random signed ``bits``-bit values."""
+def signed_operands(bits, m=4, k=8, n=3):
+    """An m x k A and a k x n W of random signed ``bits``-bit values."""
     rng = np.random.default_rng(bits)
     lo, hi = -(1 << bits - 1), 1 << bits - 1
-    return (DenseMatrix(4, 8, rng.integers(lo, hi, size=(4, 8))),
-            DenseMatrix(8, 3, rng.integers(lo, hi, size=(8, 3))))
+    return (DenseMatrix(m, k, rng.integers(lo, hi, size=(m, k))),
+            DenseMatrix(k, n, rng.integers(lo, hi, size=(k, n))))
 
 
 @pytest.mark.parametrize("bits", [40, 62])
@@ -100,17 +101,38 @@ def test_total_matches_brute_force_on_wide_operands(bits):
 @pytest.mark.parametrize("bits", [7, 40])
 def test_wrong_product_raises_at_any_operand_width(monkeypatch, bits):
     """The identity checks the int64 product ``golden_result`` returns, so a
-    product one off in every element raises however wide the operands."""
+    product one off in every element raises however wide the operands, and
+    also where k n is past 2^18 and the product takes blocks: there every
+    float64 BLAS call is at most 2^18 multiply-adds, and together they do
+    each slice pair's whole product."""
     true_product = oracle._product
 
     def off_by_one(a, w):
         product, peak = true_product(a, w)
         return product + 1, peak
 
+    sizes = []
+
+    def spy(original):
+        def product(x, y, *args, **kwargs):
+            if np.ndim(x) == np.ndim(y) == 2 and np.result_type(x, y) == np.float64:
+                sizes.append(x.shape[0] * x.shape[1] * y.shape[1])
+            return original(x, y, *args, **kwargs)
+        return product
+
     monkeypatch.setattr(oracle, "_product", off_by_one)
-    a, w = signed_operands(bits)
-    with pytest.raises(RuntimeError, match="checksum identity must hold"):
-        golden_result(a, w, 24)
+    for name in ("dot", "matmul"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    for shape in ((4, 8, 3), (20, 2304, 256)):
+        a, w = signed_operands(bits, *shape)
+        sizes.clear()
+        with pytest.raises(RuntimeError, match="checksum identity must hold"):
+            golden_result(a, w, 24)
+    width, count_a, count_w = slice_plan(1 << bits - 1, 1 << bits - 1, a.cols)
+    pairs = sum((i + j) * width < 64 for i in range(count_a) for j in range(count_w))
+    assert pairs == (1 if bits == 7 else 4)
+    assert sizes and max(sizes) <= 1 << 18
+    assert sum(sizes) == pairs * a.rows * a.cols * w.cols
 
 
 def test_product_past_the_float64_bound_is_exact():

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,19 @@ def test_validate_pads_partial_blocks_with_zeros():
 def test_dense_matrix_shape_checked():
     with pytest.raises(ShapeError):
         DenseMatrix(2, 3, np.zeros(5, dtype=np.int64))
+
+
+@pytest.mark.parametrize("data", [[1.7, -0.9], [np.nan, 0], [0, np.inf], [2.0 ** 63, 0],
+                                  np.array([2 ** 63, 1], dtype=np.uint64)],
+                         ids=["fraction", "nan", "inf", "2^63", "uint64 2^63"])
+def test_dense_matrix_refuses_data_that_is_not_int64(data):
+    """Data no int64 holds exactly is refused with the first bad value named,
+    not truncated (1.7 and -0.9 were 1 and 0) or wrapped (2^63 as uint64 was
+    -2^63); whole floats are kept."""
+    bad = re.escape(str(data[0] or data[1]))
+    with pytest.raises(ValueError, match=f"matrix element {bad} is not an int64 value"):
+        DenseMatrix(1, 2, data)
+    assert DenseMatrix(1, 2, [2.0 ** 62, -3.0]).data.tolist() == [[2 ** 62, -3]]
 
 
 # ----------------------------------------------------------------------
