@@ -17,7 +17,7 @@ from .config import ArrayConfig, load_config
 from .driver import RunResult, run_multiplication, total_active_cycles
 from .faults import FaultSpec, sample_faults
 from .matio import MatrixFormatError, read_dense, read_packed, write_dense, write_packed
-from .oracle import GoldenResult, golden_result, matmul_ref
+from .oracle import GoldenResult, golden_result
 from .registers import Owner, RegisterId, RegKind, enumerate_registers, parse_register
 from .sparsity import (
     DenseMatrix,
@@ -26,10 +26,8 @@ from .sparsity import (
     SparsityViolationError,
     StructuredSparseMatrix,
     prune_magnitude,
-    unpack,
 )
 from .systolic import SimState, TileResult, tile_active_cycles
-from .tiling import Tile, TilePlan, tile_plan
 
 __version__ = "0.1.0"
 

@@ -30,7 +30,7 @@ from .faults import derive_seed, sample_faults
 from .matio import read_dense, read_packed
 from .oracle import golden_result
 from .registers import Owner, enumerate_registers
-from .sparsity import DenseMatrix, prune_magnitude, unpack
+from .sparsity import DenseMatrix, prune_magnitude
 
 
 class OutcomeCategory(enum.Enum):
@@ -155,7 +155,7 @@ def _file_workload(cfg: CampaignConfig, with_reference: bool):
     if wl.kind != "files":
         return None
     a, w = read_dense(wl.a_path), read_packed(wl.w_path)
-    return (a, w, golden_result(a, unpack(w), arr.col_out_width),
+    return (a, w, golden_result(a, w.dense, arr.col_out_width),
             reference_run(arr, a, w) if with_reference else None)
 
 
@@ -170,7 +170,7 @@ def _synthetic_workload(cfg: CampaignConfig, index: int):
     # cross-column wave sum inside the OC width even in the worst case
     w_dense = DenseMatrix(k, cols, rng.integers(lo + 1, hi + 1, size=(k, cols)))
     w = prune_magnitude(w_dense, arr.pattern)
-    return a, w, golden_result(a, unpack(w), arr.col_out_width), None
+    return a, w, golden_result(a, w.dense, arr.col_out_width), None
 
 
 def run_campaign(cfg: CampaignConfig, index: int, workload=None) -> CampaignOutcome:

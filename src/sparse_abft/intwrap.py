@@ -80,12 +80,14 @@ def exact_sum(product, a_slices, b_slices, width: int, out: np.ndarray) -> np.nd
 
 def blas_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = a @ b`` in float64, in blocks of at most 2^18 multiply-adds, which
-    OpenBLAS runs on one thread: equal inner blocks of up to 128 terms by 512
-    columns by the rows that fit; one ``np.dot`` when the product is one block."""
+    OpenBLAS runs on one thread: ``nb = min(n, 512)`` columns by equal inner blocks
+    of up to ``max(128, 2^13 // nb)`` terms by the rows that fit, at least 32 while
+    ``nb <= 64``; one ``np.dot`` for a product of one block of at most 128 terms."""
     (m, k), n = a.shape, b.shape[1]
     if (k <= 128 and n <= 512 and m * k * n <= 1 << 18) or not m * k * n:
         return np.dot(a, b, out=out)
-    kb, nb = -(-k // -(-k // 128)), min(n, 512)
+    nb = min(n, 512)
+    kb = -(-k // -(-k // max(128, (1 << 13) // nb)))
     mb = max((1 << 18) // (kb * nb), 1)
     for i, j in itertools.product(range(0, m, mb), range(0, n, nb)):
         block = np.matmul(a[i:i + mb, :kb], b[:kb, j:j + nb], out=out[i:i + mb, j:j + nb])

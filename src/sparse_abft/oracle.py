@@ -18,20 +18,6 @@ from .intwrap import exact_matmul, wrap
 from .sparsity import DenseMatrix, ShapeError
 
 
-def _product(a: DenseMatrix, w_dense: DenseMatrix):
-    """The unwrapped product A W as an int64 array, and ``max|A| max|W|``."""
-    if a.cols != w_dense.rows:
-        raise ShapeError(f"inner dimensions differ: {a.cols} vs {w_dense.rows}")
-    peak_a, peak_w = (max(int(x.max(initial=0)), -int(x.min(initial=0)))
-                      for x in (a.data, w_dense.data))
-    return exact_matmul(a.data, w_dense.data, peak_a, peak_w), peak_a * peak_w
-
-
-def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:
-    """Exact integer product, each element wrapped to out_width bits."""
-    return DenseMatrix(a.rows, w_dense.cols, wrap(_product(a, w_dense)[0], out_width))
-
-
 @dataclass(frozen=True)
 class GoldenResult:
     """Everything a campaign needs to judge a faulty run."""
@@ -44,12 +30,20 @@ def golden_result(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> Golde
     """The wrapped product and the exact sum of its elements, after checking
     the output-checksum identity: the product's elements sum to
     dot(colsum(A), rowsum(W)) modulo 2^64, the modulus the product is exact to."""
-    product, peak = _product(a, w_dense)
+    if a.cols != w_dense.rows:
+        raise ShapeError(f"inner dimensions differ: {a.cols} vs {w_dense.rows}")
     a_data, w_data = a.data, w_dense.data
-    if max(a.rows, w_dense.cols) * peak >= 1 << 63:
+    peak_a, peak_w = (max(int(x.max(initial=0)), -int(x.min(initial=0))) for x in (a_data, w_data))
+    product = exact_matmul(a_data, w_data, peak_a, peak_w)
+    if max(a.rows, w_dense.cols) * peak_a * peak_w >= 1 << 63:
         a_data, w_data = a_data.astype(object), w_data.astype(object)
     total = sum(x * y for x, y in zip(a_data.sum(axis=0).tolist(), w_data.sum(axis=1).tolist()))
     if (int(product.sum()) - total) % (1 << 64):   # kept under python -O
         raise RuntimeError("checksum identity must hold over unbounded integers")
     wrapped = DenseMatrix(a.rows, w_dense.cols, wrap(product, out_width), owned=True)
     return GoldenResult(product=wrapped, total_checksum=total)
+
+
+def matmul_ref(a: DenseMatrix, w_dense: DenseMatrix, out_width: int) -> DenseMatrix:
+    """Exact integer product, each element wrapped to out_width bits: ``golden_result``'s."""
+    return golden_result(a, w_dense, out_width).product

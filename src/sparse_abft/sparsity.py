@@ -64,13 +64,17 @@ PATTERN_1_4 = SparsityPattern(1, 4)
 
 def as_int64(values, what: str) -> np.ndarray:
     """``values`` as int64, signed integer data unchecked; else a ValueError names
-    the first value no int64 holds exactly (a fraction, NaN, inf, 2^63 on)."""
+    the first value no int64 holds exactly (a fraction, NaN, inf, 2^63 on, below -2^63)."""
     given = np.asarray(values)
     if given.dtype.kind == "i":
         return given.astype(np.int64, copy=False)
-    with np.errstate(invalid="ignore"):     # NaN, inf and 2^63 on are refused below
-        data = given.astype(np.int64)
-    if (off := given[data != given]).size:
+    try:
+        with np.errstate(invalid="ignore"):     # NaN, inf and 2^63 on are refused below
+            data = given.astype(np.int64)
+        off = given[data != given]
+    except OverflowError:   # numpy's cast of a Python int past int64
+        off = [x for x in given.flat if not (-1 << 63 <= x < 1 << 63 and x == int(x))]
+    if len(off):
         raise ValueError(f"{what} {off[0]} is not an int64 value")
     return data
 

@@ -10,7 +10,6 @@ from sparse_abft import (
     golden_result,
     parse_register,
     run_multiplication,
-    unpack,
 )
 from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4
@@ -149,6 +148,6 @@ def test_checksum_equals_oracle_dot_product_per_round():
         a = random_inputs(rng, int(rng.integers(1, 200)), cfg.tile_k)
         w = random_weights(rng, cfg.tile_k, cfg.cols, cfg.pattern)
         run = run_multiplication(cfg, a, w)
-        g = golden_result(a, unpack(w), cfg.col_out_width)
+        g = golden_result(a, w.dense, cfg.col_out_width)
         assert len(run.rounds) == 1
         assert run.rounds[0].actual == run.rounds[0].predicted == g.total_checksum

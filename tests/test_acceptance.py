@@ -30,7 +30,6 @@ from sparse_abft import (
     run_campaigns,
     run_multiplication,
     sample_faults,
-    unpack,
     write_dense,
     write_packed,
 )
@@ -76,7 +75,7 @@ def tile_corpus():
             a = random_inputs(rng, a_rows, cfg.tile_k, cfg.input_width)
             w = random_weights(rng, cfg.tile_k, cfg.cols, pattern, cfg.input_width)
             run = run_multiplication(cfg, a, w)
-            golden = golden_result(a, unpack(w), cfg.col_out_width)
+            golden = golden_result(a, w.dense, cfg.col_out_width)
             records.append(
                 {
                     "pattern": str(pattern),

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from sparse_abft import ArrayConfig, FaultSpec, matmul_ref, parse_register, unpack
+from sparse_abft import ArrayConfig, FaultSpec, golden_result, parse_register
 from sparse_abft import systolic
 from sparse_abft.driver import reference_run, run_multiplication
 from sparse_abft.systolic import SimState
@@ -63,7 +63,8 @@ def test_results_never_alias_the_arena():
     assert not any(np.may_share_memory(x, b) for x in held for b in arena)
     assert run.outputs == reused.outputs
     assert run_multiplication(cfg, a, w, faults=fault, reference=reference).outputs == run.outputs
-    assert run_multiplication(cfg, a, w).outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+    golden = golden_result(a, w.dense, cfg.col_out_width).product
+    assert run_multiplication(cfg, a, w).outputs == golden
 
 
 def test_trace_sink_may_run_another_simulation():
@@ -86,7 +87,7 @@ def test_trace_sink_may_run_another_simulation():
     assert nesting.getvalue() == plain.getvalue() != ""
     assert run.outputs == expected.outputs
     assert [r.to_json_dict() for r in run.rounds] == [r.to_json_dict() for r in expected.rounds]
-    golden = matmul_ref(a2, unpack(w2), cfg.col_out_width)
+    golden = golden_result(a2, w2.dense, cfg.col_out_width).product
     assert len(nested) > 4 and all(out == golden for out in nested)
 
 

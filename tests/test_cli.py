@@ -18,7 +18,7 @@ from sparse_abft import (
 )
 from sparse_abft import campaign, driver
 from sparse_abft.cli import main
-from sparse_abft.sparsity import PATTERN_2_4, unpack
+from sparse_abft.sparsity import PATTERN_2_4
 
 from conftest import as_dense, count_children, zero_dense
 
@@ -58,7 +58,7 @@ def test_prune_idempotent_on_valid_input(tmp_path):
     valid = as_dense([[1, 0], [0, 2], [-1, 0], [0, 3]])
     write_dense(infile, valid)
     main(["prune", "--pattern", "2:4", "--in", str(infile), "--out", str(outfile)])
-    assert unpack(read_packed(outfile)) == valid
+    assert read_packed(outfile).dense == valid
 
 
 def test_prune_pattern_3_4_accepted_5_4_rejected(tmp_path):

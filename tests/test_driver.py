@@ -10,18 +10,17 @@ from sparse_abft import (
     DenseMatrix,
     FaultSpec,
     WorkloadSpec,
-    matmul_ref,
+    golden_result,
     parse_register,
     prune_magnitude,
     run_multiplication,
-    tile_plan,
     total_active_cycles,
-    unpack,
 )
 from sparse_abft import campaign
 from sparse_abft.driver import tile_operands
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
 from sparse_abft.systolic import SimState, tile_active_cycles
+from sparse_abft.tiling import tile_plan
 
 from conftest import as_dense, random_inputs, random_weights, zero_dense
 
@@ -51,7 +50,7 @@ def test_multi_tile_accumulation_matches_oracle():
     a = random_inputs(rng, 9, 20)
     w = random_weights(rng, 20, 8, cfg.pattern)
     run = run_multiplication(cfg, a, w)
-    assert run.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width).product
     plan = tile_plan(9, 20, 8, cfg)
     assert len(plan.tiles) == 3 * 3
     assert len(run.rounds) == len(plan.tiles)
@@ -66,7 +65,7 @@ def test_multi_round_multi_tile(pattern):
     a = random_inputs(rng, 300, 10)
     w = random_weights(rng, 10, 5, pattern)
     run = run_multiplication(cfg, a, w)
-    assert run.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width).product
     plan = tile_plan(300, 10, 5, cfg)
     assert len(run.rounds) == len(plan.tiles) * 2  # 300 rows -> 2 rounds per tile
     assert not run.flagged
@@ -173,7 +172,8 @@ def test_tiles_of_one_inner_chunk_share_their_a_slice():
         k_lo, k_hi = tile.k_range
         assert (a_tile.data[:, : k_hi - k_lo] == a.data[:, k_lo:k_hi]).all()
     assert (len(operands), len(chunks)) == (9, 3)
-    assert run_multiplication(cfg, a, w).outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+    golden = golden_result(a, w.dense, cfg.col_out_width).product
+    assert run_multiplication(cfg, a, w).outputs == golden
 
 
 def sealed(matrix: DenseMatrix) -> bool:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse_abft import DenseMatrix, golden_result
-from sparse_abft.intwrap import exact_matmul, int_max, int_min, slice_plan, wrap
+from sparse_abft.intwrap import blas_matmul, exact_matmul, int_max, int_min, slice_plan, wrap
 
 
 def test_wrap_identity_in_range():
@@ -69,23 +69,57 @@ def test_float64_alone_rounds_past_the_bound():
     assert exact_matmul(a, b, top, top).tolist() == exact(a, b)
 
 
-# (k, n): BLAS calls take at most 128 inner terms by 512 columns by the rows
-# that fit 2^18 multiply-adds. One block for any row count, row blocks of
-# 256, 32, 16 and 2048 rows, and inner or column blocks too; 1-column operands
-# included, and ones whose 1-row products would be dot products past 10,000
+# (k, n): BLAS calls take at most max(128, 8192 // n) inner terms by 512
+# columns by the rows that fit 2^18 multiply-adds. One block for any row
+# count, row blocks of 2048, 8192, 256, 16, 8 and 4 rows, 1-column blocks of 32
+# whole 8192-term rows or of half rows, and inner or column blocks too
 SHAPES = [(1, 1), (4, 32), (32, 1), (32, 32), (128, 128), (8192, 1), (16384, 1), (512, 256),
           (256, 1024)]
+
+
+def row_block(k, n):
+    """The rows of a ``blas_matmul`` block: those of ``n`` columns by equal
+    inner blocks of up to ``max(128, 8192 // n)`` terms that fit 2^18."""
+    nb = min(n, 512)
+    kb = -(-k // -(-k // max(128, 8192 // nb)))
+    return (1 << 18) // (kb * nb)
 
 
 @pytest.mark.parametrize("k, n", SHAPES)
 @settings(max_examples=12, deadline=None)
 @given(data=st.data())
 def test_exact_matmul_in_row_blocks(k, n, data):
-    step = (1 << 18) // (min(k, 128) * min(n, 512))
+    step = row_block(k, n)
     m = data.draw(st.sampled_from([1, 2, step - 1, step, step + 1, 3 * step + 1]).filter(
         lambda rows: 1 <= rows <= 800))
     a, b = operands(data, (m, k), 12), operands(data, (k, n), 12)
     assert exact_matmul(a, b, 1 << 11, 1 << 11).tolist() == exact(a, b)
+
+
+@pytest.mark.parametrize("m, k", [(4096, 8192), (64, (1 << 18) + 1024)])
+def test_tall_one_column_products_take_32_rows_a_call(monkeypatch, m, k):
+    """A 1-column product runs in calls of at most 2^18 multiply-adds, and each
+    takes 32 rows of A: whole rows up to 8192 terms, as one gemv each, and equal
+    inner blocks of them past that (here k n passes 2^18). Row ``i`` of A is
+    all ``i``, a zero-stride view that costs no memory."""
+    calls = []
+
+    def spy(original):
+        def product(x, y, *args, **kwargs):
+            calls.append(np.shape(x))
+            return original(x, y, *args, **kwargs)
+        return product
+
+    a = np.broadcast_to(np.arange(m, dtype=np.float64)[:, None], (m, k))
+    b = (np.arange(k, dtype=np.float64) % 7 - 3)[:, None]
+    for name in ("dot", "matmul"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
+    out = blas_matmul(a, b, np.empty((m, 1)))
+    monkeypatch.undo()
+    assert out[:, 0].tolist() == (np.arange(m) * b.sum()).tolist()
+    assert all(rows == 32 and (cols == k or k > 8192) and rows * cols <= 1 << 18
+               for rows, cols in calls)
+    assert sum(rows * cols for rows, cols in calls) == m * k
 
 
 @pytest.mark.parametrize("m, k, n", [(3, 200, 0), (0, 300, 600), (2, 0, 600), (0, 0, 0)])

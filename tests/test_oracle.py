@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_abft import DenseMatrix, golden_result, matmul_ref, oracle
+from sparse_abft import DenseMatrix, golden_result, oracle
 from sparse_abft.intwrap import slice_plan
+from sparse_abft.oracle import matmul_ref
 from sparse_abft.sparsity import ShapeError
 
 from conftest import as_dense, zero_dense
@@ -105,12 +106,7 @@ def test_wrong_product_raises_at_any_operand_width(monkeypatch, bits):
     also where k n is past 2^18 and the product takes blocks: there every
     float64 BLAS call is at most 2^18 multiply-adds, and together they do
     each slice pair's whole product."""
-    true_product = oracle._product
-
-    def off_by_one(a, w):
-        product, peak = true_product(a, w)
-        return product + 1, peak
-
+    true_product = oracle.exact_matmul
     sizes = []
 
     def spy(original):
@@ -120,7 +116,7 @@ def test_wrong_product_raises_at_any_operand_width(monkeypatch, bits):
             return original(x, y, *args, **kwargs)
         return product
 
-    monkeypatch.setattr(oracle, "_product", off_by_one)
+    monkeypatch.setattr(oracle, "exact_matmul", lambda *args: true_product(*args) + 1)
     for name in ("dot", "matmul"):
         monkeypatch.setattr(np, name, spy(getattr(np, name)))
     for shape in ((4, 8, 3), (20, 2304, 256)):
@@ -133,6 +129,17 @@ def test_wrong_product_raises_at_any_operand_width(monkeypatch, bits):
     assert pairs == (1 if bits == 7 else 4)
     assert sizes and max(sizes) <= 1 << 18
     assert sum(sizes) == pairs * a.rows * a.cols * w.cols
+
+
+def test_matmul_ref_checks_the_identity(monkeypatch):
+    """``matmul_ref`` is ``golden_result``'s product, so a wrong product raises
+    there too instead of becoming the reference a run is compared with."""
+    a, w = signed_operands(7)
+    assert matmul_ref(a, w, 24) == golden_result(a, w, 24).product
+    true_product = oracle.exact_matmul
+    monkeypatch.setattr(oracle, "exact_matmul", lambda *args: true_product(*args) + 1)
+    with pytest.raises(RuntimeError, match="checksum identity must hold"):
+        matmul_ref(a, w, 24)
 
 
 def test_product_past_the_float64_bound_is_exact():
@@ -158,13 +165,8 @@ import sys
 import numpy as np
 from sparse_abft import DenseMatrix, golden_result, oracle
 
-true_product = oracle._product
-
-def off_by_one(a, w):
-    product, peak = true_product(a, w)
-    return product + 1, peak
-
-oracle._product = off_by_one
+true_product = oracle.exact_matmul
+oracle.exact_matmul = lambda *args: true_product(*args) + 1
 a = DenseMatrix(2, 2, np.array([[1, 2], [3, 4]]))
 w = DenseMatrix(2, 2, np.array([[5, 6], [7, 8]]))
 print(sys.flags.optimize, flush=True)

@@ -11,15 +11,15 @@ from sparse_abft import (
     DenseMatrix,
     SparsityPattern,
     SparsityViolationError,
-    matmul_ref,
+    golden_result,
     prune_magnitude,
     read_packed,
     run_multiplication,
-    unpack,
     write_packed,
 )
 from sparse_abft.driver import reference_run
-from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix
+from sparse_abft.sparsity import (PATTERN_1_4, PATTERN_2_4, ShapeError, StructuredSparseMatrix,
+                                  unpack)
 
 from conftest import as_dense, packed_block, zero_dense
 
@@ -90,12 +90,15 @@ def test_dense_matrix_shape_checked():
 
 
 @pytest.mark.parametrize("data", [[1.7, -0.9], [np.nan, 0], [0, np.inf], [2.0 ** 63, 0],
-                                  np.array([2 ** 63, 1], dtype=np.uint64)],
-                         ids=["fraction", "nan", "inf", "2^63", "uint64 2^63"])
+                                  np.array([2 ** 63, 1], dtype=np.uint64), [2 ** 70, 0],
+                                  [-2 ** 64, 0], np.array([0, 2 ** 70], dtype=object)],
+                         ids=["fraction", "nan", "inf", "2^63", "uint64 2^63", "2^70", "-2^64",
+                              "object 2^70"])
 def test_dense_matrix_refuses_data_that_is_not_int64(data):
     """Data no int64 holds exactly is refused with the first bad value named,
     not truncated (1.7 and -0.9 were 1 and 0) or wrapped (2^63 as uint64 was
-    -2^63); whole floats are kept."""
+    -2^63), nor left to numpy's OverflowError (Python ints past int64);
+    whole floats are kept."""
     bad = re.escape(str(data[0] or data[1]))
     with pytest.raises(ValueError, match=f"matrix element {bad} is not an int64 value"):
         DenseMatrix(1, 2, data)
@@ -371,4 +374,4 @@ def test_file_and_array_agree_with_dense(tmp_path_factory, seed, pattern_text):
     a = as_dense(rng.integers(-128, 128, size=(int(rng.integers(1, 6)), k)))
     run = run_multiplication(cfg, a, w)
     assert not run.flagged
-    assert run.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width).product

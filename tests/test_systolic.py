@@ -12,9 +12,8 @@ from sparse_abft import (
     SparsityPattern,
     StructuredSparseMatrix,
     enumerate_registers,
-    matmul_ref,
+    golden_result,
     parse_register,
-    unpack,
 )
 from sparse_abft.registers import RegisterId, RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, ShapeError
@@ -196,8 +195,10 @@ def test_step_validates_bundle_shape_and_width(worked_example):
 
 
 @pytest.mark.parametrize("bundle", [[[1.7, 2.2, -0.9, 4.0]], [[np.nan, 0, 0, 0]],
-                                    [[np.inf, 0, 0, 0]], [[2.0 ** 63, 0, 0, 0]]],
-                         ids=["fraction", "nan", "inf", "2^63"])
+                                    [[np.inf, 0, 0, 0]], [[2.0 ** 63, 0, 0, 0]],
+                                    [[2 ** 70, 0, 0, 0]], [[0, -2 ** 64, 0, 0]],
+                                    np.array([[0, 0, 2 ** 70, 0]], dtype=object)],
+                         ids=["fraction", "nan", "inf", "2^63", "2^70", "-2^64", "object 2^70"])
 def test_step_refuses_bundles_that_are_not_integers(worked_example, bundle):
     """A bundle no int64 holds is refused, not truncated; whole floats are kept."""
     cfg, _, _, w = worked_example
@@ -285,7 +286,7 @@ def test_run_tile_cycle_count_and_round_cadence():
         waves = a_rows + want_rounds * cfg.digits_per_round
         assert state.cycle == waves + cfg.rows + cfg.cols + 1
         assert state.cycle == tile_active_cycles(cfg, a_rows)
-        assert res.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+        assert res.outputs == golden_result(a, w.dense, cfg.col_out_width).product
         assert not any(r.flag for r in res.rounds)
 
 
@@ -298,7 +299,7 @@ def test_run_tile_matches_oracle_randomized():
             a = random_inputs(rng, a_rows, cfg.tile_k)
             w = random_weights(rng, cfg.tile_k, cfg.cols, pattern)
             res = SimState(cfg).run_tile(a, w)
-            assert res.outputs == matmul_ref(a, unpack(w), cfg.col_out_width)
+            assert res.outputs == golden_result(a, w.dense, cfg.col_out_width).product
             assert not any(r.flag for r in res.rounds)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sparse_abft import ArrayConfig, tile_plan
+from sparse_abft import ArrayConfig
 from sparse_abft.systolic import wave_schedule
+from sparse_abft.tiling import tile_plan
 
 
 def rounds_per_tile(cfg, a_rows):
