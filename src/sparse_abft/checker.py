@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import ArrayConfig
 from .intwrap import signed_digit, wrap
+from .registers import Owner, RegKind
 
 
 @dataclass
@@ -45,9 +46,8 @@ class CheckerState:
 
     def __init__(self, cfg: ArrayConfig):
         self.cfg = cfg
-        self.ic = np.zeros((cfg.rows, cfg.pattern.m), dtype=np.int64)
-        self.oc = np.zeros(cfg.cols, dtype=np.int64)
-        self.actual = self.predicted = 0
+        vars(self).update((k.storage, np.zeros(k.shape(cfg), np.int64) if k.fields else 0)
+                          for k in RegKind if k.owner is Owner.CHECKER)
 
     def actual_accumulate(self, wave_sum: int) -> None:
         """Add data waves' OC-chain outputs to the actual checksum."""

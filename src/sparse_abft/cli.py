@@ -76,6 +76,8 @@ def cmd_prune(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.trace_out and not args.trace:
+        raise ValueError("--trace-out needs --trace: with no register watched it writes nothing")
     cfg = load_config(args.config) if args.config else ArrayConfig()
     a = read_dense(args.a)
     w = read_packed(args.w)

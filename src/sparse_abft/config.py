@@ -30,12 +30,12 @@ class ArrayConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least 1x1 tensor PEs")
-        for name in ("input_width", "col_out_width", "ic_width", "oc_width", "cksum_width"):
+        for name in _WIDTHS:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         # the engine wraps these registers in int64 arithmetic; the corner
-        # accumulators (cksum_width) are Python ints and have no limit
-        for name in ("input_width", "col_out_width", "ic_width", "oc_width"):
+        # accumulators (cksum_width, the last) are Python ints and have no limit
+        for name in _WIDTHS[:-1]:
             if getattr(self, name) > 63:
                 raise ValueError(f"{name} must be at most 63 bits")
         if self.ic_width < self.input_width:
@@ -96,16 +96,10 @@ class ArrayConfig:
         return cls(**kwargs)
 
 
+# the width fields, each its own cfg.json key
+_WIDTHS = ("input_width", "ic_width", "oc_width", "col_out_width", "cksum_width")
 # cfg.json key -> ArrayConfig field, for every integer key
-_INT_KEYS = {
-    "R": "rows",
-    "C": "cols",
-    "input_width": "input_width",
-    "ic_width": "ic_width",
-    "oc_width": "oc_width",
-    "col_out_width": "col_out_width",
-    "cksum_width": "cksum_width",
-}
+_INT_KEYS = {"R": "rows", "C": "cols", **{name: name for name in _WIDTHS}}
 
 _JSON_TYPE_NAMES = {int: "an integer", str: "a string", dict: "an object"}
 

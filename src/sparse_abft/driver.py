@@ -24,7 +24,7 @@ from .config import ArrayConfig
 from .intwrap import check_ndarray_width, wrap
 from .registers import enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix
-from .systolic import SimState, tile_active_cycles
+from .systolic import SimState, check_reference, tile_active_cycles
 from .tiling import tile_plan
 
 
@@ -41,9 +41,10 @@ class RunResult:
 
 @dataclass(frozen=True)
 class Reference:
-    """A workload's tile operands and its fault-free run on them: per tile,
+    """A workload, its tile operands and its fault-free run on them: per tile,
     outputs, rounds, bottom-row sums and the state after each round."""
 
+    inputs: tuple       # (cfg, A, W) it ran on
     operands: list      # (Tile, A slice, packed W tile) of each tile, in run order
     results: list       # TileResult of each tile, with its states kept
 
@@ -81,7 +82,7 @@ def reference_run(cfg: ArrayConfig, a: DenseMatrix, w: StructuredSparseMatrix) -
     ``A W`` reuse (module docstring)."""
     operands, state = tile_operands(cfg, a, w), SimState(cfg)
     results = [state.run_tile(a_tile, w_tile, keep=True) for _, a_tile, w_tile in operands]
-    return Reference(operands, results)
+    return Reference((cfg, a, w), operands, results)
 
 
 def run_multiplication(
@@ -103,8 +104,9 @@ def run_multiplication(
     before any cycle.
     A traced run clocks every cycle; others take the tiles and rounds no fault
     reaches from ``reference``, the ``reference_run`` (which checks them) of
-    cfg, A, W.
+    cfg, A, W; a reference run on other inputs raises ValueError.
     """
+    check_reference(reference, cfg, a, w)
     reuse = reference is not None and not watch
     operands = reference.operands if reuse else tile_operands(cfg, a, w)
     window = total_active_cycles(cfg, a.rows, a.cols, w.cols)

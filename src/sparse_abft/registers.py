@@ -16,6 +16,7 @@ import bisect
 import enum
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 
@@ -29,22 +30,23 @@ class Owner(enum.Enum):
 
 class RegKind(enum.Enum):
     """The register table: one row per kind, giving its code (the enum value),
-    its canonical text form, the ``ArrayConfig`` attribute of its width, the
-    ``SimState`` attribute that stores it, its owner and whether it holds two's
-    complement values (index registers hold unsigned row offsets). The
-    placeholders of a form are the kind's index fields, in the order of the
-    stored array's axes; a form with none names an int attribute."""
+    its canonical text form, the ``ArrayConfig`` attributes of its width and of
+    its lane count (none for a kind without lanes), the ``SimState`` attribute
+    that stores it, its owner and whether it holds two's complement values
+    (index registers hold unsigned row offsets). The placeholders of a form are
+    the kind's index fields, in the order of the stored array's axes; a form
+    with none names an int attribute."""
 
-    WEIGHT = "w", "tpe.{row}.{col}.w.{lane}", "input_width", "weights", Owner.ARRAY
-    INDEX = "idx", "tpe.{row}.{col}.idx.{lane}", "index_width", "indexes", Owner.ARRAY, False
-    INPUT_PIPE = "in", "tpe.{row}.{col}.in.{lane}", "input_width", "pipe", Owner.ARRAY
-    PSUM = "psum", "tpe.{row}.{col}.psum", "col_out_width", "psum", Owner.ARRAY
-    IC_ACC = "ic", "ic.{row}.acc.{lane}", "ic_width", "ic", Owner.CHECKER
-    OC_PIPE = "oc", "oc.{col}", "oc_width", "oc", Owner.CHECKER
-    CKSUM_ACTUAL = "actual", "cksum.actual", "cksum_width", "actual", Owner.CHECKER
-    CKSUM_PREDICTED = "predicted", "cksum.predicted", "cksum_width", "predicted", Owner.CHECKER
+    WEIGHT = "w", "tpe.{row}.{col}.w.{lane}", "input_width", "slots", "weights", Owner.ARRAY
+    INDEX = "idx", "tpe.{row}.{col}.idx.{lane}", "index_width", "slots", "indexes", Owner.ARRAY, False
+    INPUT_PIPE = "in", "tpe.{row}.{col}.in.{lane}", "input_width", "pattern.m", "pipe", Owner.ARRAY
+    PSUM = "psum", "tpe.{row}.{col}.psum", "col_out_width", None, "psum", Owner.ARRAY
+    IC_ACC = "ic", "ic.{row}.acc.{lane}", "ic_width", "pattern.m", "ic", Owner.CHECKER
+    OC_PIPE = "oc", "oc.{col}", "oc_width", None, "oc", Owner.CHECKER
+    CKSUM_ACTUAL = "actual", "cksum.actual", "cksum_width", None, "actual", Owner.CHECKER
+    CKSUM_PREDICTED = "predicted", "cksum.predicted", "cksum_width", None, "predicted", Owner.CHECKER
 
-    def __new__(cls, code, form, width_attr, storage, owner, signed=True):
+    def __new__(cls, code, form, width_attr, lanes_attr, storage, owner, signed=True):
         kind = object.__new__(cls)
         kind._value_, kind.form, kind.width_attr, kind.storage = code, form, width_attr, storage
         kind.owner, kind.signed = owner, signed
@@ -52,7 +54,13 @@ class RegKind(enum.Enum):
         # digits, no sign, no leading zero, no underscore
         kind.pattern = re.compile(re.sub(r"\\{(\w+)\\}", r"(?P<\1>0|[1-9][0-9]*)", re.escape(form)))
         kind.fields = tuple(kind.pattern.groupindex)
+        kind._sizes = [operator.attrgetter({"row": "rows", "col": "cols", "lane": lanes_attr}[f])
+                       for f in kind.fields]
         return kind
+
+    def shape(self, cfg: ArrayConfig) -> tuple:
+        """Shape of this kind's stored array on ``cfg``: one axis per index field."""
+        return tuple([size(cfg) for size in self._sizes])
 
 
 @dataclass(frozen=True, order=True)
@@ -65,10 +73,6 @@ class RegisterId:
     @property
     def owner(self) -> Owner:
         return self.kind.owner
-
-    @property
-    def signed(self) -> bool:
-        return self.kind.signed
 
     @property
     def name(self) -> str:
@@ -115,29 +119,20 @@ class RegisterMap:
 
 @functools.lru_cache(maxsize=16)
 def enumerate_registers(cfg: ArrayConfig) -> RegisterMap:
-    """All storage elements of the array and checker, in stable order.
+    """All storage elements of the array and checker, in stable order: every
+    cell of each kind's ``shape``, PE by PE with each PE's kinds in table
+    order, then the cells of the other kinds (IC, OC, corners) in table order.
 
     Zero-width registers (index slots when m = 1) are skipped: they hold no
     state and cannot be fault targets. Maps are cached per configuration;
     they are immutable and safe to share.
     """
-    entries = []
-    widths = {kind: getattr(cfg, kind.width_attr) for kind in RegKind}
-
-    def add(kind: RegKind, row: int = 0, col: int = 0, lane: int = 0):
-        if widths[kind] > 0:
-            entries.append((RegisterId(kind, row, col, lane), widths[kind]))
-
-    pe = ((RegKind.WEIGHT, cfg.slots), (RegKind.INDEX, cfg.slots),
-          (RegKind.INPUT_PIPE, cfg.pattern.m), (RegKind.PSUM, 1))
-    for r, c, (kind, lanes) in itertools.product(range(cfg.rows), range(cfg.cols), pe):
-        for lane in range(lanes):
-            add(kind, r, c, lane)
-    for r in range(cfg.rows):
-        for lane in range(cfg.pattern.m):
-            add(RegKind.IC_ACC, row=r, lane=lane)
-    for c in range(cfg.cols):
-        add(RegKind.OC_PIPE, col=c)
-    add(RegKind.CKSUM_ACTUAL)
-    add(RegKind.CKSUM_PREDICTED)
-    return RegisterMap(tuple(entries))
+    pe = [kind for kind in RegKind if kind.fields[:2] == ("row", "col")]
+    lanes = [(kind, getattr(cfg, kind.width_attr), lane) for kind in pe
+             for lane in itertools.product(*map(range, kind.shape(cfg)[2:]))]
+    pes = itertools.product(range(cfg.rows), range(cfg.cols))
+    cells = [(kind, width, (r, c, *lane)) for r, c in pes for kind, width, lane in lanes]
+    cells += [(kind, getattr(cfg, kind.width_attr), index) for kind in RegKind if kind not in pe
+              for index in itertools.product(*map(range, kind.shape(cfg)))]
+    return RegisterMap(tuple((RegisterId(kind, **dict(zip(kind.fields, index))), width)
+                             for kind, width, index in cells if width > 0))

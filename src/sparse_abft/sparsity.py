@@ -63,20 +63,18 @@ PATTERN_1_4 = SparsityPattern(1, 4)
 
 
 def as_int64(values, what: str) -> np.ndarray:
-    """``values`` as int64, signed integer data unchecked; else a ValueError names
-    the first value no int64 holds exactly (a fraction, NaN, inf, 2^63 on, below -2^63)."""
+    """``values`` as int64, signed integer data unchecked; else a ValueError names the
+    first value no int64 holds exactly (a fraction, NaN, inf, 2^63 on, below -2^63, None)."""
     given = np.asarray(values)
-    if given.dtype.kind == "i":
-        return given.astype(np.int64, copy=False)
-    try:
-        with np.errstate(invalid="ignore"):     # NaN, inf and 2^63 on are refused below
-            data = given.astype(np.int64)
-        off = given[data != given]
-    except OverflowError:   # numpy's cast of a Python int past int64
-        off = [x for x in given.flat if not (-1 << 63 <= x < 1 << 63 and x == int(x))]
-    if len(off):
-        raise ValueError(f"{what} {off[0]} is not an int64 value")
-    return data
+    if given.dtype.kind != "i":
+        for x in given.flat:
+            try:
+                held = -1 << 63 <= x < 1 << 63 and x == int(x)
+            except TypeError:   # None, a string: no order against an int
+                held = False
+            if not held:
+                raise ValueError(f"{what} {x} is not an int64 value")
+    return given.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,7 @@ import numpy as np
 from .checker import CheckerState
 from .config import ArrayConfig
 from .intwrap import blas_matmul, check_ndarray_width, exact_sum, slice_plan, slices, wrap
-from .registers import RegisterId, RegKind, enumerate_registers
+from .registers import Owner, RegisterId, RegKind, enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix, as_int64
 
 
@@ -106,6 +106,7 @@ class TileResult:
     rounds: list
     bottoms: np.ndarray | None = None   # keep: (cycles, C) bottom-row sums before each edge
     states: list | None = None          # keep: SimState after the weight load and each round
+    inputs: tuple | None = None         # (cfg, A tile) it ran on; kept states hold the W tile
 
     def __post_init__(self):
         if self.states:   # a reference: what faulty runs read (take copies it) stays as it is
@@ -113,7 +114,14 @@ class TileResult:
                 x.flags.writeable = False
 
     def __reduce__(self):   # unpickled, a reference is sealed again
-        return type(self), (self.outputs, self.rounds, self.bottoms, self.states)
+        return type(self), (self.outputs, self.rounds, self.bottoms, self.states, self.inputs)
+
+
+def check_reference(reference, *inputs) -> None:
+    """ValueError unless ``reference`` is None or ran on ``inputs``, each the same object
+    or equal: identity first, so the reference's own objects cost no compare."""
+    if reference is not None and any(x is not y and x != y for x, y in zip(reference.inputs, inputs)):
+        raise ValueError("the reference was run on other inputs")
 
 
 @dataclass(frozen=True)
@@ -123,8 +131,9 @@ class Segment:
     ``west`` holds the bundle entering each PE row (zero for bubbles; digit
     bundles are split from the IC accumulators while clocking), ``is_data``
     marks the rows whose bundle is a data wave, ``row_digit`` the checksum
-    digit entering each row (-1 none), and ``corner_data`` and
-    ``corner_digit`` tag the wave whose OC chain output reaches the corner.
+    digit entering each row (-1 none), ``corner_data`` and ``corner_digit``
+    tag the wave whose OC chain output reaches the corner, and ``label``
+    names each cycle's trace lines after the wave entering PE row 0.
     """
 
     west: np.ndarray            # (L, R, m)
@@ -132,6 +141,7 @@ class Segment:
     row_digit: np.ndarray       # (L, R)
     corner_data: np.ndarray     # (L,) bool
     corner_digit: np.ndarray    # (L,)
+    label: np.ndarray           # (L,) str
 
     def part(self, lo: int, hi: int) -> "Segment":
         """Cycles ``[lo, hi)`` of this segment."""
@@ -209,8 +219,10 @@ def _tile_schedule(cfg: ArrayConfig, a_rows: int):
     # corner accumulates, on cycle t, the wave presented at t - (R+C+1)
     row_data, row_digit = _lagged(data, np.arange(R)), _lagged(digit, np.arange(R))
     corner_digit = _lagged(digit, R + C + 1).ravel()
+    label = np.array(["Stream" if d >= 0 else f"ChecksumDigit({k})" if k >= 0 else "Drain"
+                      for d, k in zip(data.tolist(), digit.tolist())])
     inputs = Segment(np.where(row_data >= 0, row_data, a_rows) * R + np.arange(R), row_data >= 0,
-                     row_digit, _lagged(data, R + C + 1).ravel() >= 0, corner_digit)
+                     row_digit, _lagged(data, R + C + 1).ravel() >= 0, corner_digit, label)
     out_rows = np.flatnonzero(data >= 0) + R + 1
     for arr in (*vars(inputs).values(), out_rows):
         arr.flags.writeable = False
@@ -225,12 +237,8 @@ class SimState(CheckerState):
     def __init__(self, cfg: ArrayConfig):
         super().__init__(cfg)
         self.cycle = 0
-
-        m, slots = cfg.pattern.m, cfg.slots
-        self.weights = np.zeros((cfg.rows, cfg.cols, slots), dtype=np.int64)
-        self.indexes = np.zeros((cfg.rows, cfg.cols, slots), dtype=np.int64)
-        self.pipe = np.zeros((cfg.rows, cfg.cols, m), dtype=np.int64)
-        self.psum = np.zeros((cfg.rows, cfg.cols), dtype=np.int64)
+        vars(self).update((k.storage, np.zeros(k.shape(cfg), np.int64)) for k in RegKind
+                          if k.owner is Owner.ARRAY)
 
         self._loaded_tile = None         # the resident W tile
         self.round_results: list = []
@@ -262,7 +270,7 @@ class SimState(CheckerState):
 
     def write_register(self, reg: RegisterId, value: int) -> None:
         store, key, width = self._storage(reg)
-        store[key] = int(wrap(value, width)) if reg.signed else int(value) & ((1 << width) - 1)
+        store[key] = int(wrap(value, width)) if reg.kind.signed else int(value) & ((1 << width) - 1)
         if store is self.weights or store is self.indexes:
             vars(self).pop("_lane_weights", None)
 
@@ -355,14 +363,16 @@ class SimState(CheckerState):
         go through run_tile.
         """
         cfg, shape = self.cfg, (self.cfg.rows, self.cfg.pattern.m)
-        west = as_int64(np.zeros(shape) if west_inputs is None else west_inputs, "west input")
+        west = as_int64(np.zeros(shape, int) if west_inputs is None else west_inputs, "west input")
         if west.shape != shape:
             raise ShapeError(f"west inputs shape {west.shape} != {shape}")
         check_ndarray_width(west, cfg.input_width, "west input")
+        label = ("Stream" if west_inputs is not None else
+                 "Drain" if self._loaded_tile is not None else "WeightLoad")
         seg = Segment(west[None], np.zeros((1, cfg.rows), bool), np.full((1, cfg.rows), -1),
-                      np.zeros(1, bool), np.full(1, -1))
+                      np.zeros(1, bool), np.full(1, -1), np.array([label]))
         # nothing a step computes outlives its _advance, so it shares the thread's arena
-        self._advance(seg, _ARENA, None if west_inputs is None else "Stream")
+        self._advance(seg, _ARENA)
 
     @functools.cached_property
     def _lane_weights(self) -> tuple:
@@ -383,13 +393,12 @@ class SimState(CheckerState):
                                             cfg.rows * m)
         return width, count, slices(lw, width, lw_count)
 
-    def _advance(self, seg: Segment, arena: _Arena, label: str | None = None) -> np.ndarray:
+    def _advance(self, seg: Segment, arena: _Arena) -> np.ndarray:
         """Clock the ``L`` cycles of ``seg`` from the current state, on ``arena``.
 
         Writes the segment's trace lines, applies the faults scheduled for
         the last cycle and returns the ``(L, C)`` bottom-row partial sums
-        (on ``arena``) before each cycle's edge. Trace lines name each cycle
-        after the wave entering PE row 0, unless ``label`` names them all.
+        (on ``arena``) before each cycle's edge.
         """
         cfg = self.cfg
         R, C, L = cfg.rows, cfg.cols, len(seg.west)
@@ -474,14 +483,11 @@ class SimState(CheckerState):
                     running = itertools.accumulate(adds, initial=store[key])
                     values = np.array([*running][1:], dtype=object)
                     values[-1] *= not compares   # cleared on the compare edge
-                columns.append((wrap(values, width) if reg.signed else values).tolist())
-            labels = [label] * L if label is not None else [
-                "Stream" if d else f"ChecksumDigit({k})" if k >= 0 else
-                "Drain" if self._loaded_tile is not None else "WeightLoad"
-                for d, k in zip(seg.is_data[:, 0].tolist(), seg.row_digit[:, 0].tolist())]
+                columns.append((wrap(values, width) if reg.kind.signed else values).tolist())
             names = [reg.name for reg in self.watch]
-            lines = "".join(f"{self.cycle + i},{labels[i]},{name},{value}\n" for i, values in
-                            enumerate(zip(*columns)) for name, value in zip(names, values))
+            lines = "".join(f"{self.cycle + i},{label},{name},{value}\n" for i, (label, values)
+                            in enumerate(zip(seg.label.tolist(), zip(*columns)))
+                            for name, value in zip(names, values))
 
         # commit: the last reads of arena
         self.psum = wrap(sums[L:L + R][::-1], cfg.col_out_width)
@@ -527,6 +533,7 @@ class SimState(CheckerState):
         if a_tile.rows < 1:
             raise ShapeError("input tile must have at least one row")
         check_ndarray_width(a_tile.data, cfg.input_width, "matrix element")
+        check_reference(reference, cfg, a_tile)
         if self._loaded_tile != w_tile:
             self.load_weights(w_tile)
 
@@ -562,4 +569,5 @@ class SimState(CheckerState):
         # p + R + 1 + c; skewed[s, c] = bottoms[s + c, c] lines those up
         outputs = _skewed(bottoms)[out_rows]
         return TileResult(DenseMatrix(*outputs.shape, outputs, owned=True),
-                          self.round_results[first_round:], bottoms if keep else None, states)
+                          self.round_results[first_round:], bottoms if keep else None, states,
+                          (cfg, a_tile))

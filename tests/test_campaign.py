@@ -415,6 +415,11 @@ def test_campaign_config_validation():
     ({"cksum_width": None}, "config cksum_width must be an integer, got None"),
     ({"pattern": 5}, "config pattern must be a string, got 5"),
     ({"pattern": None}, "config pattern must be a string, got None"),
+    (5, "config must be a JSON object"),
+    ({"R": 0}, "array must have at least 1x1 tensor PEs"),
+    ({"oc_width": 0}, "oc_width must be positive"),
+    ({"ic_width": 4}, "ic_width must be at least input_width"),
+    ({"ic_width": 12}, "ic_width must be divisible by input_width"),
 ])
 def test_array_config_rejects_mistyped_values(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -431,6 +436,7 @@ def test_array_config_rejects_mistyped_values(obj, message):
     ({"a": "a.mat", "w": None}, "config workload.w must be a string, got None"),
     ({"a": "a.mat", "w": "w.smat", "a_rows": 7}, "unknown workload keys: ['a_rows']"),
     ({"a": "a.mat", "k": 8, "cols": 2}, "unknown workload keys: ['cols', 'k']"),
+    ({"a": "a.mat"}, "file workload needs both 'a' and 'w' paths"),
 ])
 def test_workload_spec_rejects_mistyped_values(obj, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -446,6 +452,9 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() >= 1
     monkeypatch.setenv("SPARSE_ABFT_THREADS", "zebra")
     with pytest.raises(ValueError):
+        worker_count()
+    monkeypatch.setenv("SPARSE_ABFT_THREADS", "-1")
+    with pytest.raises(ValueError, match="SPARSE_ABFT_THREADS must be >= 0"):
         worker_count()
 
 

@@ -273,6 +273,57 @@ def test_run_trace_non_canonical_name_exit_2_before_opening(tiny_files, tmp_path
     assert not trace.exists()
 
 
+def test_run_trace_out_without_trace_exit_2(tiny_files, tmp_path, capsys):
+    """With no register watched, ``--trace-out`` would write nothing and exit 0."""
+    p = tiny_files
+    trace = tmp_path / "trace.csv"
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"]), "--trace-out", str(trace)])
+    assert rc == 2
+    assert "--trace-out needs --trace" in capsys.readouterr().err
+    assert not trace.exists() and not p["out"].exists()
+
+
+def test_run_adopts_the_w_files_pattern(tiny_files):
+    """The packed W file names its pattern; a config with another one runs at the file's."""
+    p = tiny_files
+    p["cfg"].write_text(json.dumps({"R": 1, "C": 2, "pattern": "1:4"}))
+    rc = main(["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+               "--out", str(p["out"]), "--report", str(p["report"])])
+    assert rc == 0
+    assert json.loads(p["report"].read_text())["config"]["pattern"] == "2:4"
+
+
+@pytest.mark.parametrize("command,argv,message", [
+    ("campaign", ["--faults", "1..2..3"], "bad fault range '1..2..3' (expected 'lo..hi')"),
+    ("campaign", ["--faults", "a..b"], "bad fault range 'a..b' (expected 'lo..hi')"),
+    ("run", ["--inject", "5:oc.0"], "bad injection '5:oc.0' (expected cycle:register:bit)"),
+    ("run", ["--inject", "x:oc.0:1"], "invalid literal for int() with base 10: 'x'"),
+    ("run", ["--inject", "1:bogus:1"], "unknown register name 'bogus'"),
+])
+def test_malformed_fault_arguments_exit_2(tiny_files, capsys, command, argv, message):
+    p = tiny_files
+    if command == "run":
+        argv = ["run", "--a", str(p["a"]), "--w", str(p["w"]), "--out", str(p["out"]), *argv]
+    else:
+        argv = ["campaign", "--campaigns", "1", *argv]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "campaign"])
+def test_config_json_syntax_error_exit_2(tiny_files, capsys, command):
+    p = tiny_files
+    p["cfg"].write_text('{"R": 1,')
+    argv = ([command, "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),
+             "--out", str(p["out"])] if command == "run" else
+            [command, "--config", str(p["cfg"]), "--campaigns", "1"])
+    assert main(argv) == 2
+    assert f"error: config {p['cfg']}: Expecting property name" in capsys.readouterr().err
+
+
 def test_run_outputs_byte_identical_across_reruns(tiny_files):
     p = tiny_files
     args = ["run", "--config", str(p["cfg"]), "--a", str(p["a"]), "--w", str(p["w"]),

@@ -8,13 +8,14 @@ outputs, rounds and cycle count.
 
 import io
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sparse_abft import (ArrayConfig, FaultSpec, SimState, enumerate_registers,
-                         parse_register)
-from sparse_abft.driver import reference_run, run_multiplication
+from sparse_abft import (ArrayConfig, DenseMatrix, FaultSpec, SimState, enumerate_registers,
+                         golden_result, parse_register)
+from sparse_abft.driver import reference_run, run_multiplication, tile_operands
 from sparse_abft.registers import RegKind
 from sparse_abft.sparsity import PATTERN_1_4, PATTERN_2_4, SparsityPattern, prune_magnitude
 from sparse_abft.systolic import _tile_schedule, tile_active_cycles
@@ -285,3 +286,53 @@ def test_a_pickled_reference_stays_read_only():
         assert [r.to_json_dict() for r in unpickled.rounds] == \
             [r.to_json_dict() for r in original.rounds]
         assert unpickled.total_cycles == original.total_cycles
+
+
+def other_inputs_workload(seed, cfg):
+    """A 6x16 A and a 16x8 W of values in [-100, 100): four tiles on a 2x4 array."""
+    rng = np.random.default_rng(seed)
+    a = DenseMatrix(6, 16, rng.integers(-100, 100, size=(6, 16)))
+    return a, prune_magnitude(DenseMatrix(16, 8, rng.integers(-100, 100, size=(16, 8))),
+                              cfg.pattern)
+
+
+def test_a_reference_for_other_operands_is_refused():
+    """A reference holds its own tile operands, so one run on A1 W1 would
+    return A1 W1 for A2 W2, with no flag."""
+    cfg = ArrayConfig(rows=2, cols=4)
+    a1, w1 = other_inputs_workload(1, cfg)
+    a2, w2 = other_inputs_workload(2, cfg)
+    reference = reference_run(cfg, a1, w1)
+    for a, w in ((a2, w2), (a1, w2), (a2, w1)):
+        with pytest.raises(ValueError, match="reference was run on other inputs"):
+            run_multiplication(cfg, a, w, reference=reference)
+    copies = DenseMatrix(6, 16, a1.data), prune_magnitude(w1.dense, cfg.pattern)
+    assert run_multiplication(cfg, *copies, reference=reference).outputs == \
+        golden_result(a1, w1.dense, cfg.col_out_width).product
+
+
+def test_a_tile_reference_for_another_a_tile_is_refused():
+    """The weight load matches, so without the check the run took the whole
+    tile and returned the reference itself."""
+    cfg = ArrayConfig(rows=2, cols=4)
+    a1, w = other_inputs_workload(1, cfg)
+    a2, _ = other_inputs_workload(2, cfg)
+    (_, a1_tile, w_tile), (_, a2_tile, _) = (tile_operands(cfg, a, w)[0] for a in (a1, a2))
+    reference = SimState(cfg).run_tile(a1_tile, w_tile, keep=True)
+    with pytest.raises(ValueError, match="reference was run on other inputs"):
+        SimState(cfg).run_tile(a2_tile, w_tile, reference=reference)
+    copy = DenseMatrix(*a1_tile.data.shape, a1_tile.data)
+    assert SimState(cfg).run_tile(copy, w_tile, reference=reference) is reference
+
+
+def test_a_reference_for_another_config_is_refused():
+    """Narrow chain widths flag this workload, and taking a reference run on
+    the default widths took its clean rounds and its config."""
+    cfg = ArrayConfig(rows=2, cols=4)
+    narrow = replace(cfg, col_out_width=12, oc_width=12)
+    a, w = other_inputs_workload(3, cfg)
+    assert run_multiplication(narrow, a, w).flagged
+    with pytest.raises(ValueError, match="reference was run on other inputs"):
+        run_multiplication(narrow, a, w, reference=reference_run(cfg, a, w))
+    equal = run_multiplication(replace(cfg), a, w, reference=reference_run(cfg, a, w))
+    assert equal.outputs == golden_result(a, w.dense, cfg.col_out_width).product

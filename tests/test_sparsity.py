@@ -91,14 +91,16 @@ def test_dense_matrix_shape_checked():
 
 @pytest.mark.parametrize("data", [[1.7, -0.9], [np.nan, 0], [0, np.inf], [2.0 ** 63, 0],
                                   np.array([2 ** 63, 1], dtype=np.uint64), [2 ** 70, 0],
-                                  [-2 ** 64, 0], np.array([0, 2 ** 70], dtype=object)],
+                                  [-2 ** 64, 0], np.array([0, 2 ** 70], dtype=object),
+                                  np.array([np.nan, 0], dtype=object),
+                                  np.array([0, None], dtype=object)],
                          ids=["fraction", "nan", "inf", "2^63", "uint64 2^63", "2^70", "-2^64",
-                              "object 2^70"])
+                              "object 2^70", "object nan", "None"])
 def test_dense_matrix_refuses_data_that_is_not_int64(data):
     """Data no int64 holds exactly is refused with the first bad value named,
     not truncated (1.7 and -0.9 were 1 and 0) or wrapped (2^63 as uint64 was
-    -2^63), nor left to numpy's OverflowError (Python ints past int64);
-    whole floats are kept."""
+    -2^63), nor left to numpy's own errors (OverflowError for Python ints past
+    int64, its NaN message, TypeError for None); whole floats are kept."""
     bad = re.escape(str(data[0] or data[1]))
     with pytest.raises(ValueError, match=f"matrix element {bad} is not an int64 value"):
         DenseMatrix(1, 2, data)
