@@ -17,7 +17,7 @@ from .config import ArrayConfig, load_config
 from .driver import RunResult, run_multiplication, total_active_cycles
 from .faults import FaultSpec, sample_faults
 from .matio import MatrixFormatError, read_dense, read_packed, write_dense, write_packed
-from .oracle import GoldenResult, golden_result
+from .oracle import golden_result
 from .registers import Owner, RegisterId, RegKind, enumerate_registers, parse_register
 from .sparsity import (
     DenseMatrix,

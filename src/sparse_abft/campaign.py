@@ -196,7 +196,7 @@ def run_campaign(cfg: CampaignConfig, index: int, workload=None) -> CampaignOutc
 
     run = run_multiplication(arr, a, w, faults=faults, reference=reference)
     flags = [r.flag for r in run.rounds]
-    corrupted = run.outputs != golden.product
+    corrupted = run.outputs != golden
     return CampaignOutcome(
         index=index,
         category=classify(faults, flags),

@@ -6,9 +6,9 @@ The checker owns three groups of state, which ``SimState`` inherits:
   incoming activation of the current checksum round.
 * OC adder chain (south edge): one pipeline register per column, forming the
   running west-to-east sum of bottom-of-column results.
-* Corner accumulators (south-east): ``actual`` collects OC outputs of data
-  waves; ``predicted`` collects OC outputs of digit waves, each weighted by
-  ``2^(input_width * k)`` for digit ``k`` before it arrives here.
+* Corner accumulators (south-east, 0-d arrays): ``actual`` collects OC
+  outputs of data waves; ``predicted`` collects OC outputs of digit waves,
+  each weighted by ``2^(input_width * k)`` for digit ``k`` before it arrives.
 
 Signed digits, least-significant first, follow the bias-and-mask rule of
 ``intwrap.signed_digit``, ``input_width`` bits each. Within the streaming cap of
@@ -46,23 +46,22 @@ class CheckerState:
 
     def __init__(self, cfg: ArrayConfig):
         self.cfg = cfg
-        vars(self).update((k.storage, np.zeros(k.shape(cfg), np.int64) if k.fields else 0)
+        vars(self).update((k.storage, np.zeros(k.shape(cfg), np.int64))
                           for k in RegKind if k.owner is Owner.CHECKER)
 
     def actual_accumulate(self, wave_sum: int) -> None:
         """Add data waves' OC-chain outputs to the actual checksum."""
-        self.actual = int(wrap(self.actual + int(wave_sum), self.cfg.cksum_width))
+        self.actual[...] = wrap(int(self.actual) + int(wave_sum), self.cfg.cksum_width)
 
     def predicted_accumulate(self, weighted_sum: int) -> None:
         """Add digit waves' OC-chain outputs, each already weighted by its digit."""
-        self.predicted = int(wrap(self.predicted + int(weighted_sum), self.cfg.cksum_width))
+        self.predicted[...] = wrap(int(self.predicted) + int(weighted_sum), self.cfg.cksum_width)
 
     def compare_and_reset(self, round_index: int) -> ChecksumRoundResult:
         """Latch the round result and clear the corner accumulators."""
-        result = ChecksumRoundResult(round_index, self.actual, self.predicted,
-                                     self.actual != self.predicted)
-        self.actual = self.predicted = 0
-        return result
+        actual, predicted = int(self.actual), int(self.predicted)
+        self.actual[...] = self.predicted[...] = 0
+        return ChecksumRoundResult(round_index, actual, predicted, actual != predicted)
 
     def digit_wave(self, ic, digit_k) -> np.ndarray:
         """Digit ``digit_k`` of the IC accumulator values ``ic`` (wrapping).

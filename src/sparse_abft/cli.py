@@ -18,7 +18,7 @@ from .config import ArrayConfig, load_config, read_json
 from .driver import run_multiplication
 from .faults import FaultSpec
 from .matio import read_dense, read_packed, write_dense, write_packed
-from .registers import parse_register
+from .registers import DECIMAL, parse_register
 from .sparsity import ShapeError, SparsityPattern, prune_magnitude
 
 EXIT_OK = 0
@@ -35,14 +35,17 @@ def _pattern_arg(text: str) -> SparsityPattern:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _decimal_arg(text: str, field: str = "") -> int:
+    # plain ASCII decimal like register indexes (int() takes 1_0, +5); '-' reaches range checks
+    if not DECIMAL.fullmatch(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"{field}{text!r} is not a decimal integer")
+    return int(text)
+
+
 def _fault_range_arg(text: str):
     try:
-        if ".." in text:
-            lo_str, hi_str = text.split("..")
-            lo, hi = int(lo_str), int(hi_str)
-        else:
-            lo = hi = int(text)
-    except ValueError as exc:
+        lo, hi = map(_decimal_arg, text.split("..") if ".." in text else (text, text))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad fault range {text!r} (expected 'lo..hi')") from exc
     if not 0 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"bad fault range {text!r}")
@@ -54,7 +57,10 @@ def _inject_arg(text: str) -> FaultSpec:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"bad injection {text!r} (expected cycle:register:bit)")
     try:
-        return FaultSpec(cycle=int(parts[0]), register=parse_register(parts[1]), bit=int(parts[2]))
+        cycle, bit = _decimal_arg(parts[0], "cycle "), _decimal_arg(parts[2], "bit ")
+        return FaultSpec(cycle=cycle, register=parse_register(parts[1]), bit=bit)
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad injection {text!r}: {exc}") from exc
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -183,10 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_camp = sub.add_parser("campaign", help="run seeded fault-injection campaigns")
     p_camp.add_argument("--config", metavar="CFG.json")
-    p_camp.add_argument("--campaigns", type=int, required=True, metavar="K")
+    p_camp.add_argument("--campaigns", type=_decimal_arg, required=True, metavar="K")
     p_camp.add_argument("--faults", type=_fault_range_arg, default=(1, 1), metavar="LO..HI")
     p_camp.add_argument("--sparsity", type=_pattern_arg, metavar="2:4|1:4")
-    p_camp.add_argument("--seed", type=int, default=0, metavar="S")
+    p_camp.add_argument("--seed", type=_decimal_arg, default=0, metavar="S")
     p_camp.add_argument("--report", metavar="STATS.json")
     p_camp.add_argument("--paper-compat", action="store_true",
                         help="print the four-category table (benign folded into silent)")

@@ -30,12 +30,9 @@ class ArrayConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("array must have at least 1x1 tensor PEs")
-        for name in _WIDTHS:
+        for name in _WIDTHS:   # every register is an int64 cell
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        # the engine wraps these registers in int64 arithmetic; the corner
-        # accumulators (cksum_width, the last) are Python ints and have no limit
-        for name in _WIDTHS[:-1]:
             if getattr(self, name) > 63:
                 raise ValueError(f"{name} must be at most 63 bits")
         if self.ic_width < self.input_width:

@@ -99,9 +99,9 @@ def run_multiplication(
     Outputs of tiles sharing output columns (inner-dimension chunks) are
     accumulated host-side with wraparound at the column output width, which
     is congruent to the single-pass architectural result. A fault before the
-    first or past the last active cycle would never fire and a watched
-    register the array lacks could never be read, so both raise ValueError
-    before any cycle.
+    first or past the last active cycle would never fire, a watched register
+    the array lacks could never be read and a watch list with no trace sink
+    would be written nowhere, so each raises ValueError before any cycle.
     A traced run clocks every cycle; others take the tiles and rounds no fault
     reaches from ``reference``, the ``reference_run`` (which checks them) of
     cfg, A, W; a reference run on other inputs raises ValueError.
@@ -117,10 +117,11 @@ def run_multiplication(
                              f"the run has {window} active cycles")
     for reg in watch or ():
         enumerate_registers(cfg).width_of(reg)
+    if watch and trace_sink is None:
+        raise ValueError("a watch list needs a trace_sink to write its trace to")
     state = SimState(cfg)
     if watch:
-        state.watch = list(watch)
-        state.trace_sink = trace_sink
+        state.watch, state.trace_sink = list(watch), trace_sink
     state.schedule_faults(faults)
 
     result = np.empty((a.rows, w.cols), dtype=np.int64)

@@ -23,6 +23,10 @@ from dataclasses import dataclass
 from .config import ArrayConfig
 
 
+# plain decimal, as index fields are parsed: ASCII digits, no sign, leading zero or underscore
+DECIMAL = re.compile("0|[1-9][0-9]*")
+
+
 class Owner(enum.Enum):
     ARRAY = "array"
     CHECKER = "checker"
@@ -34,8 +38,8 @@ class RegKind(enum.Enum):
     its lane count (none for a kind without lanes), the ``SimState`` attribute
     that stores it, its owner and whether it holds two's complement values
     (index registers hold unsigned row offsets). The placeholders of a form are
-    the kind's index fields, in the order of the stored array's axes; a form
-    with none names an int attribute."""
+    the kind's index fields, in the order of the stored int64 array's axes; a
+    form with none names a 0-d array."""
 
     WEIGHT = "w", "tpe.{row}.{col}.w.{lane}", "input_width", "slots", "weights", Owner.ARRAY
     INDEX = "idx", "tpe.{row}.{col}.idx.{lane}", "index_width", "slots", "indexes", Owner.ARRAY, False
@@ -50,9 +54,8 @@ class RegKind(enum.Enum):
         kind = object.__new__(cls)
         kind._value_, kind.form, kind.width_attr, kind.storage = code, form, width_attr, storage
         kind.owner, kind.signed = owner, signed
-        # parsing accepts each index field in plain decimal only: ASCII
-        # digits, no sign, no leading zero, no underscore
-        kind.pattern = re.compile(re.sub(r"\\{(\w+)\\}", r"(?P<\1>0|[1-9][0-9]*)", re.escape(form)))
+        kind.pattern = re.compile(re.sub(r"\\{(\w+)\\}", rf"(?P<\1>{DECIMAL.pattern})",
+                                         re.escape(form)))
         kind.fields = tuple(kind.pattern.groupindex)
         kind._sizes = [operator.attrgetter({"row": "rows", "col": "cols", "lane": lanes_attr}[f])
                        for f in kind.fields]

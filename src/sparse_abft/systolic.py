@@ -63,10 +63,11 @@ by ``blas_matmul`` on one OpenBLAS thread, over the bundles and lane weights
 while ``R m peak < 2^53`` (2^20 on 8x32 at the default widths), else over
 ``slice_plan``'s signed-digit slices of both, one sum per slice pair;
 ``exact_sum`` recombines those in int64, exact modulo ``2^64``, and the psum at
-the diagonal's top is added there. The corner adds are Python ints, with no
-width to overflow: each OC output reaching the corner, weighted by
-``2^(input_width * d)`` for digit ``d`` (a data wave is digit 0 of ``actual``),
-summed digit by digit; a traced corner accumulator reads their running sums.
+the diagonal's top is added there. The corner adds each OC output reaching
+the corner, weighted by ``2^(input_width * d)`` for digit ``d`` (a data wave is
+digit 0 of ``actual``), summed digit by digit in Python ints and wrapped at
+``cksum_width``; a traced corner accumulator reads their running sums in
+int64, which wrap alike modulo ``2^64``.
 
 Wave identities (which cycle carries which row) are scheduler bookkeeping,
 not architectural state, so they are not fault-injectable; every register
@@ -82,7 +83,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -96,8 +96,8 @@ from .registers import Owner, RegisterId, RegKind, enumerate_registers
 from .sparsity import DenseMatrix, ShapeError, StructuredSparseMatrix, as_int64
 
 
-# the SimState attributes of the register kinds stored in arrays
-_ARRAYS = tuple(kind.storage for kind in RegKind if kind.fields)
+# the SimState attributes of the register kinds, one int64 array each
+_ARRAYS = tuple(kind.storage for kind in RegKind)
 
 
 @dataclass
@@ -252,16 +252,12 @@ class SimState(CheckerState):
 
     def _storage(self, reg: RegisterId):
         """(store, key, width) of one register, as its kind's row of the
-        register table names them: its array and index or, for a kind with no
-        index fields (a corner accumulator), this state's attribute dict and
-        the attribute name. The width comes from the register map, which
+        register table names them: its array and index (``()`` for a corner
+        accumulator's 0-d array). The width comes from the register map, which
         raises ValueError for registers this array lacks. Reads, writes (a
         flip is a read and a write) and traces find a register only here.
         """
-        width = enumerate_registers(self.cfg).width_of(reg)
-        k = reg.kind
-        if not k.fields:
-            return vars(self), k.storage, width
+        width, k = enumerate_registers(self.cfg).width_of(reg), reg.kind
         return getattr(self, k.storage), tuple(getattr(reg, f) for f in k.fields), width
 
     def read_register(self, reg: RegisterId) -> int:
@@ -337,8 +333,7 @@ class SimState(CheckerState):
     def matches(self, other: "SimState") -> bool:
         """Whether all that steers later cycles is equal in ``other``."""
         def key(s):
-            return (s.cycle, len(s.round_results), s._loaded_tile, s.actual, s.predicted,
-                    *(x.tobytes() for x in s._arrays()))
+            return (s.cycle, len(s.round_results), s._loaded_tile, *(x.tobytes() for x in s._arrays()))
         return key(self) == key(other)
 
     def in_step(self, at: "SimState", end: int) -> bool:
@@ -478,10 +473,7 @@ class SimState(CheckerState):
                     values = np.full(L, store[key])
                 else:
                     digits = seg.corner_data - 1 if k is RegKind.CKSUM_ACTUAL else seg.corner_digit
-                    adds = [v << w * d if d >= 0 else 0
-                            for v, d in zip(outs.tolist(), digits.tolist())]
-                    running = itertools.accumulate(adds, initial=store[key])
-                    values = np.array([*running][1:], dtype=object)
+                    values = np.cumsum((outs << w * digits.clip(0)) * (digits >= 0)) + store[key]
                     values[-1] *= not compares   # cleared on the compare edge
                 columns.append((wrap(values, width) if reg.kind.signed else values).tolist())
             names = [reg.name for reg in self.watch]

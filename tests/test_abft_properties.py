@@ -91,7 +91,7 @@ def test_weight_flip_before_streaming_is_silent(worked_example):
     golden = golden_result(a, w_dense, cfg.col_out_width)
     reg = parse_register("tpe.0.0.w.0")
     out, rounds = run_with_faults(cfg, a, w, [FaultSpec(0, reg, 1)])
-    assert out != golden.product          # output really is corrupted
+    assert out != golden          # output really is corrupted
     assert not any(r["flag"] for r in rounds)
 
 
@@ -108,7 +108,7 @@ def test_psum_flip_before_capture_flags(worked_example):
     golden = golden_result(a, w_dense, cfg.col_out_width)
     # psum(0,0) holds row 0's column-0 value during cycle 2; flip after cycle 1
     out, rounds = run_with_faults(cfg, a, w, [FaultSpec(1, parse_register("tpe.0.0.psum"), 5)])
-    assert out != golden.product
+    assert out != golden
     assert rounds[0]["flag"]
     assert rounds[0]["predicted"] == 48
     assert rounds[0]["actual"] != 48
@@ -118,7 +118,7 @@ def test_actual_accumulator_flip_is_false_alarm(worked_example):
     cfg, a, w_dense, w = worked_example
     golden = golden_result(a, w_dense, cfg.col_out_width)
     out, rounds = run_with_faults(cfg, a, w, [FaultSpec(3, parse_register("cksum.actual"), 7)])
-    assert out == golden.product          # array output untouched
+    assert out == golden          # array output untouched
     assert any(r["flag"] for r in rounds)
 
 
@@ -126,7 +126,7 @@ def test_ic_flip_corrupts_predicted_only(worked_example):
     cfg, a, w_dense, w = worked_example
     golden = golden_result(a, w_dense, cfg.col_out_width)
     out, rounds = run_with_faults(cfg, a, w, [FaultSpec(0, parse_register("ic.0.acc.0"), 4)])
-    assert out == golden.product
+    assert out == golden
     assert rounds[0]["actual"] == 48
     assert rounds[0]["predicted"] != 48
     assert rounds[0]["flag"]
@@ -150,4 +150,4 @@ def test_checksum_equals_oracle_dot_product_per_round():
         run = run_multiplication(cfg, a, w)
         g = golden_result(a, w.dense, cfg.col_out_width)
         assert len(run.rounds) == 1
-        assert run.rounds[0].actual == run.rounds[0].predicted == g.total_checksum
+        assert run.rounds[0].actual == run.rounds[0].predicted == int(g.data.sum())

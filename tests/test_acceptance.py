@@ -80,9 +80,9 @@ def tile_corpus():
                 {
                     "pattern": str(pattern),
                     "a_rows": a_rows,
-                    "outputs_match": run.outputs == golden.product,
+                    "outputs_match": run.outputs == golden,
                     "rounds": [(r.actual, r.predicted, r.flag) for r in run.rounds],
-                    "oracle_dot": golden.total_checksum,
+                    "oracle_dot": int(golden.data.sum()),
                 }
             )
     return {"records": records, "elapsed": time.monotonic() - started}

@@ -63,7 +63,7 @@ def test_results_never_alias_the_arena():
     assert not any(np.may_share_memory(x, b) for x in held for b in arena)
     assert run.outputs == reused.outputs
     assert run_multiplication(cfg, a, w, faults=fault, reference=reference).outputs == run.outputs
-    golden = golden_result(a, w.dense, cfg.col_out_width).product
+    golden = golden_result(a, w.dense, cfg.col_out_width)
     assert run_multiplication(cfg, a, w).outputs == golden
 
 
@@ -87,7 +87,7 @@ def test_trace_sink_may_run_another_simulation():
     assert nesting.getvalue() == plain.getvalue() != ""
     assert run.outputs == expected.outputs
     assert [r.to_json_dict() for r in run.rounds] == [r.to_json_dict() for r in expected.rounds]
-    golden = golden_result(a2, w2.dense, cfg.col_out_width).product
+    golden = golden_result(a2, w2.dense, cfg.col_out_width)
     assert len(nested) > 4 and all(out == golden for out in nested)
 
 

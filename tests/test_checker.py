@@ -166,7 +166,7 @@ def test_accumulate_zero_is_identity():
 def test_accumulators_wrap_at_cksum_width():
     cfg = ArrayConfig(rows=1, cols=1)
     ck = CheckerState(cfg)
-    ck.actual = (1 << 47) - 1
+    ck.actual[...] = (1 << 47) - 1
     ck.actual_accumulate(1)
     assert ck.actual == -(1 << 47)
 

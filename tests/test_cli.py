@@ -165,7 +165,8 @@ def test_run_injection_before_window_exit_2(tiny_files, capsys):
     assert not p["report"].exists() and not p["out"].exists()
 
 
-@pytest.mark.parametrize("name", ["input_width", "col_out_width", "ic_width", "oc_width"])
+@pytest.mark.parametrize("name", ["input_width", "col_out_width", "ic_width", "oc_width",
+                                  "cksum_width"])
 def test_run_width_past_int64_engine_exit_2(tiny_files, capsys, name):
     p = tiny_files
     p["cfg"].write_text(json.dumps({"R": 1, "C": 2, "input_width": 8, "ic_width": 16, name: 64}))
@@ -298,8 +299,19 @@ def test_run_adopts_the_w_files_pattern(tiny_files):
     ("campaign", ["--faults", "1..2..3"], "bad fault range '1..2..3' (expected 'lo..hi')"),
     ("campaign", ["--faults", "a..b"], "bad fault range 'a..b' (expected 'lo..hi')"),
     ("run", ["--inject", "5:oc.0"], "bad injection '5:oc.0' (expected cycle:register:bit)"),
-    ("run", ["--inject", "x:oc.0:1"], "invalid literal for int() with base 10: 'x'"),
+    ("run", ["--inject", "x:oc.0:1"], "cycle 'x' is not a decimal integer"),
     ("run", ["--inject", "1:bogus:1"], "unknown register name 'bogus'"),
+    # int() would read these as cycle 10, 5 and 5, and bit 1
+    ("run", ["--inject", "1_0:oc.0:1"], "bad injection '1_0:oc.0:1': cycle '1_0' is not a decimal"),
+    ("run", ["--inject", "+5:oc.0:1"], "bad injection '+5:oc.0:1': cycle '+5' is not a decimal"),
+    ("run", ["--inject", "\u0665:oc.0:1"], "cycle '\u0665' is not a decimal integer"),
+    ("run", ["--inject", "3:oc.0: 1"], "bad injection '3:oc.0: 1': bit ' 1' is not a decimal"),
+    ("run", ["--inject", "3:oc.0:01"], "bad injection '3:oc.0:01': bit '01' is not a decimal"),
+    # every integer flag follows the same rule; int() would run 10..20 faults, 10 campaigns, seed 3
+    ("campaign", ["--faults", "1_0..2_0"], "bad fault range '1_0..2_0' (expected 'lo..hi')"),
+    ("campaign", ["--campaigns", "1_0"], "argument --campaigns: '1_0' is not a decimal integer"),
+    ("campaign", ["--seed", "+3"], "argument --seed: '+3' is not a decimal integer"),
+    ("campaign", ["--seed", "\u0663"], "argument --seed: '\u0663' is not a decimal integer"),
 ])
 def test_malformed_fault_arguments_exit_2(tiny_files, capsys, command, argv, message):
     p = tiny_files

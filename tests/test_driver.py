@@ -34,14 +34,33 @@ def test_single_tile_run(worked_example):
 
 
 def test_widths_limited_to_int64_engine(worked_example):
-    """The engine wraps array, IC and OC registers in int64 arithmetic."""
+    """The engine wraps every register, the corner accumulators too, in int64 arithmetic."""
     _, a, _, w = worked_example
-    for name in ("input_width", "col_out_width", "ic_width", "oc_width"):
+    for name in ("input_width", "col_out_width", "ic_width", "oc_width", "cksum_width"):
         with pytest.raises(ValueError, match=name):
             ArrayConfig(rows=1, cols=2, **{name: 64})
-    cfg = ArrayConfig(rows=1, cols=2, col_out_width=63, oc_width=63, cksum_width=100)
+    cfg = ArrayConfig(rows=1, cols=2, col_out_width=63, oc_width=63, cksum_width=63)
     run = run_multiplication(cfg, a, w)
     assert run.outputs.data.tolist() == [[-2, 16], [-2, 36]] and not run.flagged
+
+
+def test_wide_corner_configs_flag_no_fault_free_round():
+    """A 3x4 array with 30-bit operands, all at 2^29 - 1, over three tiles:
+    with cksum_width 64 or 100 every fault-free round flagged, and such
+    widths are refused now; at 62 and 63 this run flags no round. (A corner
+    wider than the 62-bit OC chain can still flag other operands.)"""
+    top = (1 << 29) - 1
+    widths = dict(rows=3, cols=4, input_width=30, ic_width=60, col_out_width=62, oc_width=62)
+    for cksum_width in (64, 100):
+        with pytest.raises(ValueError, match="cksum_width must be at most 63 bits"):
+            ArrayConfig(**widths, cksum_width=cksum_width)
+    for cksum_width in (62, 63):
+        cfg = ArrayConfig(**widths, cksum_width=cksum_width)
+        a = as_dense(np.full((6, cfg.tile_k), top))
+        w = prune_magnitude(as_dense(np.full((cfg.tile_k, 3 * cfg.cols), top)), cfg.pattern)
+        run = run_multiplication(cfg, a, w)
+        assert [r.flag for r in run.rounds] == [False] * 3
+        assert run.outputs == golden_result(a, w.dense, cfg.col_out_width)
 
 
 def test_multi_tile_accumulation_matches_oracle():
@@ -50,7 +69,7 @@ def test_multi_tile_accumulation_matches_oracle():
     a = random_inputs(rng, 9, 20)
     w = random_weights(rng, 20, 8, cfg.pattern)
     run = run_multiplication(cfg, a, w)
-    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width).product
+    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width)
     plan = tile_plan(9, 20, 8, cfg)
     assert len(plan.tiles) == 3 * 3
     assert len(run.rounds) == len(plan.tiles)
@@ -65,7 +84,7 @@ def test_multi_round_multi_tile(pattern):
     a = random_inputs(rng, 300, 10)
     w = random_weights(rng, 10, 5, pattern)
     run = run_multiplication(cfg, a, w)
-    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width).product
+    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width)
     plan = tile_plan(300, 10, 5, cfg)
     assert len(run.rounds) == len(plan.tiles) * 2  # 300 rows -> 2 rounds per tile
     assert not run.flagged
@@ -117,6 +136,21 @@ def test_unknown_watched_register_rejected_before_first_cycle(worked_example):
     with pytest.raises(ValueError, match="tpe.9.0.psum"):
         run_multiplication(cfg, a, w, watch=watch, trace_sink=sink)
     assert sink.getvalue() == ""
+
+
+def test_watch_list_without_trace_sink_rejected_before_first_cycle(monkeypatch):
+    """A watch list with nowhere to write its trace would clock every cycle
+    for nothing; it is refused before a state is even built."""
+    cfg = ArrayConfig(rows=2, cols=4)
+    rng = np.random.default_rng(2)
+    a = random_inputs(rng, 3, cfg.tile_k)
+    w = random_weights(rng, cfg.tile_k, cfg.cols, cfg.pattern)
+    built = []
+    init = SimState.__init__
+    monkeypatch.setattr(SimState, "__init__", lambda self, cfg: built.append(cfg) or init(self, cfg))
+    with pytest.raises(ValueError, match="watch list needs a trace_sink"):
+        run_multiplication(cfg, a, w, watch=[parse_register("oc.0")])
+    assert not built
 
 
 def test_tracing_keeps_the_segment_schedule(monkeypatch):
@@ -172,7 +206,7 @@ def test_tiles_of_one_inner_chunk_share_their_a_slice():
         k_lo, k_hi = tile.k_range
         assert (a_tile.data[:, : k_hi - k_lo] == a.data[:, k_lo:k_hi]).all()
     assert (len(operands), len(chunks)) == (9, 3)
-    golden = golden_result(a, w.dense, cfg.col_out_width).product
+    golden = golden_result(a, w.dense, cfg.col_out_width)
     assert run_multiplication(cfg, a, w).outputs == golden
 
 
@@ -193,8 +227,8 @@ def test_matrices_kept_without_a_copy_are_sealed():
     a, w, golden, _ = campaign._synthetic_workload(cfg, 0)
     tile = SimState(cfg.array).run_tile(a, w)
     run = run_multiplication(cfg.array, a, w)
-    assert all(sealed(m) for m in (a, golden.product, tile.outputs, run.outputs))
-    assert tile.outputs == run.outputs == golden.product
+    assert all(sealed(m) for m in (a, golden, tile.outputs, run.outputs))
+    assert tile.outputs == run.outputs == golden
     mine = np.arange(6).reshape(2, 3)
     matrix = DenseMatrix(2, 3, mine)
     mine[0, 0] = 9

@@ -154,8 +154,8 @@ def registers(state: SimState) -> dict:
         "psum": state.psum.tolist(),
         "ic": state.ic.tolist(),
         "oc": state.oc.tolist(),
-        "actual": state.actual,
-        "predicted": state.predicted,
+        "actual": int(state.actual),
+        "predicted": int(state.predicted),
         "rounds": [r.to_json_dict() for r in state.round_results],
         "pending": sorted(state.pending_faults),
     }
@@ -203,8 +203,8 @@ CONFIGS = [
     dict(pattern=PATTERN_2_4, ic_width=24),                  # 3 digits per round
 ]
 
-# 30-bit operands with 100-bit corner accumulators
-WIDE_CORNER = dict(input_width=30, ic_width=60, col_out_width=62, oc_width=62, cksum_width=100)
+# 30-bit operands with the widest corner accumulators, 63 bits
+WIDE_CORNER = dict(input_width=30, ic_width=60, col_out_width=62, oc_width=62, cksum_width=63)
 
 
 def full_scale_tile(cfg, a_rows):
@@ -305,13 +305,16 @@ def test_step_matches_reference_from_random_state():
 
 def test_corner_sums_past_int64_are_exact():
     """30-bit operands at full scale: every wave's OC output is near 2^61,
-    so one round's actual and predicted sums leave the int64 range, which
-    the 100-bit corner accumulators hold exactly."""
+    so one round's actual and predicted sums pass 2^63; the 63-bit corner
+    accumulators wrap both alike, exact modulo 2^63, traced or not."""
     cfg = ArrayConfig(rows=2, cols=2, **WIDE_CORNER)
     a, w = full_scale_tile(cfg, 6)
-    state = run_both(cfg, [(a, w)], [])
-    (result,) = state.round_results
-    assert result.actual >= 1 << 63 and result.predicted == result.actual
+    total = sum(x * y for x, y in zip(a.data.sum(0).tolist(), w.dense.data.sum(1).tolist()))
+    assert total >= 1 << 63
+    watch = [reg.name for reg, _ in enumerate_registers(cfg).entries]
+    for names in ((), watch):
+        (result,) = run_both(cfg, [(a, w)], [], watch=names).round_results
+        assert result.actual == result.predicted == wrap(total, 63) and not result.flag
     rng = np.random.default_rng(9)
     window = tile_active_cycles(cfg, a.rows)
     for _ in range(10):

@@ -35,7 +35,7 @@ EDGES = [(PATTERN_2_4, 25, 26), (PATTERN_1_4, 26, 27)]
 
 def edge_config(pattern, width):
     return ArrayConfig(rows=3, cols=4, pattern=pattern, input_width=width, ic_width=2 * width,
-                       col_out_width=63, oc_width=63, cksum_width=200)
+                       col_out_width=63, oc_width=63, cksum_width=63)
 
 
 def full_scale(cfg, value, a_rows=6):
@@ -104,7 +104,7 @@ def test_full_scale_tiles_at_the_edge_match_reference(pattern, width):
 
 def sums_config(rows, pattern, width, col_out_width):
     return ArrayConfig(rows=rows, cols=4, pattern=pattern, input_width=width, ic_width=2 * width,
-                       col_out_width=col_out_width, oc_width=63, cksum_width=200)
+                       col_out_width=col_out_width, oc_width=63, cksum_width=63)
 
 
 # (config, whether its psum and products together stay below 2^53)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse_abft import DenseMatrix, golden_result, oracle
-from sparse_abft.intwrap import slice_plan
+from sparse_abft.intwrap import slice_plan, wrap
 from sparse_abft.oracle import matmul_ref
 from sparse_abft.sparsity import ShapeError
 
@@ -24,7 +24,7 @@ def python_dot(a, w):
 def test_worked_example(worked_example):
     _, a, w_dense, _ = worked_example
     assert matmul_ref(a, w_dense, 24).data.tolist() == [[-2, 16], [-2, 36]]
-    assert golden_result(a, w_dense, 24).total_checksum == python_dot(a, w_dense) == 48
+    assert int(golden_result(a, w_dense, 24).data.sum()) == python_dot(a, w_dense) == 48
 
 
 def test_identity_matrix():
@@ -37,7 +37,7 @@ def test_zero_weights():
     a = as_dense([[1, 2], [3, 4]])
     assert matmul_ref(a, zero_dense(2, 3), 24) == zero_dense(2, 3)
     z = zero_dense(2, 2)
-    assert golden_result(z, z, 24).total_checksum == python_dot(z, z) == 0
+    assert int(golden_result(z, z, 24).data.sum()) == python_dot(z, z) == 0
 
 
 def test_wraparound_at_out_width():
@@ -62,7 +62,7 @@ def test_identity_holds_on_random_pairs(seed):
     n = int(rng.integers(1, 17))
     a = DenseMatrix(n, 16, rng.integers(-128, 128, size=(n, 16)))
     w = DenseMatrix(16, 16, rng.integers(-128, 128, size=(16, 16)))
-    total = golden_result(a, w, 24).total_checksum
+    total = int(golden_result(a, w, 24).data.sum())
     assert total == python_dot(a, w)
     # recompute one side with plain Python arithmetic as a second opinion
     slow = sum(
@@ -73,12 +73,12 @@ def test_identity_holds_on_random_pairs(seed):
 
 
 def test_totals_past_int64_are_exact():
-    """Every int64 sum here wraps to 0; the true total is 2^71."""
-    a = as_dense([[2**40, 2**40]])
-    w = as_dense([[2**30], [2**30]])
-    golden = golden_result(a, w, 24)
-    assert golden.total_checksum == python_dot(a, w) == 2**71
-    assert golden.product == matmul_ref(a, w, 24)
+    """The true total is 2^70 + 15: both int64 sides of the identity wrap to
+    15, so they agree modulo 2^64, and the product wraps to 15 at 24 bits."""
+    a = as_dense([[2**40, 3]])
+    w = as_dense([[2**30], [5]])
+    assert python_dot(a, w) == 2**70 + 15
+    assert golden_result(a, w, 24).data.tolist() == [[15]]
 
 
 def signed_operands(bits, m=4, k=8, n=3):
@@ -91,12 +91,15 @@ def signed_operands(bits, m=4, k=8, n=3):
 
 @pytest.mark.parametrize("bits", [40, 62])
 def test_total_matches_brute_force_on_wide_operands(bits):
-    """Past ``max(rows, cols) peak = 2^63`` the column and row sums leave
-    int64; the total stays the exact sum of every product element."""
+    """Past ``max(rows, cols) peak = 2^63`` the column and row sums wrap in
+    int64; the identity holds modulo 2^64 and every product element is the
+    brute-force sum, wrapped at the output width."""
     a, w = signed_operands(bits)
-    brute = sum(int(a.data[i, j]) * int(w.data[j, c])
-                for i in range(4) for j in range(8) for c in range(3))
-    assert golden_result(a, w, 24).total_checksum == brute == python_dot(a, w)
+    brute = [[sum(int(a.data[i, j]) * int(w.data[j, c]) for j in range(8)) for c in range(3)]
+             for i in range(4)]
+    golden = golden_result(a, w, 63)
+    assert golden.data.tolist() == [[wrap(x, 63) for x in row] for row in brute]
+    assert (int(golden.data.sum()) - python_dot(a, w)) % (1 << 63) == 0
 
 
 @pytest.mark.parametrize("bits", [7, 40])
@@ -135,7 +138,7 @@ def test_matmul_ref_checks_the_identity(monkeypatch):
     """``matmul_ref`` is ``golden_result``'s product, so a wrong product raises
     there too instead of becoming the reference a run is compared with."""
     a, w = signed_operands(7)
-    assert matmul_ref(a, w, 24) == golden_result(a, w, 24).product
+    assert matmul_ref(a, w, 24) == golden_result(a, w, 24)
     true_product = oracle.exact_matmul
     monkeypatch.setattr(oracle, "exact_matmul", lambda *args: true_product(*args) + 1)
     with pytest.raises(RuntimeError, match="checksum identity must hold"):
@@ -148,18 +151,18 @@ def test_product_past_the_float64_bound_is_exact():
         a = as_dense([[value] * k])
         w = as_dense([[-value]] * k)
         assert matmul_ref(a, w, 63).data[0, 0] == -k * value**2
-        assert golden_result(a, w, 63).total_checksum == -k * value**2
 
 
 def test_golden_result_fields(worked_example):
     _, a, w_dense, _ = worked_example
     g = golden_result(a, w_dense, 24)
-    assert g.total_checksum == 48
-    assert g.product.data.tolist() == [[-2, 16], [-2, 36]]
+    assert isinstance(g, DenseMatrix) and (g.rows, g.cols) == (2, 2)
+    assert g.data.tolist() == [[-2, 16], [-2, 36]] and int(g.data.sum()) == 48
 
 
-# a wrong golden product: one added to every element of a 2x2 product, whose
-# true total is 134; prints the optimize flag, then the total if none raises
+# a wrong golden product: one added to every element of a product; prints
+# the optimize flag, whether 40-bit operands raised, then, if small ones do
+# not raise, the wrong total (138, the true one is 134)
 WRONG_PRODUCT = """
 import sys
 import numpy as np
@@ -170,19 +173,24 @@ oracle.exact_matmul = lambda *args: true_product(*args) + 1
 a = DenseMatrix(2, 2, np.array([[1, 2], [3, 4]]))
 w = DenseMatrix(2, 2, np.array([[5, 6], [7, 8]]))
 print(sys.flags.optimize, flush=True)
-print(golden_result(a, w, 24).total_checksum)
+try:
+    golden_result(DenseMatrix(2, 2, a.data << 35), DenseMatrix(2, 2, w.data << 35), 24)
+except RuntimeError:
+    print("40-bit operands raised", flush=True)
+print(golden_result(a, w, 24).data.sum())
 """
 
 
 def test_identity_check_survives_python_O(tmp_path):
     """Under ``python -O`` a golden product that breaks the checksum identity
-    still raises instead of giving a plausible wrong total (138)."""
+    still raises, at 40-bit operands too, instead of giving a plausible
+    wrong product."""
     script = tmp_path / "wrong_product.py"
     script.write_text(WRONG_PRODUCT)
     src = str(pathlib.Path(oracle.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-O", str(script)], capture_output=True, text=True,
                           env=env, timeout=120)
-    assert done.stdout.split() == ["1"], done.stdout
+    assert done.stdout.splitlines() == ["1", "40-bit operands raised"], done.stdout
     assert done.returncode != 0
-    assert "checksum identity must hold over unbounded integers" in done.stderr
+    assert "checksum identity must hold modulo 2^64" in done.stderr

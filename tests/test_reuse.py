@@ -264,6 +264,11 @@ def test_the_reference_is_read_only():
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x[(0,) * x.ndim] = 1
+        for s in result.states:   # the corners too: a kept state's accumulators cannot add
+            with pytest.raises(ValueError):
+                s.actual_accumulate(1)
+            with pytest.raises(ValueError):
+                s.predicted_accumulate(1)
     state = SimState(cfg)
     state.take(reference.results[0].states[-1])
     assert all(x.flags.writeable for x in state._arrays())
@@ -308,7 +313,7 @@ def test_a_reference_for_other_operands_is_refused():
             run_multiplication(cfg, a, w, reference=reference)
     copies = DenseMatrix(6, 16, a1.data), prune_magnitude(w1.dense, cfg.pattern)
     assert run_multiplication(cfg, *copies, reference=reference).outputs == \
-        golden_result(a1, w1.dense, cfg.col_out_width).product
+        golden_result(a1, w1.dense, cfg.col_out_width)
 
 
 def test_a_tile_reference_for_another_a_tile_is_refused():
@@ -335,4 +340,4 @@ def test_a_reference_for_another_config_is_refused():
     with pytest.raises(ValueError, match="reference was run on other inputs"):
         run_multiplication(narrow, a, w, reference=reference_run(cfg, a, w))
     equal = run_multiplication(replace(cfg), a, w, reference=reference_run(cfg, a, w))
-    assert equal.outputs == golden_result(a, w.dense, cfg.col_out_width).product
+    assert equal.outputs == golden_result(a, w.dense, cfg.col_out_width)

@@ -376,4 +376,4 @@ def test_file_and_array_agree_with_dense(tmp_path_factory, seed, pattern_text):
     a = as_dense(rng.integers(-128, 128, size=(int(rng.integers(1, 6)), k)))
     run = run_multiplication(cfg, a, w)
     assert not run.flagged
-    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width).product
+    assert run.outputs == golden_result(a, w.dense, cfg.col_out_width)

@@ -286,7 +286,7 @@ def test_run_tile_cycle_count_and_round_cadence():
         waves = a_rows + want_rounds * cfg.digits_per_round
         assert state.cycle == waves + cfg.rows + cfg.cols + 1
         assert state.cycle == tile_active_cycles(cfg, a_rows)
-        assert res.outputs == golden_result(a, w.dense, cfg.col_out_width).product
+        assert res.outputs == golden_result(a, w.dense, cfg.col_out_width)
         assert not any(r.flag for r in res.rounds)
 
 
@@ -299,7 +299,7 @@ def test_run_tile_matches_oracle_randomized():
             a = random_inputs(rng, a_rows, cfg.tile_k)
             w = random_weights(rng, cfg.tile_k, cfg.cols, pattern)
             res = SimState(cfg).run_tile(a, w)
-            assert res.outputs == golden_result(a, w.dense, cfg.col_out_width).product
+            assert res.outputs == golden_result(a, w.dense, cfg.col_out_width)
             assert not any(r.flag for r in res.rounds)
 
 
@@ -370,6 +370,26 @@ def test_register_read_write_flip(worked_example):
     assert state.read_register(idx) == 2
     state.flip_register_bit(idx, 0)
     assert state.read_register(idx) == 3
+
+
+def test_corner_registers_read_write_flip(worked_example):
+    """The corner accumulators are 0-d int64 cells: a write wraps at
+    cksum_width, reads back, and a flip of its top bit round-trips."""
+    cfg = worked_example[0]
+    state = SimState(cfg)
+    for name in ("cksum.actual", "cksum.predicted"):
+        reg = parse_register(name)
+        cell = getattr(state, reg.kind.storage)
+        assert cell.shape == () and cell.dtype == np.int64
+        state.write_register(reg, (1 << 47) - 1)
+        assert state.read_register(reg) == (1 << 47) - 1
+        state.write_register(reg, 1 << 47)
+        assert state.read_register(reg) == -(1 << 47)
+        state.flip_register_bit(reg, 47)
+        assert state.read_register(reg) == 0
+        state.flip_register_bit(reg, 47)
+        assert state.read_register(reg) == -(1 << 47)
+        assert getattr(state, reg.kind.storage) is cell   # written in place
 
 
 def test_flip_of_every_register_kind_and_its_bit_range(worked_example):
